@@ -18,14 +18,8 @@ copies — exercised through five kernel pillars:
                   shape of Section 4.3), run with a low GC trigger so the
                   mark-and-sweep collector reclaims each round's residues,
 * ``count``     — repeated model counting over the relation and reach sets
-                  (the struct-of-arrays store answers these with one
-                  vectorised bottom-up pass; the dict store recurses with a
-                  per-call memo).
-
-Every case accepts a ``store`` argument (``"array"``/``"dict"``) so the two
-node-store layouts run the identical workload; :func:`compare_report` times
-them side by side and asserts checksum identity, and ``--array-smoke`` is
-the CI gate: parity-or-faster on every op, at least one op >= 1.5x.
+                  (each count is one vectorised bottom-up pass over the
+                  node vectors).
 
 Each case is exposed three ways: as a plain callable returning a
 :class:`KernelResult` (checksum + peak/live node counts + GC collections,
@@ -88,14 +82,12 @@ def _result(mgr: BddManager, checksum: int) -> KernelResult:
     )
 
 
-def _make_manager(bits: int, store: str | None = None, **kwargs) -> BddManager:
+def _make_manager(bits: int, **kwargs) -> BddManager:
     """Interleaved current/next variables: c0, n0, c1, n1, ..."""
     names: List[str] = []
     for i in range(bits):
         names.append(f"c{i}")
         names.append(f"n{i}")
-    if store is not None:
-        kwargs["store"] = store
     return BddManager(names, **kwargs)
 
 
@@ -122,9 +114,9 @@ def _transition(mgr: BddManager, bits: int) -> int:
     return mgr.disjoin(_adder(mgr, bits, delta) for delta in DELTAS)
 
 
-def bench_apply(bits: int = DEFAULT_BITS, store: str | None = None) -> KernelResult:
+def bench_apply(bits: int = DEFAULT_BITS) -> KernelResult:
     """Build the multi-delta transition relation (pure apply recursions)."""
-    mgr = _make_manager(bits, store)
+    mgr = _make_manager(bits)
     relation = _transition(mgr, bits)
     # Extra apply pressure: constrain the relation by fixed low/high bits.
     evens = mgr.conjoin(mgr.nvar(f"c{i}") for i in range(0, bits, 2))
@@ -133,9 +125,9 @@ def bench_apply(bits: int = DEFAULT_BITS, store: str | None = None) -> KernelRes
     return _result(mgr, mgr.node_count(relation) + mgr.node_count(node))
 
 
-def bench_quantify(bits: int = DEFAULT_BITS, store: str | None = None) -> KernelResult:
+def bench_quantify(bits: int = DEFAULT_BITS) -> KernelResult:
     """Partial existential/universal quantification of the transition."""
-    mgr = _make_manager(bits, store)
+    mgr = _make_manager(bits)
     relation = _transition(mgr, bits)
     odd_next = [f"n{i}" for i in range(1, bits, 2)]
     even_next = [f"n{i}" for i in range(0, bits, 2)]
@@ -161,9 +153,9 @@ def _image_set(mgr: BddManager, bits: int, relation: int, steps: int) -> int:
     return reached
 
 
-def bench_rename(bits: int = DEFAULT_BITS, store: str | None = None) -> KernelResult:
+def bench_rename(bits: int = DEFAULT_BITS) -> KernelResult:
     """Prime/unprime shifts (fast path) and an order-reversing rename (fall-back)."""
-    mgr = _make_manager(bits, store)
+    mgr = _make_manager(bits)
     # An extra block of variables for the order-reversing case.
     for i in range(bits):
         mgr.add_var(f"r{i}")
@@ -186,9 +178,9 @@ def bench_rename(bits: int = DEFAULT_BITS, store: str | None = None) -> KernelRe
     return _result(mgr, total)
 
 
-def bench_relprod(bits: int = DEFAULT_BITS, store: str | None = None) -> KernelResult:
+def bench_relprod(bits: int = DEFAULT_BITS) -> KernelResult:
     """Full reachability from state 0 by ``and_exists`` image iteration."""
-    mgr = _make_manager(bits, store)
+    mgr = _make_manager(bits)
     relation = _transition(mgr, bits)
     current_bits = [f"c{i}" for i in range(bits)]
     unprime = {f"n{i}": f"c{i}" for i in range(bits)}
@@ -205,11 +197,7 @@ def bench_relprod(bits: int = DEFAULT_BITS, store: str | None = None) -> KernelR
     return _result(mgr, iterations)
 
 
-def bench_negation(
-    bits: int = DEFAULT_BITS,
-    store: str | None = None,
-    gc_threshold: int = 2048,
-) -> KernelResult:
+def bench_negation(bits: int = DEFAULT_BITS, gc_threshold: int = 2048) -> KernelResult:
     """Negation-heavy reachability: the entry-forward-opt ``Relevant`` shape.
 
     Every round negates the running summary, the image and the frontier —
@@ -219,7 +207,7 @@ def bench_negation(
     trigger, and each round's safe point passes the genuinely live edges as
     roots so the collector reclaims the round residues.
     """
-    mgr = _make_manager(bits, store, gc_threshold=gc_threshold)
+    mgr = _make_manager(bits, gc_threshold=gc_threshold)
     relation = mgr.ref(_transition(mgr, bits))
     current_bits = [f"c{i}" for i in range(bits)]
     unprime = {f"n{i}": f"c{i}" for i in range(bits)}
@@ -269,18 +257,17 @@ def _hidden_weighted_bit(mgr: BddManager, names: List[str]) -> int:
     return f
 
 
-def bench_count(bits: int = DEFAULT_BITS, store: str | None = None) -> KernelResult:
+def bench_count(bits: int = DEFAULT_BITS) -> KernelResult:
     """Repeated model counting: the vectorised bottom-up pass's home turf.
 
     Builds the hidden-weighted-bit function over all ``2 * bits`` variables
     (a large, heavily shared BDD — the summary-relation shape), sweeps the
     construction residues, then counts it and several derived functions
     over and over, full-support and restricted — the ``count_sat`` pattern
-    of summary-state reporting and the snapshot post-passes.  The array
-    store answers each count with one bottom-up pass over the flat vectors;
-    the dict store re-runs the memoised big-int recursion per call.
+    of summary-state reporting and the snapshot post-passes, each answered
+    by one bottom-up pass over the flat node vectors.
     """
-    mgr = _make_manager(bits, store)
+    mgr = _make_manager(bits)
     names = list(mgr.var_names)
     f = mgr.ref(_hidden_weighted_bit(mgr, names))
     mgr.collect_garbage()
@@ -309,110 +296,14 @@ KERNEL_CASES: Dict[str, Callable[..., KernelResult]] = {
 }
 
 
-def kernel_report(
-    bits: int = DEFAULT_BITS, store: str | None = None
-) -> List[Tuple[str, float, KernelResult]]:
+def kernel_report(bits: int = DEFAULT_BITS) -> List[Tuple[str, float, KernelResult]]:
     """Run every kernel case once; return (name, seconds, result) rows."""
     rows = []
     for name, case in KERNEL_CASES.items():
         started = time.perf_counter()
-        result = case(bits, store=store)
+        result = case(bits)
         rows.append((name, time.perf_counter() - started, result))
     return rows
-
-
-class CompareRow(NamedTuple):
-    """One kernel case timed on both node-store layouts (same workload)."""
-
-    case: str
-    dict_seconds: float
-    array_seconds: float
-    dict_result: KernelResult
-    array_result: KernelResult
-
-    @property
-    def speedup(self) -> float:
-        return self.dict_seconds / max(self.array_seconds, 1e-9)
-
-
-def compare_report(bits: int = DEFAULT_BITS, rounds: int = 1) -> List[CompareRow]:
-    """Time every case on the dict and array stores (best of ``rounds``).
-
-    The dict layout is the seed kernel's store, so each row doubles as the
-    seed-vs-current record for ``BENCH_kernel.json``.  Checksums must match
-    between layouts — a differential guarantee, not just a timing table.
-    """
-    rows: List[CompareRow] = []
-    for name, case in KERNEL_CASES.items():
-        timings: Dict[str, float] = {}
-        results: Dict[str, KernelResult] = {}
-        for store in ("dict", "array"):
-            best = float("inf")
-            for _ in range(rounds):
-                started = time.perf_counter()
-                result = case(bits, store=store)
-                best = min(best, time.perf_counter() - started)
-            timings[store] = best
-            results[store] = result
-        assert results["dict"].checksum == results["array"].checksum, (
-            f"{name}: store layouts disagree "
-            f"(dict={results['dict'].checksum}, array={results['array'].checksum})"
-        )
-        rows.append(
-            CompareRow(name, timings["dict"], timings["array"],
-                       results["dict"], results["array"])
-        )
-    return rows
-
-
-#: Per-op parity tolerance for ``array_smoke``: the array store may be up to
-#: this factor slower than dict on any single op (CI timer noise), plus a
-#: small absolute floor for sub-50ms cases.
-SMOKE_PARITY_FACTOR = 1.15
-SMOKE_PARITY_FLOOR = 0.02
-
-#: At least one op must be at least this much faster on the array store.
-SMOKE_SPEEDUP_TARGET = 1.5
-
-
-def array_smoke(bits: int = 12, rounds: int = 3) -> int:
-    """CI gate for the struct-of-arrays store: parity everywhere, a win somewhere.
-
-    Runs :func:`compare_report` (which already asserts checksum identity per
-    case) and enforces the performance acceptance bar: the array store is at
-    parity-or-faster on *every* op (within timer-noise tolerance) and at
-    least :data:`SMOKE_SPEEDUP_TARGET` times faster on at least one.
-    """
-    rows = compare_report(bits, rounds=rounds)
-    slow = [
-        row
-        for row in rows
-        if row.array_seconds
-        > row.dict_seconds * SMOKE_PARITY_FACTOR + SMOKE_PARITY_FLOOR
-    ]
-    assert not slow, (
-        "array store lost parity on: "
-        + ", ".join(
-            f"{row.case} (dict={row.dict_seconds:.3f}s array={row.array_seconds:.3f}s)"
-            for row in slow
-        )
-    )
-    best = max(rows, key=lambda row: row.speedup)
-    for row in rows:
-        print(
-            f"array smoke: {row.case:10s} dict={row.dict_seconds:7.3f}s "
-            f"array={row.array_seconds:7.3f}s speedup={row.speedup:5.2f}x "
-            f"checksum ok"
-        )
-    assert best.speedup >= SMOKE_SPEEDUP_TARGET, (
-        f"no kernel op reached the {SMOKE_SPEEDUP_TARGET}x bar "
-        f"(best was {best.case} at {best.speedup:.2f}x)"
-    )
-    print(
-        f"array smoke OK: parity on all {len(rows)} ops, best win "
-        f"{best.case} at {best.speedup:.2f}x (bits={bits}, best of {rounds})"
-    )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -466,25 +357,12 @@ def main(argv: List[str] | None = None) -> int:
         help="run the CI perf-smoke assertions (O(1) negation, peak-node budget)",
     )
     parser.add_argument(
-        "--array-smoke",
-        action="store_true",
-        help="run the CI array-store assertions (parity per op, >=1.5x on one)",
-    )
-    parser.add_argument(
-        "--store",
-        choices=["array", "dict"],
-        default=None,
-        help="node-store layout for the report table (default: manager default)",
-    )
-    parser.add_argument(
         "--bits",
         type=int,
         default=None,
         help="counter width (default: 10 for --smoke, 14 otherwise)",
     )
     args = parser.parse_args(argv)
-    if args.array_smoke:
-        return array_smoke(args.bits if args.bits is not None else 12)
     if args.smoke:
         bits = args.bits if args.bits is not None else 10
         if bits not in SEED_NEGATION_PEAK:
@@ -493,7 +371,7 @@ def main(argv: List[str] | None = None) -> int:
             )
         return smoke(bits)
     bits = args.bits if args.bits is not None else DEFAULT_BITS
-    for name, seconds, result in kernel_report(bits, store=args.store):
+    for name, seconds, result in kernel_report(bits):
         print(
             f"{name:10s}  {seconds:9.3f}s  checksum={result.checksum}  "
             f"peak={result.peak_nodes}  live={result.live_nodes}  "

@@ -15,13 +15,10 @@ Usage::
     python benchmarks/report.py figure3-parallel   # Bluetooth, sharded symbolic
     python benchmarks/report.py session            # fresh vs session-reuse sweep
     python benchmarks/report.py kernel             # BDD kernel micro-benchmarks
-    python benchmarks/report.py kernel --emit-json BENCH_kernel.json
-                                                   # dict-vs-array record
     python benchmarks/report.py parallel-smoke     # CI: pool pickling smoke
     python benchmarks/report.py session-smoke      # CI: per-shard session reuse
     python benchmarks/report.py faults             # limits-armed overhead table
     python benchmarks/report.py faults-smoke       # CI: worker-kill retry smoke
-    python benchmarks/report.py array-kernel-smoke # CI: SoA parity + count win
     python benchmarks/report.py snapshot-smoke     # CI: copy-free attach + fan-out
     python benchmarks/report.py optimize           # -O0 vs -O2 pre-analysis table
     python benchmarks/report.py optimize-smoke     # CI: -O2 differential gate
@@ -551,60 +548,6 @@ def kernel(bits: int = 14) -> None:
         )
 
 
-def kernel_json(path: str, bits: int = 12, rounds: int = 3) -> None:
-    """Write the dict-vs-array kernel record to ``path`` (committed policy).
-
-    The dict layout is the seed kernel's node store, so each row is a
-    seed-vs-current comparison: per-case wall clock for both layouts,
-    speedup, plus the array store's peak/live node counts and GC
-    collections.  Checksum identity between layouts is asserted inside
-    :func:`bench_bdd_kernel.compare_report`.
-    """
-    import json
-    import platform
-
-    from bench_bdd_kernel import compare_report
-
-    rows = compare_report(bits, rounds=rounds)
-    record = {
-        "benchmark": "bdd-kernel-store-comparison",
-        "bits": bits,
-        "rounds": rounds,
-        "python": platform.python_version(),
-        "baseline_store": "dict (seed layout)",
-        "candidate_store": "array (struct-of-arrays)",
-        "rows": [
-            {
-                "case": row.case,
-                "dict_seconds": round(row.dict_seconds, 6),
-                "array_seconds": round(row.array_seconds, 6),
-                "speedup": round(row.speedup, 3),
-                "checksum": row.array_result.checksum,
-                "peak_nodes": row.array_result.peak_nodes,
-                "live_nodes": row.array_result.live_nodes,
-                "gc_collections": row.array_result.gc_collections,
-            }
-            for row in rows
-        ],
-    }
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    print(f"wrote {path}: {len(rows)} cases at bits={bits}, best of {rounds}")
-    for row in rows:
-        print(
-            f"  {row.case:10s} dict={row.dict_seconds:7.3f}s "
-            f"array={row.array_seconds:7.3f}s speedup={row.speedup:5.2f}x"
-        )
-
-
-def array_kernel_smoke(bits: int | None = None) -> None:
-    """CI gate for the struct-of-arrays store (see bench_bdd_kernel.array_smoke)."""
-    from bench_bdd_kernel import array_smoke
-
-    array_smoke(**({} if bits is None else {"bits": bits}))
-
-
 def _vm_rss_bytes() -> int:
     """Resident set size of this process, from /proc (Linux CI runners)."""
     with open("/proc/self/status") as handle:
@@ -963,7 +906,6 @@ def main(argv: List[str] | None = None) -> int:
             "session-smoke",
             "faults",
             "faults-smoke",
-            "array-kernel-smoke",
             "snapshot-smoke",
             "optimize",
             "optimize-smoke",
@@ -978,12 +920,6 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--kernel-bits", type=int, default=14, help="counter width for the kernel table"
-    )
-    parser.add_argument(
-        "--emit-json",
-        metavar="PATH",
-        default=None,
-        help="with 'kernel': write the dict-vs-array comparison record to PATH",
     )
     parser.add_argument(
         "--algorithm",
@@ -1017,12 +953,7 @@ def main(argv: List[str] | None = None) -> int:
         session_table(algorithm=args.algorithm)
         print()
     if args.what in ("kernel", "all"):
-        if args.emit_json:
-            kernel_json(args.emit_json, bits=min(args.kernel_bits, 12))
-        else:
-            kernel(bits=args.kernel_bits)
-    if args.what == "array-kernel-smoke":
-        array_kernel_smoke()
+        kernel(bits=args.kernel_bits)
     if args.what == "snapshot-smoke":
         snapshot_smoke(jobs=min(args.jobs, 2))
     if args.what in ("optimize", "all"):

@@ -76,7 +76,6 @@ from ..analysis.passes import PassReport, normalise_slice_targets
 from ..analysis.passes import optimize as optimize_program
 from ..bdd import BddError, BddManager
 from ..bdd import snapshot as bdd_snapshot
-from ..bdd._array import ArrayBddManager
 from ..boolprog import Program, build_cfg, check_program, parse_program
 from ..encode.templates import SequentialEncoder, TemplateSet
 from ..errors import ResourceExhausted
@@ -765,12 +764,12 @@ class AnalysisSession:
     def freeze(self, algorithm: Optional[str] = None) -> SessionSnapshot:
         """Publish the retained solved fixed point as a shared-memory segment.
 
-        Requires a prior :meth:`solve` (the snapshot is the *solved* table)
-        and the array node store (the segment is a copy of its flat
-        vectors).  The table is GC-swept first so the frozen image is
-        compact — retained interpretations, templates and cached targets
-        are external roots and survive — then copied out with the frozen
-        unique table that makes overlay allocation canonical.
+        Requires a prior :meth:`solve` (the snapshot is the *solved* table;
+        the segment is a copy of its flat node vectors) and a session that
+        is not itself attached to a snapshot.  The table is GC-swept first
+        so the frozen image is compact — retained interpretations, templates
+        and cached targets are external roots and survive — then copied out
+        with the frozen unique table that makes overlay allocation canonical.
 
         The freezing session keeps working normally afterwards (the segment
         is an immutable copy).  The caller owns the returned handle's
@@ -786,10 +785,6 @@ class AnalysisSession:
             # only preserves the sliced ones.
             raise RuntimeError("freeze() is not supported for sliced sessions")
         manager = state.backend.manager
-        if not isinstance(manager, ArrayBddManager):
-            raise BddError(
-                f"freeze() needs the array node store (session uses {manager.STORE!r})"
-            )
         manager.collect_garbage()
         name = bdd_snapshot.freeze(manager)
         program = self.program if _picklable(self.program) else None

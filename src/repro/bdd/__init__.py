@@ -11,18 +11,15 @@ Public API
 :class:`BddManager`
     The node table and operation layer (integer signed-edge handles),
     including ``ref``/``deref`` external-root tracking, ``collect_garbage``
-    / ``maybe_collect`` and GC hooks.  Two interchangeable node stores sit
-    behind the same API: the default struct-of-arrays layout
-    (``store="array"``, :class:`ArrayBddManager`) with flat int64 node
-    vectors, packed integer cache keys and vectorised GC/counting, and the
-    original dict-of-tuples layout (``store="dict"``) kept as a
-    config-switchable fallback (also via ``REPRO_BDD_STORE``).
+    / ``maybe_collect`` and GC hooks.  Its one node store is a
+    struct-of-arrays layout: flat int64 node vectors, packed integer cache
+    keys and vectorised GC/counting.
 :class:`Function` (alias :class:`BddFunction`)
     Ergonomic wrapper with operator overloading for user code; wrappers are
     the collector's external references (ref on construction, deref on
     release/finalisation, context-manager scoped).
 :mod:`repro.bdd.snapshot`
-    Read-only shared-memory snapshots of solved array-store node tables:
+    Read-only shared-memory snapshots of solved node tables:
     :func:`freeze` publishes a segment, :class:`SnapshotView` attaches
     copy-free, :class:`SnapshotOverlayManager` runs query post-passes over
     the frozen image.
@@ -31,7 +28,6 @@ Public API
 """
 
 from .manager import BddError, BddManager, QuantCube
-from ._array import ArrayBddManager
 from .function import BddFunction, Function
 from .ordering import interleave, order_from_affinity, validate_order
 from .snapshot import SnapshotOverlayManager, SnapshotView, freeze
@@ -39,7 +35,6 @@ from .snapshot import SnapshotOverlayManager, SnapshotView, freeze
 __all__ = [
     "BddError",
     "BddManager",
-    "ArrayBddManager",
     "QuantCube",
     "BddFunction",
     "Function",

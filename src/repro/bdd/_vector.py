@@ -1,14 +1,14 @@
 """Vectorised passes over flat struct-of-arrays node tables.
 
-These helpers power the array node store (:mod:`repro.bdd._array`) and the
+These helpers power the node store (:mod:`repro.bdd.manager`) and the
 shared-memory snapshots (:mod:`repro.bdd.snapshot`): reachability marking for
 the GC sweep and a bottom-up satisfying-assignment count, both expressed as
 whole-array numpy operations over the ``level``/``lo``/``hi`` vectors.
 
 numpy is optional.  When it is not importable, ``HAVE_NUMPY`` is False and
-the array store falls back to the (behaviourally identical) scalar passes it
-inherits from the dict store — the layout still works, only the vectorised
-fast paths are skipped.
+the manager runs its (behaviourally identical) scalar GC sweep and exact
+``count_sat`` recursion instead — only the vectorised fast paths are
+skipped.
 
 All helpers operate on *views*: callers hand in ``numpy.int64`` arrays
 aliasing the live ``array('q')`` buffers (or a shared-memory segment) and
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every array-store test
+try:  # pragma: no cover - exercised implicitly by every manager test
     import numpy as _np
 except Exception:  # pragma: no cover - numpy-less fallback environments
     _np = None
@@ -74,8 +74,7 @@ def count_sat_vector(
     A bottom-up pass over the flat arrays: reachable nodes are grouped by
     variable position and every group's counts are computed in a handful of
     whole-array operations from its (already counted) children — the scalar
-    memoised recursion of the dict store becomes ``O(distinct levels)``
-    numpy steps.  Counts are carried in int64, so callers must ensure
+    memoised recursion becomes ``O(distinct levels)`` numpy steps.  Counts are carried in int64, so callers must ensure
     ``total_levels <= MAX_VECTOR_COUNT_LEVELS``; returns None when the root
     is reachable-empty in a way the caller should handle (never, currently).
 

@@ -153,9 +153,9 @@ class Function:
     def store(self) -> str:
         """The node-store layout backing this function's manager.
 
-        ``"array"`` (struct-of-arrays, the default), ``"dict"`` (the
-        fallback layout), or ``"array-snapshot-overlay"`` when the wrapper
-        lives on a shared-memory snapshot attachment.
+        ``"array"`` (the struct-of-arrays store), or
+        ``"array-snapshot-overlay"`` when the wrapper lives on a
+        shared-memory snapshot attachment.
         """
         return str(self.manager.stats()["store"])
 

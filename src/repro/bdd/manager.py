@@ -1,5 +1,5 @@
 """Reduced Ordered Binary Decision Diagram (ROBDD) manager with complement
-edges and a mark-and-sweep garbage collector.
+edges, a struct-of-arrays node store and a mark-and-sweep garbage collector.
 
 This module is the symbolic-representation substrate of the reproduction: it
 plays the role that CUDD plays inside MUCKE in the original Getafix tool.  It
@@ -32,6 +32,25 @@ Complement edges also let several operations share one recursion and cache:
   space of their shared cache, and ``ite`` delegates its two-operand special
   cases to the ``and_``/``xor`` caches.
 
+Node store
+----------
+* The node vectors ``level``/``lo``/``hi`` are flat ``array('q')`` int64
+  vectors: three contiguous machine-word tables instead of three pointer
+  arrays into heap-allocated ints.
+* The unique table and every per-op apply cache are keyed on *packed
+  integer keys* (a single small int per probe instead of a tuple object);
+  quantifier cubes and rename/restrict maps are interned to per-manager
+  integer ``uid``\\ s so they pack too.
+* The flat layout is what makes read-only shared-memory snapshots of solved
+  tables possible (:mod:`repro.bdd.snapshot`).
+
+Packed-key capacity bounds (per manager): at most :data:`MAX_NODE_INDEX`
+node slots (edges fit 24 bits) and :data:`MAX_LEVEL` variables (levels fit
+the remaining key bits).  A full node table raises
+:class:`~repro.errors.NodeBudgetExceeded`, so it takes the same resource
+path as an exhausted node budget; one variable too many raises
+:class:`BddError`.
+
 Garbage collection
 ------------------
 Nodes are reclaimed by an explicit mark-and-sweep collector.  External roots
@@ -41,8 +60,12 @@ lifetime); :meth:`collect_garbage` marks from those roots plus any *extra
 roots* the caller passes (e.g. the fixed-point evaluator's current
 interpretations), frees every unmarked node into a free list for reuse, and
 drops all operation caches so no cache entry can resurrect a dead node.
-Registered GC hooks let consumers (the symbolic backend's plan memos)
-invalidate their own node-keyed caches in the same sweep.
+The mark phase and the unique-table update are vectorised over the flat
+vectors with numpy (:mod:`repro.bdd._vector`; a scalar sweep runs when numpy
+is unavailable), and the sweep trims the trailing run of free slots so
+capacity tracks the live high-water mark.  Registered GC hooks let consumers
+(the symbolic backend's plan memos) invalidate their own node-keyed caches
+in the same sweep.
 
 Collection only runs at *safe points*: callers invoke
 :meth:`maybe_collect` (cheap check against a configurable, geometrically
@@ -51,13 +74,13 @@ when every live edge is enumerable — the evaluator does so between outer
 fixed-point iterations.  Nothing collects implicitly during an apply
 recursion, so intermediate results never need protection.
 
-Programs whose encodings have very many bit levels can exceed Python's
-recursion limit; constructing the manager with ``explicit_stack=True``
-switches the binary connectives, ``ite``, the quantifications
-(``exists`` / ``forall`` / ``and_exists``) and both rename paths to
-iterative, explicit-stack evaluations that are depth-independent
-(``restrict``/``compose`` and the enumeration helpers recurse at most one
-frame per variable level and stay recursive).
+Recursion depth
+---------------
+The apply recursions descend one Python frame per variable level.  The
+deepest nestings stack two of them — ``rename``'s ``ite`` rebuild, and the
+``or_`` inside ``exists`` / ``and_exists`` — so :meth:`BddManager.add_var`
+raises the interpreter's recursion limit (it never lowers it) to two frames
+per declared level plus headroom for the caller's own stack.
 
 Every operation family maintains hit/miss counters; :meth:`BddManager.stats`
 exposes them together with cache sizes, live/peak node counts and GC
@@ -68,7 +91,9 @@ bookkeeping in one step so per-run snapshots do not leak across runs.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from array import array
 from typing import (
     Callable,
     Dict,
@@ -82,8 +107,33 @@ from typing import (
 )
 
 from ..errors import AnalysisTimeout, NodeBudgetExceeded
+from . import _vector
 
 __all__ = ["BddManager", "BddError", "QuantCube"]
+
+#: Signed edges are packed into 24-bit fields: node index < 2**23.
+EDGE_BITS = 24
+#: Highest representable node index (23-bit index, sign bit makes 24).
+MAX_NODE_INDEX = (1 << (EDGE_BITS - 1)) - 1
+#: Unique keys pack ``(level << 48) | (lo << 24) | hi`` into an int64.
+LEVEL_SHIFT = 2 * EDGE_BITS
+#: Levels must fit the remaining 15 key bits of a non-negative int64.
+MAX_LEVEL = (1 << 15) - 1
+
+#: Python frames the kernel may stack per variable level (see "Recursion
+#: depth" above), and the frames left over for the caller's own stack.
+_FRAMES_PER_LEVEL = 2
+_RECURSION_HEADROOM = 1000
+
+
+def _node_table_full(index: int) -> NodeBudgetExceeded:
+    """The typed error for an allocation past the packed-key slot bound."""
+    return NodeBudgetExceeded(
+        f"BDD node table full: slot {index} is past the packed-key bound of "
+        f"{MAX_NODE_INDEX} node slots",
+        consumed=index,
+        budget=MAX_NODE_INDEX,
+    )
 
 
 class BddError(Exception):
@@ -111,9 +161,8 @@ class QuantCube:
         self.levels = ordered
         self.members = set(ordered)
         self.last = ordered[-1]
-        # Small per-manager integer assigned at intern time by the array
-        # store, where it packs into integer cache keys.  The dict store
-        # never reads it.
+        # Small per-manager integer, assigned when a manager interns the
+        # cube (:meth:`BddManager.quant_cube`); it packs into cache keys.
         self.uid: Optional[int] = None
 
     def __repr__(self) -> str:
@@ -134,11 +183,6 @@ class BddManager:
         this sequence is its *level*: variables earlier in the sequence are
         tested closer to the root.  More variables can be added later with
         :meth:`add_var`, which appends them below all existing levels.
-    explicit_stack:
-        When True, the binary connectives, ``ite``, the quantifications and
-        the rename recursions run on an explicit work stack instead of
-        Python recursion, so arbitrarily deep BDDs cannot trip the
-        interpreter's recursion limit.
     gc_enabled:
         When False, :meth:`maybe_collect` never collects (explicit
         :meth:`collect_garbage` calls still work).
@@ -153,15 +197,6 @@ class BddManager:
         Optional cap on the summed size of the operation caches; when a
         :meth:`maybe_collect` safe point finds the caches larger, they are
         dropped even if no node collection runs.
-    store:
-        Node-store layout: ``"array"`` (default) selects the struct-of-arrays
-        store (flat ``array('q')`` node vectors, packed-integer cache keys,
-        vectorised GC sweep and ``count_sat``, shared-memory snapshot
-        support); ``"dict"`` selects the original list-and-tuple store as
-        the sequential fallback.  ``None`` consults the ``REPRO_BDD_STORE``
-        environment variable before defaulting to ``"array"``.  Both layouts
-        are behaviourally identical behind the signed-edge API (the
-        differential suite is parametrised over both).
     debug_checks:
         Kernel sanitizer.  When True, :meth:`_debug_validate` runs at every
         GC safe point (each :meth:`maybe_collect` call and the end of each
@@ -179,20 +214,7 @@ class BddManager:
     TRUE = 1
 
     #: Node-store layout name, reported by :meth:`stats`.
-    STORE = "dict"
-
-    def __new__(cls, *args, **kwargs):
-        if cls is BddManager:
-            choice = kwargs.get("store")
-            if choice is None:
-                choice = os.environ.get("REPRO_BDD_STORE") or "array"
-            if choice == "array":
-                from ._array import ArrayBddManager
-
-                cls = ArrayBddManager
-            elif choice != "dict":
-                raise BddError(f"unknown node store {choice!r} (use 'array' or 'dict')")
-        return object.__new__(cls)
+    STORE = "array"
 
     #: Sentinel level used for the terminal node; greater than any variable.
     _TERMINAL_LEVEL = 1 << 60
@@ -202,43 +224,38 @@ class BddManager:
     def __init__(
         self,
         var_names: Optional[Sequence[str]] = None,
-        explicit_stack: bool = False,
         gc_enabled: bool = True,
         gc_threshold: int = 65_536,
         gc_growth: float = 2.0,
         cache_limit: Optional[int] = None,
-        store: Optional[str] = None,
         debug_checks: Optional[bool] = None,
     ) -> None:
-        # ``store`` is consumed by :meth:`__new__` (layout dispatch); it is
-        # accepted here so both layouts share one constructor signature.
-        if store is not None and store not in ("array", "dict"):
-            raise BddError(f"unknown node store {store!r} (use 'array' or 'dict')")
         if debug_checks is None:
             debug_checks = os.environ.get("REPRO_DEBUG_CHECKS", "") not in ("", "0")
         self._debug_checks = bool(debug_checks)
-        # Parallel node arrays.  Index 0 is the sole terminal; a signed edge
+        # Parallel node vectors.  Index 0 is the sole terminal; a signed edge
         # is (index << 1) | complement, so FALSE = 0 and TRUE = 1.
-        self._level: List[int] = [self._TERMINAL_LEVEL]
-        self._lo: List[int] = [0]
-        self._hi: List[int] = [0]
-        # Unique table: (level, lo_edge, hi_edge) -> node index.
-        self._unique: Dict[Tuple[int, int, int], int] = {}
+        self._level = array("q", [self._TERMINAL_LEVEL])
+        self._lo = array("q", [0])
+        self._hi = array("q", [0])
+        # Unique table: packed (level, lo_edge, hi_edge) key -> node index.
+        self._unique: Dict[int, int] = {}
         # Operation caches, one per operation family so one workload cannot
-        # evict another's entries and keys stay small.  `or` rides the `and`
-        # cache (De Morgan), `iff` rides `xor`, `forall` rides `exists`.
-        self._and_cache: Dict[Tuple[int, int], int] = {}
-        self._xor_cache: Dict[Tuple[int, int], int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        self._exists_cache: Dict[Tuple[int, QuantCube], int] = {}
-        self._and_exists_cache: Dict[Tuple[int, int, QuantCube], int] = {}
-        self._rename_cache: Dict[Tuple[int, "_RenameMap"], int] = {}
-        self._restrict_cache: Dict[Tuple[int, "_RenameMap"], int] = {}
-        # Interning tables for quantifier cubes and rename/restrict maps.
+        # evict another's entries.  `or` rides the `and` cache (De Morgan),
+        # `iff` rides `xor`, `forall` rides `exists`.
+        self._and_cache: Dict[int, int] = {}
+        self._xor_cache: Dict[int, int] = {}
+        self._ite_cache: Dict[int, int] = {}
+        self._exists_cache: Dict[int, int] = {}
+        self._and_exists_cache: Dict[int, int] = {}
+        self._rename_cache: Dict[int, int] = {}
+        self._restrict_cache: Dict[int, int] = {}
+        # Interning tables for quantifier cubes and rename/restrict maps; each
+        # interned object gets a per-manager uid that packs into cache keys.
         self._cube_table: Dict[Tuple[int, ...], QuantCube] = {}
         self._rename_table: Dict[Tuple[Tuple[int, int], ...], "_RenameMap"] = {}
         self._restrict_table: Dict[Tuple[Tuple[int, bool], ...], "_RenameMap"] = {}
-        self._explicit_stack = bool(explicit_stack)
+        self._next_uid = 0
         # Hit/miss counters, keyed like the caches.
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
@@ -281,12 +298,24 @@ class BddManager:
     # Variable management
     # ------------------------------------------------------------------
     def add_var(self, name: str) -> int:
-        """Declare a new variable below all existing levels; return its index."""
+        """Declare a new variable below all existing levels; return its index.
+
+        Also makes sure the interpreter's recursion limit covers the apply
+        recursions over the grown order (raised, never lowered).
+        """
         if name in self._name_to_var:
             raise BddError(f"variable {name!r} already declared")
         index = len(self._var_names)
+        if index >= MAX_LEVEL:
+            raise BddError(
+                f"a manager supports at most {MAX_LEVEL} variables "
+                "(packed-key level bound)"
+            )
         self._var_names.append(name)
         self._name_to_var[name] = index
+        needed = _FRAMES_PER_LEVEL * (index + 1) + _RECURSION_HEADROOM
+        if needed > sys.getrecursionlimit():
+            sys.setrecursionlimit(needed)
         return index
 
     def var_index(self, name: str) -> int:
@@ -336,7 +365,7 @@ class BddManager:
         if sign:
             lo ^= 1
             hi ^= 1
-        key = (level, lo, hi)
+        key = (level << LEVEL_SHIFT) | (lo << EDGE_BITS) | hi
         index = self._unique.get(key)
         if index is None:
             free = self._free
@@ -347,6 +376,8 @@ class BddManager:
                 self._hi[index] = hi
             else:
                 index = len(self._level)
+                if index > MAX_NODE_INDEX:
+                    raise _node_table_full(index)
                 self._level.append(level)
                 self._lo.append(lo)
                 self._hi.append(hi)
@@ -356,7 +387,9 @@ class BddManager:
                 self._peak_live = self._live
             # Apply-loop checkpoints: every allocation is a consistent point
             # (the new node is valid, caches untouched), so raising here
-            # leaves the manager releasable.
+            # leaves the manager releasable.  Budget accounting is over
+            # *live* nodes, never array capacity: `_live` excludes
+            # free-listed slots and the sweep trims the tail.
             if self._node_budget is not None and self._live > self._node_budget:
                 raise NodeBudgetExceeded(consumed=self._live, budget=self._node_budget)
             if self._deadline is not None:
@@ -412,12 +445,10 @@ class BddManager:
         operand made regular (by swapping the branches) and the result sign
         normalised on the then-branch.
         """
-        if self._explicit_stack:
-            return self._ite_iter(f, g, h)
         return self._ite(f, g, h)
 
     def _ite_norm(self, f: int, g: int, h: int):
-        """Shared ``ite`` normalisation: terminal cases and 2-operand
+        """``ite`` normalisation: terminal cases and 2-operand
         delegations resolve to ``(result, None)``; genuinely 3-operand calls
         resolve to ``(None, (f, g, h, sign))`` with f and g regular."""
         if f == self.TRUE:
@@ -464,7 +495,7 @@ class BddManager:
         if triple is None:
             return done
         f, g, h, sign = triple
-        key = (f, g, h)
+        key = (((f << EDGE_BITS) | g) << EDGE_BITS) | h
         cached = self._ite_cache.get(key)
         if cached is not None:
             self._hits["ite"] += 1
@@ -480,44 +511,6 @@ class BddManager:
         self._ite_cache[key] = result
         return result ^ sign
 
-    def _ite_iter(self, root_f: int, root_g: int, root_h: int) -> int:
-        """Explicit-stack ``ite`` (frame scheme of :meth:`_and_iter`)."""
-        cache = self._ite_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g, root_h)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                done, triple = self._ite_norm(frame[1], frame[2], frame[3])
-                if triple is None:
-                    results.append(done)
-                    continue
-                f, g, h, sign = triple
-                key = (f, g, h)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["ite"] += 1
-                    results.append(cached ^ sign)
-                    continue
-                self._misses["ite"] += 1
-                level = min(
-                    self._level[f >> 1], self._level[g >> 1], self._level[h >> 1]
-                )
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                h_lo, h_hi = self._cofactors(h, level)
-                work.append((1, key, level, sign))
-                work.append((0, f_hi, g_hi, h_hi))
-                work.append((0, f_lo, g_lo, h_lo))
-            else:
-                key, level, sign = frame[1], frame[2], frame[3]
-                hi = results.pop()
-                lo = results.pop()
-                result = self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result ^ sign)
-        return results[0]
-
     def _cofactors(self, edge: int, level: int) -> Tuple[int, int]:
         index = edge >> 1
         if self._level[index] == level:
@@ -527,8 +520,6 @@ class BddManager:
 
     def and_(self, f: int, g: int) -> int:
         """Boolean conjunction (dedicated apply recursion, own cache)."""
-        if self._explicit_stack:
-            return self._and_iter(f, g)
         return self._and(f, g)
 
     def _and(self, f: int, g: int) -> int:
@@ -538,10 +529,9 @@ class BddManager:
             return g
         if f == 0 or g == 0 or f == g ^ 1:
             return 0
-        # Canonicalise the operand order: conjunction is commutative.
         if f > g:
             f, g = g, f
-        key = (f, g)
+        key = (f << EDGE_BITS) | g
         cached = self._and_cache.get(key)
         if cached is not None:
             self._hits["and"] += 1
@@ -571,54 +561,8 @@ class BddManager:
         self._and_cache[key] = result
         return result
 
-    def _and_iter(self, root_f: int, root_g: int) -> int:
-        """Explicit-stack conjunction (frames as in the seed's binary iter)."""
-        cache = self._and_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                f, g = frame[1], frame[2]
-                if f == g or g == 1:
-                    results.append(f)
-                    continue
-                if f == 1:
-                    results.append(g)
-                    continue
-                if f == 0 or g == 0 or f == g ^ 1:
-                    results.append(0)
-                    continue
-                if f > g:
-                    f, g = g, f
-                key = (f, g)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["and"] += 1
-                    results.append(cached)
-                    continue
-                self._misses["and"] += 1
-                level_f = self._level[f >> 1]
-                level_g = self._level[g >> 1]
-                level = level_f if level_f < level_g else level_g
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                work.append((1, key, level))
-                work.append((0, f_hi, g_hi))
-                work.append((0, f_lo, g_lo))
-            else:
-                key, level = frame[1], frame[2]
-                hi = results.pop()
-                lo = results.pop()
-                result = lo if lo == hi else self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result)
-        return results[0]
-
     def or_(self, f: int, g: int) -> int:
         """Boolean disjunction: De Morgan over the ``and_`` cache."""
-        if self._explicit_stack:
-            return self._and_iter(f ^ 1, g ^ 1) ^ 1
         return self._and(f ^ 1, g ^ 1) ^ 1
 
     def xor(self, f: int, g: int) -> int:
@@ -627,8 +571,6 @@ class BddManager:
         Operand signs cancel into the result sign (``¬f ⊕ g = ¬(f ⊕ g)``), so
         the cache only ever holds regular operand pairs.
         """
-        if self._explicit_stack:
-            return self._xor_iter(f, g)
         return self._xor(f, g)
 
     def _xor(self, f: int, g: int) -> int:
@@ -643,7 +585,7 @@ class BddManager:
             return f ^ sign
         if f > g:
             f, g = g, f
-        key = (f, g)
+        key = (f << EDGE_BITS) | g
         cached = self._xor_cache.get(key)
         if cached is not None:
             self._hits["xor"] += 1
@@ -668,52 +610,6 @@ class BddManager:
         result = lo if lo == hi else self._mk(level, lo, hi)
         self._xor_cache[key] = result
         return result ^ sign
-
-    def _xor_iter(self, root_f: int, root_g: int) -> int:
-        cache = self._xor_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                f, g = frame[1], frame[2]
-                sign = (f ^ g) & 1
-                f &= ~1
-                g &= ~1
-                if f == g:
-                    results.append(sign)
-                    continue
-                if f == 0:
-                    results.append(g ^ sign)
-                    continue
-                if g == 0:
-                    results.append(f ^ sign)
-                    continue
-                if f > g:
-                    f, g = g, f
-                key = (f, g)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["xor"] += 1
-                    results.append(cached ^ sign)
-                    continue
-                self._misses["xor"] += 1
-                level_f = self._level[f >> 1]
-                level_g = self._level[g >> 1]
-                level = level_f if level_f < level_g else level_g
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                work.append((1, key, level, sign))
-                work.append((0, f_hi, g_hi))
-                work.append((0, f_lo, g_lo))
-            else:
-                key, level, sign = frame[1], frame[2], frame[3]
-                hi = results.pop()
-                lo = results.pop()
-                result = lo if lo == hi else self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result ^ sign)
-        return results[0]
 
     # ------------------------------------------------------------------
     # Derived connectives
@@ -756,13 +652,21 @@ class BddManager:
         :meth:`forall` / :meth:`and_exists` directly.
         """
         if isinstance(variables, QuantCube):
-            return variables
-        levels = tuple(sorted(self._var_set(variables)))
-        if not levels:
-            return None
+            levels = variables.levels
+        else:
+            levels = tuple(sorted(self._var_set(variables)))
+            if not levels:
+                return None
         cube = self._cube_table.get(levels)
         if cube is None:
-            cube = QuantCube(levels)
+            # A hand-built cube whose uid another manager already assigned
+            # must not be adopted — uids are manager-local key components.
+            if isinstance(variables, QuantCube) and variables.uid is None:
+                cube = variables
+            else:
+                cube = QuantCube(levels)
+            cube.uid = self._next_uid
+            self._next_uid += 1
             self._cube_table[levels] = cube
         return cube
 
@@ -771,8 +675,6 @@ class BddManager:
         cube = self.quant_cube(variables)
         if cube is None:
             return f
-        if self._explicit_stack:
-            return self._exists_iter(f, cube)
         return self._exists(f, cube)
 
     def _exists(self, f: int, cube: QuantCube) -> int:
@@ -782,7 +684,7 @@ class BddManager:
         level = self._level[index]
         if level > cube.last:
             return f
-        key = (f, cube)
+        key = (cube.uid << EDGE_BITS) | f
         cached = self._exists_cache.get(key)
         if cached is not None:
             self._hits["exists"] += 1
@@ -802,79 +704,11 @@ class BddManager:
         self._exists_cache[key] = result
         return result
 
-    def _exists_iter(self, root: int, cube: QuantCube) -> int:
-        """Explicit-stack existential quantification.
-
-        Frames: ``(0, f)`` evaluate; ``(1, key, hi)`` quantified level after
-        the lo branch (preserves the lo == TRUE short-circuit); ``(2, key)``
-        quantified combine; ``(3, key, level)`` free-level combine.
-        """
-        cache = self._exists_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root)]
-        while work:
-            frame = work.pop()
-            tag = frame[0]
-            if tag == 0:
-                f = frame[1]
-                if f <= 1:
-                    results.append(f)
-                    continue
-                index = f >> 1
-                level = self._level[index]
-                if level > cube.last:
-                    results.append(f)
-                    continue
-                key = (f, cube)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["exists"] += 1
-                    results.append(cached)
-                    continue
-                self._misses["exists"] += 1
-                sign = f & 1
-                lo = self._lo[index] ^ sign
-                hi = self._hi[index] ^ sign
-                if level in cube.members:
-                    work.append((1, key, hi))
-                    work.append((0, lo))
-                else:
-                    work.append((3, key, level))
-                    work.append((0, hi))
-                    work.append((0, lo))
-            elif tag == 1:
-                key, hi = frame[1], frame[2]
-                r_lo = results.pop()
-                if r_lo == self.TRUE:
-                    cache[key] = self.TRUE
-                    results.append(self.TRUE)
-                else:
-                    results.append(r_lo)
-                    work.append((2, key))
-                    work.append((0, hi))
-            elif tag == 2:
-                key = frame[1]
-                r_hi = results.pop()
-                r_lo = results.pop()
-                result = self.or_(r_lo, r_hi)
-                cache[key] = result
-                results.append(result)
-            else:
-                key, level = frame[1], frame[2]
-                r_hi = results.pop()
-                r_lo = results.pop()
-                result = self._mk(level, r_lo, r_hi)
-                cache[key] = result
-                results.append(result)
-        return results[0]
-
     def forall(self, f: int, variables: QuantVars) -> int:
         """Universally quantify: the dual of ``exists`` (``¬∃.¬f``)."""
         cube = self.quant_cube(variables)
         if cube is None:
             return f
-        if self._explicit_stack:
-            return self._exists_iter(f ^ 1, cube) ^ 1
         return self._exists(f ^ 1, cube) ^ 1
 
     def and_exists(self, f: int, g: int, variables: QuantVars) -> int:
@@ -882,8 +716,6 @@ class BddManager:
         cube = self.quant_cube(variables)
         if cube is None:
             return self.and_(f, g)
-        if self._explicit_stack:
-            return self._and_exists_iter(f, g, cube)
         return self._and_exists(f, g, cube)
 
     def _and_exists(self, f: int, g: int, cube: QuantCube) -> int:
@@ -895,16 +727,14 @@ class BddManager:
             return self._exists(g, cube)
         if g == 1 or f == g:
             return self._exists(f, cube)
-        # Canonicalise the argument order for better cache hit rates.
         if f > g:
             f, g = g, f
         level_f = self._level[f >> 1]
         level_g = self._level[g >> 1]
         level = level_f if level_f < level_g else level_g
         if level > cube.last:
-            # No quantified variable can appear below this point.
             return self._and(f, g)
-        key = (f, g, cube)
+        key = (((cube.uid << EDGE_BITS) | f) << EDGE_BITS) | g
         cached = self._and_exists_cache.get(key)
         if cached is not None:
             self._hits["and_exists"] += 1
@@ -925,78 +755,6 @@ class BddManager:
             result = self._mk(level, lo, hi)
         self._and_exists_cache[key] = result
         return result
-
-    def _and_exists_iter(self, root_f: int, root_g: int, cube: QuantCube) -> int:
-        """Explicit-stack relational product (frame scheme of :meth:`_exists_iter`)."""
-        cache = self._and_exists_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g)]
-        while work:
-            frame = work.pop()
-            tag = frame[0]
-            if tag == 0:
-                f, g = frame[1], frame[2]
-                if f == 0 or g == 0 or f == g ^ 1:
-                    results.append(0)
-                    continue
-                if f == 1 and g == 1:
-                    results.append(1)
-                    continue
-                if f == 1:
-                    results.append(self._exists_iter(g, cube))
-                    continue
-                if g == 1 or f == g:
-                    results.append(self._exists_iter(f, cube))
-                    continue
-                if f > g:
-                    f, g = g, f
-                level_f = self._level[f >> 1]
-                level_g = self._level[g >> 1]
-                level = level_f if level_f < level_g else level_g
-                if level > cube.last:
-                    results.append(self._and_iter(f, g))
-                    continue
-                key = (f, g, cube)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["and_exists"] += 1
-                    results.append(cached)
-                    continue
-                self._misses["and_exists"] += 1
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                if level in cube.members:
-                    work.append((1, key, f_hi, g_hi))
-                    work.append((0, f_lo, g_lo))
-                else:
-                    work.append((3, key, level))
-                    work.append((0, f_hi, g_hi))
-                    work.append((0, f_lo, g_lo))
-            elif tag == 1:
-                key, f_hi, g_hi = frame[1], frame[2], frame[3]
-                lo = results.pop()
-                if lo == self.TRUE:
-                    cache[key] = self.TRUE
-                    results.append(self.TRUE)
-                else:
-                    results.append(lo)
-                    work.append((2, key))
-                    work.append((0, f_hi, g_hi))
-            elif tag == 2:
-                key = frame[1]
-                hi = results.pop()
-                lo = results.pop()
-                result = self.or_(lo, hi)
-                cache[key] = result
-                results.append(result)
-            else:
-                key, level = frame[1], frame[2]
-                hi = results.pop()
-                lo = results.pop()
-                result = self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result)
-        return results[0]
 
     def _var_set(self, variables: Iterable[int | str]) -> frozenset:
         indices = set()
@@ -1041,7 +799,7 @@ class BddManager:
         intern_key = tuple(sorted(normalised.items()))
         rmap = self._rename_table.get(intern_key)
         if rmap is not None:
-            cached = self._rename_cache.get((f & ~1, rmap))
+            cached = self._rename_cache.get((rmap.uid << EDGE_BITS) | (f & ~1))
             if cached is not None:
                 self._hits["rename"] += 1
                 return cached ^ (f & 1)
@@ -1054,7 +812,8 @@ class BddManager:
             names = sorted(self._var_names[i] for i in clashes)
             raise BddError(f"rename targets already in support: {names}")
         if rmap is None:
-            rmap = _RenameMap(dict(normalised))
+            rmap = _RenameMap(dict(normalised), self._next_uid)
+            self._next_uid += 1
             self._rename_table[intern_key] = rmap
         ordered = sorted(support)
         mapped = [normalised.get(levels, levels) for levels in ordered]
@@ -1063,12 +822,8 @@ class BddManager:
             # mapped levels strictly below its parent's mapped level, so the
             # ROBDD invariants survive a direct structural rebuild.
             self._rename_fast += 1
-            if self._explicit_stack:
-                return self._rename_iter(f, rmap, shift=True)
             return self._rename_shift(f, rmap)
         self._rename_slow += 1
-        if self._explicit_stack:
-            return self._rename_iter(f, rmap, shift=False)
         return self._rename_ite(f, rmap)
 
     def _rename_shift(self, f: int, rmap: "_RenameMap") -> int:
@@ -1076,7 +831,7 @@ class BddManager:
             return f
         sign = f & 1
         f ^= sign
-        key = (f, rmap)
+        key = (rmap.uid << EDGE_BITS) | f
         cached = self._rename_cache.get(key)
         if cached is not None:
             self._hits["rename"] += 1
@@ -1096,7 +851,7 @@ class BddManager:
             return f
         sign = f & 1
         f ^= sign
-        key = (f, rmap)
+        key = (rmap.uid << EDGE_BITS) | f
         cached = self._rename_cache.get(key)
         if cached is not None:
             self._hits["rename"] += 1
@@ -1110,45 +865,6 @@ class BddManager:
         result = self.ite(self.var(target), hi, lo)
         self._rename_cache[key] = result
         return result ^ sign
-
-    def _rename_iter(self, root: int, rmap: "_RenameMap", shift: bool) -> int:
-        """Explicit-stack rename (both the structural shift and ite rebuild)."""
-        cache = self._rename_cache
-        mapping = rmap.mapping
-        results: List[int] = []
-        work: List[Tuple] = [(0, root)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                f = frame[1]
-                if f <= 1:
-                    results.append(f)
-                    continue
-                sign = f & 1
-                f ^= sign
-                key = (f, rmap)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["rename"] += 1
-                    results.append(cached ^ sign)
-                    continue
-                self._misses["rename"] += 1
-                index = f >> 1
-                work.append((1, key, sign, self._level[index]))
-                work.append((0, self._hi[index]))
-                work.append((0, self._lo[index]))
-            else:
-                key, sign, level = frame[1], frame[2], frame[3]
-                hi = results.pop()
-                lo = results.pop()
-                target = mapping.get(level, level)
-                if shift:
-                    result = self._mk(target, lo, hi)
-                else:
-                    result = self.ite(self.var(target), hi, lo)
-                cache[key] = result
-                results.append(result ^ sign)
-        return results[0]
 
     def restrict(self, f: int, assignment: Dict[int | str, bool]) -> int:
         """Cofactor ``f`` by fixing the given variables to constants.
@@ -1168,7 +884,8 @@ class BddManager:
         key = tuple(sorted(fixed.items()))
         fmap = self._restrict_table.get(key)
         if fmap is None:
-            fmap = _RenameMap(fixed)
+            fmap = _RenameMap(fixed, self._next_uid)
+            self._next_uid += 1
             self._restrict_table[key] = fmap
         return self._restrict(f, fmap)
 
@@ -1177,7 +894,7 @@ class BddManager:
             return f
         sign = f & 1
         f ^= sign
-        key = (f, fmap)
+        key = (fmap.uid << EDGE_BITS) | f
         cached = self._restrict_cache.get(key)
         if cached is not None:
             self._hits["restrict"] += 1
@@ -1264,17 +981,48 @@ class BddManager:
     def count_sat(self, f: int, variables: Optional[Iterable[int | str]] = None) -> int:
         """Number of satisfying assignments of ``f`` over ``variables``.
 
-        When ``variables`` is omitted, all declared variables are used.
+        When ``variables`` is omitted, all declared variables are used.  The
+        count is one vectorised bottom-up pass over the node vectors; counts
+        past 62 variables (which overflow int64) and numpy-less runs take the
+        exact big-int recursion instead.
         """
+        order = self._count_order(f, variables)
+        if f == self.FALSE:
+            return 0
+        if f == self.TRUE:
+            return 1 << len(order)
+        if not _vector.HAVE_NUMPY or len(order) > _vector.MAX_VECTOR_COUNT_LEVELS:
+            return self._count_sat_exact(f, order)
+        level_v = _vector.int64_view(self._level)
+        lo_v = _vector.int64_view(self._lo)
+        hi_v = _vector.int64_view(self._hi)
+        try:
+            return self._count_sat_vector(level_v, lo_v, hi_v, f, order)
+        finally:
+            del level_v, lo_v, hi_v
+
+    def _count_order(self, f: int, variables: Optional[Iterable[int | str]]) -> List[int]:
+        """The sorted counting variables, checked to cover the support of ``f``."""
         if variables is None:
-            var_set = frozenset(range(len(self._var_names)))
-        else:
-            var_set = self._var_set(variables)
-            missing = self.support(f) - var_set
-            if missing:
-                names = sorted(self._var_names[i] for i in missing)
-                raise BddError(f"count_sat variables must cover the support; missing {names}")
-        order = sorted(var_set)
+            return list(range(len(self._var_names)))
+        var_set = self._var_set(variables)
+        missing = self.support(f) - var_set
+        if missing:
+            names = sorted(self._var_names[i] for i in missing)
+            raise BddError(f"count_sat variables must cover the support; missing {names}")
+        return sorted(var_set)
+
+    def _count_sat_vector(self, level, lo, hi, f: int, order: List[int]) -> int:
+        """Vectorised count of ``f`` over int64 views of the node vectors."""
+        import numpy as np
+
+        pos_of = np.full(max(len(self._var_names), 1), -1, dtype=np.int64)
+        for pos, lvl in enumerate(order):
+            pos_of[lvl] = pos
+        return _vector.count_sat_vector(level, lo, hi, f, pos_of, len(order))
+
+    def _count_sat_exact(self, f: int, order: List[int]) -> int:
+        """Exact count by a memoised big-int recursion over the node vectors."""
         position = {index: pos for pos, index in enumerate(order)}
         total_levels = len(order)
         below_cache: Dict[Tuple[int, int], int] = {}
@@ -1336,7 +1084,7 @@ class BddManager:
         realises on signed edges).  Variables in ``variables`` but outside the
         support are filled with ``False``.  Because the walk only consults the
         canonical ``(level, lo, hi)`` node data, the picked cube is identical
-        on the dict store, the array store and a snapshot overlay.
+        on a manager and on a snapshot overlay of its frozen table.
 
         When ``variables`` is omitted the cube is total over the support.
         Returns ``None`` iff ``f`` is unsatisfiable.
@@ -1524,15 +1272,85 @@ class BddManager:
         Live nodes are those reachable from externally referenced nodes
         (:meth:`ref`) or from ``roots`` (extra edges the caller knows to be
         live, e.g. the evaluator's current interpretations).  Reclaimed slots
-        go to a free list and are reused by :meth:`_mk`; all operation caches
-        are dropped (their keys and values may mention dead edges) and GC
-        hooks run so consumers drop node-keyed caches of their own.
+        go to a free list and are reused by :meth:`_mk`, except the trailing
+        run of free slots, which is trimmed; all operation caches are dropped
+        (their keys and values may mention dead edges) and GC hooks run so
+        consumers drop node-keyed caches of their own.
         """
+        if not _vector.HAVE_NUMPY:
+            return self._collect_garbage_scalar(roots)
+        import numpy as np
+
+        root_indices: List[int] = list(self._extref)
+        for edge in roots:
+            root_indices.append(edge >> 1)
+        level_v = _vector.int64_view(self._level)
+        lo_v = _vector.int64_view(self._lo)
+        hi_v = _vector.int64_view(self._hi)
+        mask = _vector.reachable_mask(level_v, lo_v, hi_v, root_indices)
+        mask[0] = True
+        dead = ~mask & (level_v != self._FREE_LEVEL)
+        dead_idx = np.nonzero(dead)[0]
+        reclaimed = int(dead_idx.size)
+        self._gc_collections += 1
+        if not reclaimed:
+            del level_v, lo_v, hi_v
+            if self._debug_checks:
+                self._debug_validate()
+            return 0
+        # Unique-table update: delete the dead keys one by one when few are
+        # dead, rebuild the whole table from the live slots (one vectorised
+        # key computation) when a sweep kills most of it.
+        if reclaimed * 2 >= len(self._unique):
+            live_idx = np.nonzero(mask)[0]
+            live_idx = live_idx[live_idx != 0]
+            keys = (
+                (level_v[live_idx] << LEVEL_SHIFT)
+                | (lo_v[live_idx] << EDGE_BITS)
+                | hi_v[live_idx]
+            )
+            self._unique = dict(zip(keys.tolist(), live_idx.tolist()))
+        else:
+            unique = self._unique
+            keys = (
+                (level_v[dead_idx] << LEVEL_SHIFT)
+                | (lo_v[dead_idx] << EDGE_BITS)
+                | hi_v[dead_idx]
+            )
+            for key in keys.tolist():
+                del unique[key]
+        level_v[dead_idx] = self._FREE_LEVEL
+        lo_v[dead_idx] = 0
+        hi_v[dead_idx] = 0
+        # Compaction: trim the trailing run of free slots so capacity tracks
+        # the live high-water mark; the free list is rebuilt descending so
+        # `pop()` hands out the lowest index first (dense reuse).
+        last_live = int(np.nonzero(mask)[0].max())
+        free_idx = np.nonzero(~mask)[0]
+        trim = len(self._level) - (last_live + 1)
+        if trim > 0:
+            free_idx = free_idx[free_idx <= last_live]
+        self._free = free_idx[::-1].tolist()
+        # Views pin the array buffers against resizing — drop every one of
+        # them before the tail trim mutates the arrays.
+        del level_v, lo_v, hi_v, mask, dead, dead_idx, free_idx, keys
+        if trim > 0:
+            del self._level[last_live + 1 :]
+            del self._lo[last_live + 1 :]
+            del self._hi[last_live + 1 :]
+        self._live -= reclaimed
+        self._gc_reclaimed += reclaimed
+        self._drop_op_caches()
+        for hook in self._gc_hooks:
+            hook()
+        if self._debug_checks:
+            self._debug_validate()
+        return reclaimed
+
+    def _collect_garbage_scalar(self, roots: Iterable[int] = ()) -> int:
+        """Numpy-less sweep: a scalar mark-and-sweep with tail compaction."""
         marked = bytearray(len(self._level))
         marked[0] = 1
-        # Snapshot the root set: a Function finaliser running off a cyclic-GC
-        # pass triggered by an allocation below may deref (mutate _extref)
-        # mid-collection.  Every stored count is > 0 by construction.
         stack: List[int] = list(self._extref)
         for edge in roots:
             stack.append(edge >> 1)
@@ -1548,10 +1366,13 @@ class BddManager:
             stack.append(hi[index] >> 1)
         reclaimed = 0
         free_level = self._FREE_LEVEL
+        unique = self._unique
         for index in range(1, len(level)):
             if marked[index] or level[index] == free_level:
                 continue
-            del self._unique[(level[index], lo[index], hi[index])]
+            del unique[
+                (level[index] << LEVEL_SHIFT) | (lo[index] << EDGE_BITS) | hi[index]
+            ]
             level[index] = free_level
             lo[index] = 0
             hi[index] = 0
@@ -1561,14 +1382,28 @@ class BddManager:
         if reclaimed:
             self._live -= reclaimed
             self._gc_reclaimed += reclaimed
-            # Cache entries may point into reclaimed slots; drop them all so
-            # a future lookup can never resurrect a dead node.
+            self._trim_tail_scalar()
             self._drop_op_caches()
             for hook in self._gc_hooks:
                 hook()
         if self._debug_checks:
             self._debug_validate()
         return reclaimed
+
+    def _trim_tail_scalar(self) -> None:
+        """Tail compaction for the numpy-less sweep fallback."""
+        level = self._level
+        last = len(level) - 1
+        free_level = self._FREE_LEVEL
+        while last > 0 and level[last] == free_level:
+            last -= 1
+        if last == len(level) - 1:
+            return
+        keep = last + 1
+        del self._level[keep:]
+        del self._lo[keep:]
+        del self._hi[keep:]
+        self._free = sorted((i for i in self._free if i < keep), reverse=True)
 
     def maybe_collect(self, roots: Iterable[int] = ()) -> bool:
         """Collect at a safe point if a growth trigger fired; True if collected.
@@ -1629,41 +1464,48 @@ class BddManager:
     # ------------------------------------------------------------------
     # Kernel sanitizer (debug_checks)
     # ------------------------------------------------------------------
-    def _unique_key(self, index: int):
-        """The unique-table key the node at ``index`` must be filed under."""
-        return (self._level[index], self._lo[index], self._hi[index])
+    def _unique_key(self, index: int) -> int:
+        """The packed unique-table key the node at ``index`` must be filed under."""
+        return (
+            (self._level[index] << LEVEL_SHIFT)
+            | (self._lo[index] << EDGE_BITS)
+            | self._hi[index]
+        )
 
-    def _debug_cache_edges(self) -> Iterator[Tuple[str, int]]:
-        """Yield every signed edge mentioned by an operation-cache entry.
+    def _debug_cache_edges(self):
+        """Decode the packed cache keys back into their signed edges.
 
-        The array store overrides this with its packed-key decoders; the
-        sanitizer only needs the edges, not the full keys.
+        The encodings mirror the cache writers exactly: ``and``/``xor`` pack
+        ``(f << 24) | g``, ``ite`` packs the operand triple, the quantifier
+        and rename/restrict caches pack the interned object's uid above the
+        edge field.
         """
-        for (f, g), result in self._and_cache.items():
-            yield "and", f
-            yield "and", g
+        mask = (1 << EDGE_BITS) - 1
+        for key, result in self._and_cache.items():
+            yield "and", key >> EDGE_BITS
+            yield "and", key & mask
             yield "and", result
-        for (f, g), result in self._xor_cache.items():
-            yield "xor", f
-            yield "xor", g
+        for key, result in self._xor_cache.items():
+            yield "xor", key >> EDGE_BITS
+            yield "xor", key & mask
             yield "xor", result
-        for (f, g, h), result in self._ite_cache.items():
-            yield "ite", f
-            yield "ite", g
-            yield "ite", h
+        for key, result in self._ite_cache.items():
+            yield "ite", key >> (2 * EDGE_BITS)
+            yield "ite", (key >> EDGE_BITS) & mask
+            yield "ite", key & mask
             yield "ite", result
-        for (f, _cube), result in self._exists_cache.items():
-            yield "exists", f
+        for key, result in self._exists_cache.items():
+            yield "exists", key & mask
             yield "exists", result
-        for (f, g, _cube), result in self._and_exists_cache.items():
-            yield "and_exists", f
-            yield "and_exists", g
+        for key, result in self._and_exists_cache.items():
+            yield "and_exists", (key >> EDGE_BITS) & mask
+            yield "and_exists", key & mask
             yield "and_exists", result
-        for (f, _rmap), result in self._rename_cache.items():
-            yield "rename", f
+        for key, result in self._rename_cache.items():
+            yield "rename", key & mask
             yield "rename", result
-        for (f, _fmap), result in self._restrict_cache.items():
-            yield "restrict", f
+        for key, result in self._restrict_cache.items():
+            yield "restrict", key & mask
             yield "restrict", result
 
     def _debug_validate(self) -> None:
@@ -1865,15 +1707,15 @@ class _RenameMap:
 
     Used both for rename maps (level -> level) and restrict assignments
     (level -> bool); interning makes the map a cheap cross-call cache-key
-    component.
+    component, and ``uid`` is the per-manager integer the owning manager
+    assigns at intern time to pack it into integer cache keys.
     """
 
     __slots__ = ("mapping", "uid")
 
-    def __init__(self, mapping: Dict[int, int]) -> None:
+    def __init__(self, mapping: Dict[int, int], uid: int) -> None:
         self.mapping = mapping
-        # Assigned at intern time by the array store (packed cache keys).
-        self.uid: Optional[int] = None
+        self.uid = uid
 
     def __repr__(self) -> str:
         return f"_RenameMap({self.mapping})"

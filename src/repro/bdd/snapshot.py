@@ -1,7 +1,7 @@
 """Read-only shared-memory snapshots of solved BDD node tables.
 
-The struct-of-arrays store (:class:`repro.bdd._array.ArrayBddManager`) keeps
-its node table in three flat int64 vectors, which makes a *snapshot* a plain
+:class:`~repro.bdd.manager.BddManager` keeps its node table in three flat
+int64 vectors, which makes a *snapshot* a plain
 ``memcpy``: :func:`freeze` copies the (GC-compacted) vectors plus a frozen
 open-addressing image of the unique table into a named
 :mod:`multiprocessing.shared_memory` segment.  Other processes attach
@@ -41,12 +41,18 @@ import os
 import pickle
 import secrets
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NodeBudgetExceeded
 from . import _vector
-from ._array import EDGE_BITS, LEVEL_SHIFT, MAX_NODE_INDEX, ArrayBddManager
-from .manager import BddError, BddManager
+from .manager import (
+    EDGE_BITS,
+    LEVEL_SHIFT,
+    MAX_NODE_INDEX,
+    BddError,
+    BddManager,
+    _node_table_full,
+)
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -84,17 +90,13 @@ def segment_name() -> str:
 def freeze(manager: BddManager, name: Optional[str] = None) -> str:
     """Copy a manager's node table into a new shared-memory segment.
 
-    The manager must use the array store and should be GC-swept first so
-    the frozen image is compact (``AnalysisSession.freeze`` does both).
+    The manager should be GC-swept first so the frozen image is compact
+    (``AnalysisSession.freeze`` does so); an overlay cannot be frozen.
     Returns the segment name.  The calling process keeps the
     resource-tracker registration (crash-safety) until :func:`disown`.
     """
     from multiprocessing import shared_memory
 
-    if not isinstance(manager, ArrayBddManager):
-        raise BddError(
-            f"snapshots need the array node store (manager uses {manager.STORE!r})"
-        )
     if isinstance(manager, SnapshotOverlayManager):
         raise BddError("cannot freeze a snapshot overlay manager")
     capacity = len(manager._level)
@@ -314,7 +316,7 @@ class _ChainVec:
         self.tail.append(value)
 
 
-class SnapshotOverlayManager(ArrayBddManager):
+class SnapshotOverlayManager(BddManager):
     """An allocation-capable manager over a frozen base table.
 
     Shares the base's node index space (indices below ``view.capacity`` are
@@ -363,11 +365,7 @@ class SnapshotOverlayManager(ArrayBddManager):
             else:
                 index = len(self._level)
                 if index > MAX_NODE_INDEX:
-                    raise BddError(
-                        f"array store supports at most {MAX_NODE_INDEX} node "
-                        "slots (packed-key bound); construct the manager with "
-                        "store='dict'"
-                    )
+                    raise _node_table_full(index)
                 self._level.append(level)
                 self._lo.append(lo)
                 self._hi.append(hi)
@@ -553,39 +551,23 @@ class SnapshotOverlayManager(ArrayBddManager):
 
     # -- vectorised counting over the frozen image -----------------------
     def count_sat(self, f: int, variables: Optional[Iterable[int | str]] = None) -> int:
+        order = self._count_order(f, variables)
         view = self._view
         if (
             f > 1
             and (f >> 1) < self._base_len
             and view.level_np is not None
             and not self._closed_view()
+            and len(order) <= _vector.MAX_VECTOR_COUNT_LEVELS
         ):
             # Frozen roots are closed over frozen nodes, so the vectorised
             # bottom-up pass can run directly on the shared image.
-            if variables is None:
-                var_set = frozenset(range(len(self._var_names)))
-            else:
-                var_set = self._var_set(variables)
-                missing = self.support(f) - var_set
-                if missing:
-                    names = sorted(self._var_names[i] for i in missing)
-                    raise BddError(
-                        f"count_sat variables must cover the support; missing {names}"
-                    )
-            order = sorted(var_set)
-            total_levels = len(order)
-            if total_levels <= _vector.MAX_VECTOR_COUNT_LEVELS:
-                import numpy as np
-
-                pos_of = np.full(max(len(self._var_names), 1), -1, dtype=np.int64)
-                for pos, lvl in enumerate(order):
-                    pos_of[lvl] = pos
-                return _vector.count_sat_vector(
-                    view.level_np, view.lo_np, view.hi_np, f, pos_of, total_levels
-                )
-        # Tail-rooted (or numpy-less) counts walk the chain vector with the
-        # dict store's exact memoised recursion.
-        return BddManager.count_sat(self, f, variables)
+            return self._count_sat_vector(
+                view.level_np, view.lo_np, view.hi_np, f, order
+            )
+        # Tail-rooted (or numpy-less, or wide) counts walk the chain vector
+        # with the exact memoised recursion.
+        return self._count_sat_exact(f, order)
 
     def _closed_view(self) -> bool:
         return getattr(self._view, "_closed", True)

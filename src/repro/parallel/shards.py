@@ -545,7 +545,7 @@ def run_shards_snapshot(
     Falls back to :func:`run_shards` (same return contract) when the batch
     is not snapshot-eligible — mixed programs/algorithms/envelopes,
     concurrent queries, ``jobs <= 1``, unpicklable batch — or when the
-    solve/freeze itself fails (e.g. the session runs the dict store).
+    solve/freeze itself fails.
     Returns ``(results, mode, reason)`` with mode ``"snapshot-pool"`` on
     the fan-out path.
     """

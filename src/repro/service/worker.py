@@ -178,7 +178,7 @@ def _session_outcome(cache: SessionCache, job: QueryJob, started: float) -> Quer
         # Freeze the solved table for the daemon's catalog so the warm-hit
         # contract survives this worker's death.  Only sessions that solved
         # locally publish (an attached overlay has nothing new to offer),
-        # and a failed freeze (dict store) just skips the publication.
+        # and a failed freeze just skips the publication.
         try:
             snapshot = session.freeze(algorithm)
             entry.published.add(algorithm)

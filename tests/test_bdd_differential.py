@@ -11,7 +11,10 @@ each one that
 * satisfying-assignment counts agree,
 * the complement-edge node count never exceeds the no-complement baseline
   (and wins strictly overall across the corpus),
-* existential quantification agrees with the oracle.
+* existential quantification agrees with the oracle,
+
+and that the numpy-less fallbacks (scalar GC sweep, tail trim, exact
+``count_sat``) meet the same oracle.
 """
 
 import itertools
@@ -20,6 +23,7 @@ import random
 import pytest
 
 from repro.bdd import BddManager
+from repro.bdd import _vector
 
 from reference_bdd import ReferenceBdd
 
@@ -79,14 +83,8 @@ def corpus():
     return [random_formula(rng) for _ in range(NUM_FORMULAS)]
 
 
-@pytest.fixture(params=["array", "dict"])
-def store(request):
-    """Both node-store layouts must satisfy the whole differential contract."""
-    return request.param
-
-
-def test_truth_tables_and_node_counts_match_reference(corpus, store):
-    mgr = BddManager(VAR_NAMES, store=store)
+def test_truth_tables_and_node_counts_match_reference(corpus):
+    mgr = BddManager(VAR_NAMES)
     ref = ReferenceBdd(VAR_NAMES)
     complement_total = 0
     reference_total = 0
@@ -105,8 +103,8 @@ def test_truth_tables_and_node_counts_match_reference(corpus, store):
     assert complement_total < reference_total
 
 
-def test_negation_is_the_identity_edge_flip(corpus, store):
-    mgr = BddManager(VAR_NAMES, store=store)
+def test_negation_is_the_identity_edge_flip(corpus):
+    mgr = BddManager(VAR_NAMES)
     for expr in corpus:
         node = build(expr, mgr)
         stats_before = mgr.stats()
@@ -121,8 +119,8 @@ def test_negation_is_the_identity_edge_flip(corpus, store):
         assert stats_after["ops"] == stats_before["ops"]
 
 
-def test_count_sat_matches_reference(corpus, store):
-    mgr = BddManager(VAR_NAMES, store=store)
+def test_count_sat_matches_reference(corpus):
+    mgr = BddManager(VAR_NAMES)
     ref = ReferenceBdd(VAR_NAMES)
     for expr in corpus:
         node = build(expr, mgr)
@@ -131,8 +129,8 @@ def test_count_sat_matches_reference(corpus, store):
         assert mgr.count_sat(node, VAR_NAMES) == expected
 
 
-def test_exists_matches_reference(corpus, store):
-    mgr = BddManager(VAR_NAMES, store=store)
+def test_exists_matches_reference(corpus):
+    mgr = BddManager(VAR_NAMES)
     ref = ReferenceBdd(VAR_NAMES)
     rng = random.Random(4242)
     for expr in corpus[:80]:
@@ -146,55 +144,50 @@ def test_exists_matches_reference(corpus, store):
             assert mgr.eval(node, env) == ref.eval(oracle, env)
 
 
-def test_explicit_stack_build_agrees_with_reference(corpus, store):
-    mgr = BddManager(VAR_NAMES, explicit_stack=True, store=store)
+def test_count_sat_wide_variable_sets_fall_back_exactly():
+    """Counts past 62 variables overflow the vectorised int64 pass; the
+    manager must transparently produce exact big-int counts."""
+    names = [f"w{i}" for i in range(70)]
+    mgr = BddManager(names)
+    # f = w0 or w35 or w69 over all 70 variables.
+    f = mgr.disjoin([mgr.var("w0"), mgr.var("w35"), mgr.var("w69")])
+    expected = (1 << 70) - (1 << 67)  # all minus the all-three-false space
+    assert mgr.count_sat(f) == expected
+    assert mgr.count_sat(f ^ 1) == (1 << 70) - expected
+    assert mgr.count_sat(mgr.TRUE) == 1 << 70
+
+
+def test_numpy_less_fallbacks_match_reference(corpus, monkeypatch):
+    """Without numpy the scalar sweep, its tail trim and the exact
+    ``count_sat`` recursion are the only code that runs: they must meet the
+    same oracle, and every sweep must pass the sanitizer."""
+
+    def no_vector_pass(*args, **kwargs):
+        raise AssertionError("a vectorised pass ran without numpy")
+
+    monkeypatch.setattr(_vector, "HAVE_NUMPY", False)
+    monkeypatch.setattr(_vector, "int64_view", no_vector_pass)
+    mgr = BddManager(VAR_NAMES, debug_checks=True)
     ref = ReferenceBdd(VAR_NAMES)
-    for expr in corpus[:60]:
+    for expr in corpus:
         node = build(expr, mgr)
         oracle = build(expr, ref)
         for env in all_envs():
             assert mgr.eval(node, env) == ref.eval(oracle, env), expr
-
-
-def test_layouts_agree_edge_for_edge(corpus):
-    """The two layouts are not just truth-table equal: identical operation
-    sequences produce identical signed edges, counts and stats-visible node
-    totals, including across an interleaved GC sweep."""
-    arr = BddManager(VAR_NAMES, store="array")
-    dct = BddManager(VAR_NAMES, store="dict")
-    assert arr.stats()["store"] == "array"
-    assert dct.stats()["store"] == "dict"
-    swept = False
-    for i, expr in enumerate(corpus):
-        node_a = build(expr, arr)
-        node_d = build(expr, dct)
-        if not swept:
-            # Identical allocation order => identical edges, until a sweep
-            # makes slot numbering layout-dependent (the dict store refills
-            # free-listed slots, the array store compacts and re-extends).
-            assert node_a == node_d, expr
-        assert arr.count_sat(node_a, VAR_NAMES) == dct.count_sat(node_d, VAR_NAMES)
-        if i == NUM_FORMULAS // 2:
-            # Mid-corpus sweep with nothing protected: both layouts must
-            # reclaim everything down to the terminal.
-            assert arr.collect_garbage() > 0
-            assert dct.collect_garbage() > 0
-            assert len(arr) == len(dct) == 1
-            assert arr.stats()["capacity"] == 1  # tail fully compacted
-            swept = True
-    assert len(arr) == len(dct)
-
-
-def test_count_sat_wide_variable_sets_fall_back_exactly():
-    """Counts past 62 variables overflow the vectorised int64 pass; the
-    array store must transparently produce exact big-int counts."""
-    names = [f"w{i}" for i in range(70)]
-    arr = BddManager(names, store="array")
-    dct = BddManager(names, store="dict")
-    # f = w0 or w35 or w69 over all 70 variables.
-    fa = arr.disjoin([arr.var("w0"), arr.var("w35"), arr.var("w69")])
-    fd = dct.disjoin([dct.var("w0"), dct.var("w35"), dct.var("w69")])
-    expected = (1 << 70) - (1 << 67)  # all minus the all-three-false space
-    assert arr.count_sat(fa) == expected
-    assert dct.count_sat(fd) == expected
-    assert arr.count_sat(arr.TRUE) == 1 << 70
+        expected = sum(1 for env in all_envs() if ref.eval(oracle, env))
+        assert mgr.count_sat(node, VAR_NAMES) == expected
+    # A sweep that keeps one function: the survivor is intact, and
+    # rebuilding it after the sweep finds the identical edge.
+    kept_expr = next(e for e in corpus if mgr.node_count(build(e, mgr)) > 3)
+    kept = mgr.ref(build(kept_expr, mgr))
+    assert mgr.collect_garbage() > 0
+    oracle = build(kept_expr, ref)
+    for env in all_envs():
+        assert mgr.eval(kept, env) == ref.eval(oracle, env)
+    assert build(kept_expr, mgr) == kept
+    # An unprotected sweep reclaims everything and trims the table back to
+    # the terminal.
+    mgr.deref(kept)
+    mgr.collect_garbage()
+    assert len(mgr) == 1
+    assert mgr.stats()["capacity"] == 1

@@ -61,11 +61,14 @@ class TestMarkAndSweep:
         assert len(mgr) == live_before - reclaimed
         stats = mgr.stats()
         # Every reclaimed slot is either free-listed for reuse or compacted
-        # away entirely (the array store trims the trailing free run; the
-        # dict store keeps all of them on the free list).
+        # away entirely (the sweep trims the trailing free run).  Nothing was
+        # protected, so everything down to the terminal is reclaimed and the
+        # table is trimmed back to the terminal's slot.
         trimmed = capacity_before - stats["capacity"]
         assert trimmed >= 0
         assert stats["gc"]["free_slots"] + trimmed == reclaimed
+        assert len(mgr) == 1
+        assert stats["capacity"] == 1
         # New allocations reuse freed slots / trimmed capacity instead of
         # growing the table past its pre-collection size.
         node = mgr.and_(mgr.var("a"), mgr.var("b"))

@@ -1,6 +1,6 @@
 """Tests for the BDD kernel sanitizer (``BddManager(debug_checks=True)``).
 
-Two directions, over both node-store layouts:
+Two directions:
 
 * **Clean paths stay clean** — formula construction, explicit and triggered
   collection, rename/restrict/quantify and the snapshot-overlay attach all
@@ -19,17 +19,14 @@ import pytest
 
 from repro.bdd import BddManager, SnapshotOverlayManager, SnapshotView
 from repro.bdd import snapshot as bdd_snapshot
-from repro.bdd._array import EDGE_BITS
-from repro.bdd.manager import BddError
-
-STORES = ["dict", "array"]
+from repro.bdd.manager import EDGE_BITS, BddError
 
 VARS = [f"v{i}" for i in range(8)]
 
 
-def make_manager(store, **kwargs):
+def make_manager(**kwargs):
     kwargs.setdefault("debug_checks", True)
-    return BddManager(VARS, store=store, **kwargs)
+    return BddManager(VARS, **kwargs)
 
 
 def churn(mgr, rounds=6):
@@ -44,9 +41,8 @@ def churn(mgr, rounds=6):
 # ----------------------------------------------------------------------
 # Clean paths
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("store", STORES)
-def test_clean_lifecycle_validates(store):
-    mgr = make_manager(store, gc_threshold=8)
+def test_clean_lifecycle_validates():
+    mgr = make_manager(gc_threshold=8)
     kept = mgr.ref(churn(mgr))
     assert mgr.collect_garbage([]) >= 0  # validates at the safe point
     assert not mgr.maybe_collect([kept]) or True  # either branch validates
@@ -58,9 +54,8 @@ def test_clean_lifecycle_validates(store):
     assert mgr.stats()["debug_checks"] is True
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_triggered_collection_validates(store):
-    mgr = make_manager(store, gc_threshold=4, gc_growth=1.0)
+def test_triggered_collection_validates():
+    mgr = make_manager(gc_threshold=4, gc_growth=1.0)
     for _ in range(4):
         churn(mgr)
         assert mgr.maybe_collect([]) in (True, False)
@@ -81,27 +76,24 @@ def test_env_variable_enables_checks(monkeypatch):
 # ----------------------------------------------------------------------
 # Corruption detection
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("store", STORES)
-def test_detects_free_list_corruption(store):
-    mgr = make_manager(store)
+def test_detects_free_list_corruption():
+    mgr = make_manager()
     node = mgr.and_(mgr.var(0), mgr.var(1))
     mgr._free.append(node >> 1)  # a live slot on the free list
     with pytest.raises(BddError, match="free list"):
         mgr._debug_validate()
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_detects_live_counter_drift(store):
-    mgr = make_manager(store)
+def test_detects_live_counter_drift():
+    mgr = make_manager()
     mgr.and_(mgr.var(0), mgr.var(1))
     mgr._live += 1
     with pytest.raises(BddError, match="live counter"):
         mgr._debug_validate()
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_detects_unique_table_mismatch(store):
-    mgr = make_manager(store)
+def test_detects_unique_table_mismatch():
+    mgr = make_manager()
     mgr.and_(mgr.var(0), mgr.var(1))
     key = next(iter(mgr._unique))
     mgr._unique[key] = mgr._unique[key] + 1 if len(mgr._level) > 2 else 1
@@ -109,33 +101,27 @@ def test_detects_unique_table_mismatch(store):
         mgr._debug_validate()
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_detects_complemented_then_edge(store):
-    mgr = make_manager(store)
+def test_detects_complemented_then_edge():
+    mgr = make_manager()
     node = mgr.and_(mgr.var(0), mgr.var(1))
     mgr._hi[node >> 1] ^= 1  # break the attributed-edge canonical form
     with pytest.raises(BddError):
         mgr._debug_validate()
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_detects_dangling_external_reference(store):
-    mgr = make_manager(store)
+def test_detects_dangling_external_reference():
+    mgr = make_manager()
     mgr._extref[len(mgr._level) + 3] = 1
     with pytest.raises(BddError, match="external reference"):
         mgr._debug_validate()
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_detects_stale_cache_edge(store):
-    mgr = make_manager(store, debug_checks=False)
+def test_detects_stale_cache_edge():
+    mgr = make_manager(debug_checks=False)
     keep = mgr.ref(mgr.var(2))
     dead = mgr.and_(mgr.var(0), mgr.var(1))
     mgr.collect_garbage([])  # reclaims `dead`; `keep` pins its own slot
-    if store == "dict":
-        mgr._and_cache[(dead, keep)] = keep
-    else:
-        mgr._and_cache[(dead << EDGE_BITS) | keep] = keep
+    mgr._and_cache[(dead << EDGE_BITS) | keep] = keep
     mgr._debug_checks = True
     with pytest.raises(BddError, match="cache mentions dead edge"):
         mgr._debug_validate()
@@ -145,7 +131,7 @@ def test_detects_stale_cache_edge(store):
 # Snapshot overlay
 # ----------------------------------------------------------------------
 def test_overlay_validates_clean_and_corrupt():
-    mgr = BddManager(VARS, store="array", debug_checks=True)
+    mgr = BddManager(VARS, debug_checks=True)
     f = mgr.ref(churn(mgr))
     mgr.collect_garbage([])
     name = bdd_snapshot.freeze(mgr)

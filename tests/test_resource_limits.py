@@ -12,6 +12,7 @@ layer classifies it as ``resource``/``timeout`` rather than ``crashed``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import pickle
 
@@ -19,7 +20,7 @@ import pytest
 
 from repro.algorithms import run_batch, run_sequential
 from repro.api import AnalysisSession
-from repro.bdd import BddManager
+from repro.bdd import BddError, BddManager
 from repro.errors import (
     AnalysisTimeout,
     ExplorationBudgetExceeded,
@@ -163,6 +164,35 @@ class TestManagerEnforcement:
         mgr.set_node_budget(100)
         mgr.set_deadline(60.0)
         assert mgr.stats()["limits"] == {"node_budget": 100, "deadline_armed": True}
+
+    def test_full_node_table_is_typed_and_recoverable(self, monkeypatch):
+        # The packed-key slot bound takes the resource path (not a bare
+        # BddError) and leaves the manager collectable back to the terminal.
+        from repro.bdd import manager as bdd_manager
+
+        monkeypatch.setattr(bdd_manager, "MAX_NODE_INDEX", 6)
+        mgr = BddManager(VAR_NAMES, debug_checks=True)
+        with pytest.raises(NodeBudgetExceeded) as info:
+            mgr.conjoin(
+                mgr.xor(mgr.var(x), mgr.var(y))
+                for x, y in itertools.combinations(VAR_NAMES, 2)
+            )
+        assert info.value.budget == 6
+        assert info.value.consumed > 6
+        mgr.collect_garbage()  # the sanitizer validates the swept table
+        assert len(mgr) == 1
+        assert mgr.stats()["capacity"] == 1
+        edge = mgr.and_(mgr.var("a"), mgr.var("b"))
+        assert mgr.eval(edge, {"a": True, "b": True, "c": False, "d": False})
+
+    def test_variable_bound_is_a_named_error(self, monkeypatch):
+        from repro.bdd import manager as bdd_manager
+
+        monkeypatch.setattr(bdd_manager, "MAX_LEVEL", 2)
+        mgr = BddManager(["a", "b"])
+        with pytest.raises(BddError, match="at most 2 variables"):
+            mgr.add_var("c")
+        assert mgr.num_vars == 2
 
 
 class TestSessionGovernance:

@@ -15,9 +15,9 @@ The load-bearing properties:
   driver's ``finally``, the daemon's drain and a worker SIGKILL must all
   leave ``/dev/shm`` free of ``repro-snap-*`` segments; ``unlink`` is
   idempotent.
-* **Budget equivalence** — ``NodeBudgetExceeded`` fires on *live* nodes in
-  both store layouts: a post-GC array store with large capacity but few
-  live slots must not trip a budget the dict store would pass.
+* **Budget equivalence** — ``NodeBudgetExceeded`` fires on *live* nodes: a
+  post-GC table with large capacity but few live slots must not trip a
+  budget its live set fits in.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ end
 
 TARGETS = ["main:yes", "main:no_g", "main:never", "set_flag:cold", "main:done"]
 EXPECTED = [True, True, False, True, True]
-
-
-@pytest.fixture(autouse=True)
-def _array_store(monkeypatch):
-    """Snapshots exist only for the array layout: pin it even when the
-    suite runs under ``REPRO_BDD_STORE=dict`` (the env propagates to
-    worker processes; explicit ``store=`` arguments still win)."""
-    monkeypatch.setenv("REPRO_BDD_STORE", "array")
 
 
 @pytest.fixture(autouse=True)
@@ -167,11 +159,7 @@ class TestKernelSnapshot:
         finally:
             bdd_snapshot.unlink(name)
 
-    def test_freeze_rejects_dict_store_and_overlays(self):
-        mgr = BddManager(["x", "y"], store="dict")
-        mgr.and_(mgr.var("x"), mgr.var("y"))
-        with pytest.raises(BddError, match="array node store"):
-            bdd_snapshot.freeze(mgr)
+    def test_freeze_rejects_overlays(self):
         _, f, _, name = self._frozen()
         try:
             with SnapshotView(name) as view:
@@ -260,13 +248,6 @@ end
     def test_freeze_requires_a_solved_state(self):
         with AnalysisSession(parse_program(PROGRAM)) as session:
             with pytest.raises(RuntimeError, match="solve"):
-                session.freeze("summary")
-
-    def test_freeze_requires_the_array_store(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BDD_STORE", "dict")
-        with AnalysisSession(parse_program(PROGRAM)) as session:
-            session.solve("summary")
-            with pytest.raises(BddError, match="array node store"):
                 session.freeze("summary")
 
 
@@ -404,10 +385,9 @@ class TestBudgetEquivalence:
                 acc = mgr.or_(acc, term)
         return acc
 
-    @pytest.mark.parametrize("store", ["array", "dict"])
-    def test_budget_counts_live_slots_not_capacity(self, store):
+    def test_budget_counts_live_slots_not_capacity(self):
         names = [f"a{i}" for i in range(8)] + [f"b{i}" for i in range(8)]
-        mgr = BddManager(names, store=store)
+        mgr = BddManager(names)
         self._churn(mgr)
         mgr.collect_garbage()
         live = mgr.stats()["nodes"]
@@ -423,13 +403,10 @@ class TestBudgetEquivalence:
             self._churn(mgr, rounds=80)
         assert excinfo.value.consumed > excinfo.value.budget
 
-    def test_trip_point_is_layout_independent(self):
+    def test_trip_point_is_the_first_allocation_past_the_budget(self):
         names = [f"a{i}" for i in range(8)] + [f"b{i}" for i in range(8)]
-        consumed = {}
-        for store in ("array", "dict"):
-            mgr = BddManager(names, store=store)
-            mgr.set_node_budget(64)
-            with pytest.raises(NodeBudgetExceeded) as excinfo:
-                self._churn(mgr)
-            consumed[store] = excinfo.value.consumed
-        assert consumed["array"] == consumed["dict"]
+        mgr = BddManager(names)
+        mgr.set_node_budget(64)
+        with pytest.raises(NodeBudgetExceeded) as excinfo:
+            self._churn(mgr)
+        assert (excinfo.value.consumed, excinfo.value.budget) == (65, 64)

@@ -6,7 +6,7 @@ Covers the pieces the PR's kernel rework touches:
   targets, and the staged-overlap case) against brute-force set semantics,
 * ``and_exists`` vs ``exists(and_(...))`` on randomized BDDs,
 * the order-preserving rename fast path vs the ite rebuild fall-back,
-* the explicit-stack apply option,
+* deep variable orders past the interpreter's default recursion limit,
 * static-formula hoisting (compiled plans agree with direct evaluation),
 * cache clearing and statistics plumbing.
 """
@@ -152,25 +152,6 @@ class TestAndExistsRandomized:
         g = _random_bdd(mgr, cubes_g)
         assert mgr.and_exists(f, g, qvars) == mgr.exists(mgr.and_(f, g), qvars)
 
-    @settings(max_examples=60, deadline=None)
-    @given(cube_lists, cube_lists, st.sets(st.sampled_from(VAR8)))
-    def test_and_exists_explicit_stack_agrees(self, cubes_f, cubes_g, qvars):
-        recursive = BddManager(VAR8)
-        iterative = BddManager(VAR8, explicit_stack=True)
-        f_r = _random_bdd(recursive, cubes_f)
-        g_r = _random_bdd(recursive, cubes_g)
-        f_i = _random_bdd(iterative, cubes_f)
-        g_i = _random_bdd(iterative, cubes_g)
-        left = recursive.and_exists(f_r, g_r, qvars)
-        right = iterative.and_exists(f_i, g_i, qvars)
-        free = [name for name in VAR8 if name not in qvars]
-        assert recursive.count_sat(left, VAR8) == iterative.count_sat(right, VAR8)
-        # Structural equality across managers is meaningless; compare
-        # semantically on every assignment of the free variables.
-        for values in itertools.product([False, True], repeat=len(free)):
-            env = dict(zip(free, values))
-            assert recursive.eval(left, env) == iterative.eval(right, env)
-
 
 class TestRenameFastPath:
     @settings(max_examples=80, deadline=None)
@@ -213,35 +194,23 @@ class TestRenameFastPath:
             assert mgr.eval(f, env_f) == mgr.eval(g, env_g)
 
 
-class TestExplicitStackApply:
-    @settings(max_examples=80, deadline=None)
-    @given(cube_lists, cube_lists)
-    def test_binary_connectives_agree(self, cubes_f, cubes_g):
-        recursive = BddManager(VAR8)
-        iterative = BddManager(VAR8, explicit_stack=True)
-        for op in ("and_", "or_", "xor"):
-            f_r = _random_bdd(recursive, cubes_f)
-            g_r = _random_bdd(recursive, cubes_g)
-            f_i = _random_bdd(iterative, cubes_f)
-            g_i = _random_bdd(iterative, cubes_g)
-            left = getattr(recursive, op)(f_r, g_r)
-            right = getattr(iterative, op)(f_i, g_i)
-            assert recursive.count_sat(left, VAR8) == iterative.count_sat(right, VAR8)
+class TestDeepRecursion:
+    """Apply recursions descend one frame per variable level, so deep orders
+    rely on ``add_var`` raising the interpreter's recursion limit."""
 
-    def test_explicit_stack_survives_deep_chains(self):
-        # A conjunction chain over many variables; the recursive path would
-        # need ~n stack frames per apply.
+    def test_survives_deep_chains(self):
+        # A conjunction chain over many variables: ~n frames per apply.
         names = [f"v{i}" for i in range(600)]
-        mgr = BddManager(names, explicit_stack=True)
+        mgr = BddManager(names)
         node = mgr.conjoin(mgr.var(name) for name in names)
         assert mgr.count_sat(node, names) == 1
 
-    def test_explicit_stack_survives_deep_ite(self):
+    def test_survives_deep_ite(self):
         # A genuinely 3-operand ite spanning ~1500 levels (no 2-operand
-        # delegation applies); the recursive path would blow the stack.
+        # delegation applies): past the interpreter's default limit of 1000.
         n = 1500
         names = [f"v{i}" for i in range(n)]
-        mgr = BddManager(names, explicit_stack=True)
+        mgr = BddManager(names)
         evens = mgr.conjoin(mgr.var(f"v{i}") for i in range(0, n, 2))
         odds = mgr.conjoin(mgr.var(f"v{i}") for i in range(1, n, 2))
         node = mgr.ite(mgr.var(f"v{n - 1}"), evens, odds)
@@ -250,12 +219,13 @@ class TestExplicitStackApply:
         env[f"v{n - 1}"] = False
         assert not mgr.eval(node, env)
 
-    def test_explicit_stack_survives_deep_quantify_and_rename(self):
+    def test_survives_deep_quantify_and_rename(self):
         # Quantification and both rename paths over a deep order; the
-        # order-reversing mapping exercises the ite rebuild fall-back.
+        # order-reversing mapping exercises the ite rebuild fall-back, the
+        # deepest nesting (rename -> ite).
         n = 600
         names = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
-        mgr = BddManager(names, explicit_stack=True)
+        mgr = BddManager(names)
         node = mgr.conjoin(mgr.var(f"a{i}") for i in range(n))
         assert mgr.exists(node, [f"a{i}" for i in range(0, n, 2)]) == mgr.conjoin(
             mgr.var(f"a{i}") for i in range(1, n, 2)
