@@ -121,40 +121,31 @@ def run_batch(
     queries: Sequence[Union["BatchQuery", Mapping[str, object]]],
     jobs: int = 1,
     start_method: Optional[str] = None,
-    group_by_program: bool = True,
     limits: Optional[ResourceLimits] = None,
     shard_timeout: Optional[float] = None,
-    max_retries: int = 2,
     fault_plan: Optional[object] = None,
 ) -> "BatchReport":
-    """Run a batch of reachability queries, sharded over worker processes.
+    """Run a batch of reachability queries, over worker processes when ``jobs > 1``.
 
     Each query is a :class:`repro.parallel.BatchQuery` (a mapping with the
-    same fields is coerced).  Every shard builds its own
-    ``BddManager``/``SymbolicBackend`` stack — the signed-edge kernel and
-    its GC safe-point protocol are manager-local, so shards share nothing —
-    and the merged :class:`repro.parallel.BatchReport` carries per-shard
-    kernel/GC statistics alongside the verdicts.
-
-    With ``group_by_program`` (the default), sequential queries that share
-    a program and algorithm are grouped onto ONE shard, which opens a
-    single :class:`repro.api.AnalysisSession`, solves the summary fixed
-    point once and answers every target in the group as a query post-pass
-    — interpretations are exchanged between queries *within* a shard
-    rather than re-derived per query.  The report's ``queries_per_solve``
-    records the amortisation; per-query reuse shows up as
-    ``ShardResult.reused_solve``.  Pass ``group_by_program=False`` for the
-    strict one-query-per-shard behaviour.
-
-    ``jobs <= 1`` (or a batch that cannot be pickled, or a platform without
-    working process pools) runs the same groups sequentially in-process
-    with identical results; see :func:`repro.parallel.run_shards`.
+    same fields is coerced).  Sequential queries that share a program,
+    algorithm, envelope and optimize level form one group served by ONE
+    :class:`repro.api.AnalysisSession`: a group of several solves the
+    summary fixed point once and answers every target as a query
+    post-pass (``ShardResult.reused_solve``, ``queries_per_solve``); a
+    singleton group answers its query with early stop.  Every query runs
+    through :func:`repro.service.worker.execute_job`, the daemon's job path
+    — inline with ``jobs <= 1``, otherwise on the service's
+    :class:`~repro.service.pool.ProcessWorkerPool`, which keeps a group on
+    the worker holding its session and re-runs a query whose worker died
+    once.  The merged :class:`repro.parallel.BatchReport` carries
+    per-shard kernel/GC statistics alongside the verdicts; see
+    :func:`repro.parallel.run_shards`.
 
     ``limits`` installs a :class:`~repro.limits.ResourceLimits` envelope on
-    every query that does not already carry one; ``shard_timeout``,
-    ``max_retries`` and ``fault_plan`` are forwarded to the scheduler's
-    fault-tolerance layer (driver-side shard timeouts, pool rebuild with
-    bounded-backoff retry of failed shards, deterministic fault injection).
+    every query that does not already carry one; ``shard_timeout`` bounds
+    each pooled query's run on its worker (``timeout`` status, the worker
+    is replaced) and ``fault_plan`` injects deterministic faults (tests/CI).
     """
     # Imported lazily: repro.parallel pulls in the front end, which imports
     # this package — a module-level import would be circular.
@@ -176,9 +167,7 @@ def run_batch(
         coerced,
         jobs=jobs,
         start_method=start_method,
-        group_by_program=group_by_program,
         shard_timeout=shard_timeout,
-        max_retries=max_retries,
         fault_plan=fault_plan,
     )
     wall = time.perf_counter() - started

@@ -12,11 +12,11 @@ apart without parsing output:
 A single file with a single target runs in-process and prints the classic
 one-result summary.  Several files and/or several ``--target`` options form
 a *batch*: every (file, target) pair becomes one query, fanned out over
-``--jobs`` worker processes (each with a private BDD manager; see
-:mod:`repro.parallel`), and the merged table reports per-shard kernel/GC
-statistics plus the batch speedup.  Queries on the same file with the same
-algorithm share ONE analysis session per shard (validate/encode/solve once,
-answer every target as a post-pass; see :mod:`repro.api`), so
+``--jobs`` worker processes (see :mod:`repro.parallel`), and the merged
+table reports per-shard kernel/GC statistics plus the batch speedup.
+Queries on the same file with the same algorithm share ONE analysis
+session (validate/encode/solve once, answer every target as a post-pass;
+see :mod:`repro.api`), so
 ``getafix prog.bp --target a --target b --target c`` compiles ``prog.bp``
 exactly once; the ``reuse`` column / ``reused_solve`` JSON field records
 which queries rode the shared solve.
@@ -128,15 +128,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for batch invocations; each query gets its own "
-        "BDD manager (default: 1 = sequential)",
-    )
-    parser.add_argument(
-        "--no-group",
-        action="store_true",
-        help="disable per-program session grouping: every (file, target) pair "
-        "gets its own shard and solve (restores the strict one-query-per-shard "
-        "fan-out, e.g. to parallelise many targets on one file across --jobs)",
+        help="worker processes for batch invocations; queries on one file "
+        "share one session on one worker (default: 1 = sequential)",
     )
     limits = parser.add_argument_group(
         "resource limits",
@@ -177,16 +170,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="driver-side timeout per pooled shard group; a stuck worker is "
-        "abandoned, its pool rebuilt, and its queries marked timeout",
-    )
-    limits.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="pool-rebuild retries for shards whose worker crashed "
-        "(default: 2; completed shard results are always preserved)",
+        help="driver-side timeout per pooled query; a stuck worker is "
+        "terminated and replaced, and the query marked timeout",
     )
     parser.add_argument("--json", action="store_true", help="emit the result as JSON")
     return parser
@@ -209,8 +194,6 @@ def _validate_flags(args: argparse.Namespace) -> Optional[str]:
         return f"--max-iterations must be >= 1, got {args.max_iterations}"
     if args.shard_timeout is not None and args.shard_timeout <= 0:
         return f"--shard-timeout must be > 0 seconds, got {args.shard_timeout}"
-    if args.retries < 0:
-        return f"--retries must be >= 0, got {args.retries}"
     if args.context_switches < 0:
         return f"--context-switches must be >= 0, got {args.context_switches}"
     if args.concurrent and args.optimize:
@@ -413,10 +396,8 @@ def _run_batch(
     report = run_batch(
         queries,
         jobs=args.jobs,
-        group_by_program=not args.no_group,
         limits=limits,
         shard_timeout=args.shard_timeout,
-        max_retries=args.retries,
     )
     if args.json:
         print(

@@ -1,21 +1,13 @@
-"""Sharded multi-process evaluation over per-shard BDD managers.
+"""Batches of reachability queries over the one worker pool.
 
-Each shard of a batch owns a complete private solver stack (manager, backend,
-encoder); see :mod:`repro.parallel.shards` for the scheduler and the
-ownership contract, and :mod:`repro.parallel.merge` for the batch report.
-The high-level entry point is :func:`repro.algorithms.run_batch`.
+:mod:`repro.parallel.shards` groups a batch by shared session and runs it
+inline or on :class:`repro.service.pool.ProcessWorkerPool`;
+:mod:`repro.parallel.merge` folds the results into a batch report.  The
+high-level entry point is :func:`repro.algorithms.run_batch`.
 """
 
 from .merge import BatchReport, merge_shards
-from .shards import (
-    BatchQuery,
-    ShardResult,
-    group_queries,
-    run_shard,
-    run_shard_group,
-    run_shards,
-    run_shards_snapshot,
-)
+from .shards import BatchQuery, ShardResult, group_queries, run_shard, run_shards
 
 __all__ = [
     "BatchQuery",
@@ -24,7 +16,5 @@ __all__ = [
     "group_queries",
     "merge_shards",
     "run_shard",
-    "run_shard_group",
     "run_shards",
-    "run_shards_snapshot",
 ]

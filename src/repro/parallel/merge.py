@@ -1,11 +1,11 @@
 """Merge layer: collect shard results into a batch report.
 
-The scheduler (:mod:`repro.parallel.shards`) hands back one
+The batch client (:mod:`repro.parallel.shards`) hands back one
 :class:`~repro.parallel.shards.ShardResult` per query; this module folds them
 into a :class:`BatchReport` that the engine, the CLI and the benchmark
 harness all share: verdicts in query order, per-shard kernel/GC statistics
-(each shard owned a private manager, so the numbers are genuinely
-per-query), aggregate wall-clock accounting and the resulting speedup.
+(per group session: a group's rows are cumulative within the group),
+aggregate wall-clock accounting and the resulting speedup.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class BatchReport:
 
     # -- failure taxonomy -----------------------------------------------
     def status_counts(self) -> Dict[str, int]:
-        """Shard count per status (``ok/retried/timeout/resource/crashed``)."""
+        """Shard count per status (``ok/retried/error/timeout/resource/crashed``)."""
         counts: Dict[str, int] = {}
         for shard in self.shards:
             counts[shard.status] = counts.get(shard.status, 0) + 1
@@ -95,7 +95,7 @@ class BatchReport:
 
     @property
     def retried_count(self) -> int:
-        """Shards that succeeded only after a pool rebuild and re-run."""
+        """Shards that succeeded only after their worker died and was rebuilt."""
         return sum(1 for shard in self.shards if shard.status == "retried")
 
     def resource_failures(self) -> List[ShardResult]:
@@ -103,7 +103,7 @@ class BatchReport:
         return [shard for shard in self.shards if shard.status in ("timeout", "resource")]
 
     def crash_failures(self) -> List[ShardResult]:
-        """Failed shards whose worker died or raised unexpectedly."""
+        """Failed shards whose worker died twice or raised unexpectedly."""
         return [shard for shard in self.shards if not shard.ok and shard.status == "crashed"]
 
     def verdicts(self) -> Dict[str, Optional[bool]]:
@@ -114,7 +114,7 @@ class BatchReport:
         }
 
     def failures(self) -> List[ShardResult]:
-        """Shards whose worker raised (parse/type/engine errors)."""
+        """Shards that failed, whatever their status."""
         return [shard for shard in self.shards if not shard.ok]
 
     def mismatches(self) -> List[ShardResult]:

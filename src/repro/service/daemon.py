@@ -14,9 +14,11 @@ query-many stack.  Every request flows through the same governed path:
 3. **Coalescing** — concurrent requests for the same (program, algorithm,
    target, limits) await one shared execution; the hot program of a Zipf
    workload costs one solve, not N.
-4. **Dispatch** — program-hash affinity onto the worker pool
-   (:mod:`repro.service.pool`), per-request :class:`~repro.limits.ResourceLimits`
-   armed in the worker, worker death retried once on a rebuilt worker.
+4. **Dispatch** — onto the worker pool (:mod:`repro.service.pool`): a
+   program goes to the worker holding its session, else to the
+   least-loaded idle worker; per-request :class:`~repro.limits.ResourceLimits`
+   are armed in the worker, and a worker death re-runs only the query it
+   was running, once, on a rebuilt worker.
 5. **Pool upkeep** — the outcome's ``session_live_nodes`` updates the LRU
    index; sessions are evicted (worker-side) whenever the pool exceeds its
    live-node budget.
@@ -40,6 +42,7 @@ from typing import Dict, Optional
 from ..limits import DEGRADATION_LADDER, ResourceLimits
 from .pool import CircuitBreaker, InlineWorkerPool, ProcessWorkerPool, SessionPoolIndex
 from .protocol import ProtocolError, QueryJob, QueryOutcome, error_payload, parse_request
+from .worker import classify_failure
 
 __all__ = ["DaemonConfig", "AnalysisDaemon", "serve_stdio", "serve_tcp"]
 
@@ -210,7 +213,6 @@ class AnalysisDaemon:
         ``repro lint`` JSON shape so clients share one consumer.
         """
         from ..analysis import lint_program
-        from ..boolprog import BoolProgError
 
         program = request.get("program")
         if not isinstance(program, str) or not program.strip():
@@ -221,14 +223,8 @@ class AnalysisDaemon:
             )
         try:
             findings = lint_program(program)
-        except BoolProgError as exc:
-            return self._error_response(
-                request_id, "error", error_payload(type(exc).__name__, str(exc))
-            )
         except Exception as exc:  # noqa: BLE001 — the service answers, always
-            return self._error_response(
-                request_id, "crashed", error_payload(type(exc).__name__, str(exc))
-            )
+            return self._error_response(request_id, *classify_failure(exc))
         self.status_counts["ok"] = self.status_counts.get("ok", 0) + 1
         return {
             "id": request_id,
@@ -324,7 +320,7 @@ class AnalysisDaemon:
         self._busy[job.program_hash] = self._busy.get(job.program_hash, 0) + 1
         outcome: Optional[QueryOutcome] = None
         try:
-            outcome = await self._execute(job)
+            outcome = await self._pool.submit(job)
         finally:
             self._pending -= 1
             remaining = self._busy.get(job.program_hash, 1) - 1
@@ -348,15 +344,6 @@ class AnalysisDaemon:
             request_id, job, outcome, shed=shed, shed_from=shed_from, coalesced=False
         )
 
-    async def _execute(self, job: QueryJob) -> QueryOutcome:
-        try:
-            return await self._pool.submit(job)
-        except Exception as exc:  # noqa: BLE001 — the service answers, always
-            return QueryOutcome(
-                status="crashed",
-                error=error_payload(type(exc).__name__, str(exc)),
-            )
-
     # -- bookkeeping -----------------------------------------------------
     def _record_outcome(self, job: QueryJob, outcome: QueryOutcome) -> None:
         self.counters["answered"] += 1
@@ -364,13 +351,12 @@ class AnalysisDaemon:
         if outcome.status == "retried":
             self.counters["retried"] += 1
         self.breaker.record(job.program_hash, outcome.status)
-        if not job.concurrent and outcome.session_live_nodes >= 0:
-            worker = self._pool.worker_index(job.program_hash)
+        if not job.concurrent:
+            gc = (outcome.result.gc_stats() if outcome.result is not None else None) or {}
             delta = self.pool_index.touch(
                 job.program_hash,
-                worker,
                 outcome.session_live_nodes,
-                outcome.gc_collections,
+                int(gc.get("collections", 0) or 0),
             )
             self.counters["gc_collections"] += delta
         if outcome.snapshot is not None:
@@ -393,9 +379,9 @@ class AnalysisDaemon:
 
     async def _enforce_memory_budget(self) -> None:
         victims = self.pool_index.evictions(set(self._busy))
-        for program_hash, worker_index in victims:
+        for program_hash in victims:
             self.counters["evictions"] += 1
-            await self._pool.evict(program_hash, worker_index)
+            await self._pool.evict(program_hash)
 
     # -- rendering -------------------------------------------------------
     def _error_response(self, request_id, status: str, payload: Dict[str, object]) -> Dict[str, object]:
@@ -418,12 +404,12 @@ class AnalysisDaemon:
             "ok": outcome.ok,
             "status": outcome.status,
         }
-        if outcome.reachable is not None:
-            response["reachable"] = outcome.reachable
-        if outcome.algorithm is not None:
-            response["algorithm"] = outcome.algorithm
-        if outcome.degraded_from is not None:
-            response["degraded_from"] = outcome.degraded_from
+        result = outcome.result
+        if result is not None:
+            response["reachable"] = result.reachable
+            response["algorithm"] = result.algorithm
+            if result.degraded_from is not None:
+                response["degraded_from"] = result.degraded_from
         if shed:
             response["shed"] = True
             if shed_from is not None:
@@ -436,12 +422,13 @@ class AnalysisDaemon:
             response["snapshot_attached"] = True
         if outcome.retries:
             response["retries"] = outcome.retries
-        if outcome.witness is not None:
-            response["witness"] = outcome.witness
-        if outcome.witness_error is not None:
-            response["witness_error"] = outcome.witness_error
-        response["iterations"] = outcome.iterations
+        if result is not None and result.witness is not None:
+            response["witness"] = result.witness
+        if result is not None and "witness_error" in result.details:
+            response["witness_error"] = result.details["witness_error"]
+        response["iterations"] = result.iterations if result is not None else 0
         response["elapsed_seconds"] = round(outcome.elapsed_seconds, 6)
+        response["worker_pid"] = outcome.worker_pid
         if outcome.error is not None:
             response["error"] = outcome.error
         return response

@@ -1,16 +1,17 @@
-"""Driver-side pooling: worker supervision, pool accounting, circuit breaking.
+"""Driver-side pooling: the one worker pool, pool accounting, circuit breaking.
 
-Three cooperating pieces, all owned by the daemon's event loop:
-
-* :class:`ProcessWorkerPool` — a fixed-size set of long-lived worker
-  processes (see :mod:`repro.service.worker`), each connected by a pipe and
-  drained by one reader task.  Routing is by **program-hash affinity**
-  (``worker = hash % size``), so repeated queries for one program land on
-  the worker already holding its warm session.  A dead worker fails over:
-  its in-flight jobs are retried once on a rebuilt worker after a bounded
-  exponential backoff, and jobs that die twice come back as structured
-  ``crashed`` outcomes — never dropped, never an exception.
-* :class:`InlineWorkerPool` — the measurable single-process fallback
+* :class:`ProcessWorkerPool` — the only code that spawns, supervises and
+  feeds worker processes (each runs :func:`repro.service.worker.worker_main`
+  behind a pipe the event loop reads whenever it is readable).  The daemon serves requests on
+  it; :func:`repro.parallel.run_shards` runs batches on it.  One placement
+  rule serves both: at most one query in flight per worker, a program
+  pinned to the worker holding its session, anything else to the
+  least-loaded idle worker.  One recovery rule too: a worker death re-runs
+  only its in-flight query, once, on a rebuilt worker (bounded exponential
+  backoff), a second death answers ``crashed``, and an optional
+  driver-side timeout answers ``timeout`` and replaces the stuck worker —
+  never dropped, never an exception.
+* :class:`InlineWorkerPool` — the daemon's single-process fallback
   (``workers=0``): the identical :func:`~repro.service.worker.execute_job`
   path on a driver-local cache behind a one-thread executor, so comparing
   pooled vs in-process service numbers compares configurations, not code.
@@ -18,19 +19,19 @@ Three cooperating pieces, all owned by the daemon's event loop:
   bookkeeping: an LRU index of pooled sessions priced in live BDD nodes
   (the kernel's own accounting) that yields eviction decisions under a
   memory budget, and a per-program-hash breaker that quarantines programs
-  which repeatedly crash or exhaust workers, riding the shard conviction
-  taxonomy (``crashed``/``timeout``/``resource`` strike; user errors
-  neither strike nor heal).
+  which repeatedly crash or exhaust workers (``crashed``/``timeout``/
+  ``resource`` strike; user errors neither strike nor heal).
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
+from ..testing import faults
 from .protocol import QueryJob, QueryOutcome, error_payload
 from .worker import SessionCache, execute_job, worker_main
 
@@ -48,7 +49,6 @@ __all__ = [
 
 @dataclass
 class _PoolEntry:
-    worker_index: int
     live_nodes: int = 0
     queries: int = 0
     gc_collections_seen: int = 0
@@ -57,8 +57,9 @@ class _PoolEntry:
 class SessionPoolIndex:
     """The daemon's ledger of pooled sessions (the workers hold the objects).
 
-    Keys are program content hashes; values record which worker owns the
-    session, its last reported live-node count and cumulative GC activity.
+    Keys are program content hashes; values record the session's last
+    reported live-node count and cumulative GC activity (which worker holds
+    it is the worker pool's business).
     :meth:`evictions` implements the pool policy: when the summed live
     nodes exceed ``memory_budget_nodes``, least-recently-used sessions are
     evicted until the pool fits — skipping hashes with queries in flight
@@ -79,19 +80,9 @@ class SessionPoolIndex:
     def __contains__(self, program_hash: str) -> bool:
         return program_hash in self._entries
 
-    def touch(
-        self,
-        program_hash: str,
-        worker_index: int,
-        live_nodes: int,
-        gc_collections: int = 0,
-    ) -> int:
+    def touch(self, program_hash: str, live_nodes: int, gc_collections: int = 0) -> int:
         """Record a served query; returns the session's GC-collection delta."""
-        entry = self._entries.get(program_hash)
-        if entry is None:
-            entry = _PoolEntry(worker_index=worker_index)
-            self._entries[program_hash] = entry
-        entry.worker_index = worker_index
+        entry = self._entries.setdefault(program_hash, _PoolEntry())
         entry.live_nodes = live_nodes
         entry.queries += 1
         delta = max(0, gc_collections - entry.gc_collections_seen)
@@ -100,21 +91,14 @@ class SessionPoolIndex:
         self.peak_live_nodes = max(self.peak_live_nodes, self.total_live_nodes())
         return delta
 
-    def drop(self, program_hash: str) -> None:
-        self._entries.pop(program_hash, None)
-
     def total_live_nodes(self) -> int:
         return sum(entry.live_nodes for entry in self._entries.values())
 
-    def worker_of(self, program_hash: str) -> Optional[int]:
-        entry = self._entries.get(program_hash)
-        return entry.worker_index if entry is not None else None
-
-    def evictions(self, busy: Set[str]) -> List[Tuple[str, int]]:
+    def evictions(self, busy: Set[str]) -> List[str]:
         """LRU victims to evict so the pool fits its budget (may be empty)."""
         if self.memory_budget_nodes is None:
             return []
-        victims: List[Tuple[str, int]] = []
+        victims: List[str] = []
         total = self.total_live_nodes()
         if total <= self.memory_budget_nodes:
             return []
@@ -126,7 +110,7 @@ class SessionPoolIndex:
                 break
             if program_hash in busy:
                 continue
-            victims.append((program_hash, entry.worker_index))
+            victims.append(program_hash)
             total -= entry.live_nodes
             del self._entries[program_hash]
         return victims
@@ -141,7 +125,6 @@ class SessionPoolIndex:
             "entries": [
                 {
                     "program": program_hash[:12],
-                    "worker": entry.worker_index,
                     "live_nodes": entry.live_nodes,
                     "queries": entry.queries,
                 }
@@ -158,7 +141,7 @@ class CircuitBreaker:
     """Quarantine program hashes that repeatedly crash or exhaust workers.
 
     ``threshold`` consecutive striking outcomes (``crashed``, ``timeout``,
-    ``resource`` — the shard conviction taxonomy) open the circuit for
+    ``resource``) open the circuit for
     ``cooldown_seconds``: requests for that hash are answered immediately
     with a typed ``circuit-open`` error instead of burning a worker on a
     known-bad program.  After the cooldown one probe request is let through
@@ -227,6 +210,22 @@ class CircuitBreaker:
 # Worker pools.
 # ---------------------------------------------------------------------------
 
+#: A worker death re-runs its in-flight query once; a second death answers
+#: ``crashed``.
+MAX_ATTEMPTS = 2
+#: Upper bound of the exponential backoff between rebuilds of one worker.
+BACKOFF_CAP_SECONDS = 2.0
+
+
+def _stopped() -> QueryOutcome:
+    return QueryOutcome(
+        status="crashed",
+        error=error_payload(
+            "ServiceStopped", "the service stopped before this query finished"
+        ),
+    )
+
+
 @dataclass
 class _Pending:
     job: QueryJob
@@ -240,22 +239,37 @@ class _WorkerHandle:
         self.process = process
         self.conn = conn
         self.restarts = restarts
-        self.inflight: Dict[str, _Pending] = {}
+        #: The one query in flight on this worker, if any.
+        self.pending: Optional[_Pending] = None
+        #: Program hashes whose session this worker holds.
+        self.sessions: Set[str] = set()
+        self.timer: Optional[asyncio.TimerHandle] = None
         self.dead = False
         self.closing = False
-        self.reader: Optional[asyncio.Task] = None
+        self.fd = conn.fileno()
 
     @property
     def pid(self) -> int:
         return self.process.pid or 0
 
+    @property
+    def idle(self) -> bool:
+        return not self.dead and self.pending is None
+
 
 class ProcessWorkerPool:
-    """Long-lived worker processes with affinity routing and supervision.
+    """Worker processes with session-pinned placement and supervision.
 
-    ``submit`` never raises and never loses a job: a worker death re-runs
-    the job once on a rebuilt worker (bounded exponential backoff between
-    rebuilds), and a second death returns a structured ``crashed`` outcome.
+    The one process pool of the repository: the daemon serves requests on
+    it and :func:`repro.parallel.run_shards` runs batches on it.
+    Placement: at most one query is in flight per worker; a query whose
+    program session a worker holds waits for that worker, any other goes to
+    the least-loaded idle worker (fewest sessions held), in arrival order.
+    Recovery: ``submit`` never raises and never loses a job.  A worker
+    death re-runs only its in-flight query, once, on a rebuilt worker
+    (bounded exponential backoff between rebuilds); a second death answers
+    ``crashed``.  With ``shard_timeout``, a query running longer is
+    answered ``timeout`` and its worker is terminated and rebuilt.
     ``on_evicted(program_hash, freed_nodes)`` fires when a worker confirms
     an eviction command.
     """
@@ -266,9 +280,8 @@ class ProcessWorkerPool:
         *,
         fault_plan=None,
         start_method: Optional[str] = None,
-        max_attempts: int = 2,
         retry_backoff: float = 0.05,
-        backoff_cap: float = 2.0,
+        shard_timeout: Optional[float] = None,
         on_evicted: Optional[Callable[[str, int], None]] = None,
     ) -> None:
         if size < 1:
@@ -276,18 +289,20 @@ class ProcessWorkerPool:
         self.size = size
         self._fault_plan = fault_plan
         self._start_method = start_method
-        self._max_attempts = max_attempts
         self._retry_backoff = retry_backoff
-        self._backoff_cap = backoff_cap
+        self._shard_timeout = shard_timeout
         self.on_evicted = on_evicted
         self._handles: List[Optional[_WorkerHandle]] = [None] * size
-        self._ready: List[asyncio.Event] = []
+        #: Program hash -> the worker holding its session.
+        self._holders: Dict[str, _WorkerHandle] = {}
+        #: Program hash -> its queued queries; programs in order of arrival.
+        self._backlog: Dict[str, Deque[_Pending]] = {}
+        self._tasks: Set[asyncio.Task] = set()
         self._stopping = False
         self.restarts = 0
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
-        self._ready = [asyncio.Event() for _ in range(self.size)]
         for index in range(self.size):
             self._install(index, restarts=0)
 
@@ -304,7 +319,7 @@ class ProcessWorkerPool:
             target=worker_main,
             args=(child_conn, self._fault_plan),
             daemon=True,
-            name=f"repro-service-worker-{index}",
+            name=f"repro-worker-{index}",
         )
         process.start()
         child_conn.close()
@@ -313,17 +328,34 @@ class ProcessWorkerPool:
     def _install(self, index: int, restarts: int) -> _WorkerHandle:
         handle = self._spawn(index, restarts)
         self._handles[index] = handle
-        handle.reader = asyncio.get_running_loop().create_task(self._read_loop(handle))
-        self._ready[index].set()
+        # Readiness-driven, not thread-driven: a thread blocked in
+        # ``conn.recv`` cannot be cancelled and would wedge the default
+        # executor's shutdown if the peer fd never delivers EOF (fork
+        # helpers inheriting the child end keep the pipe alive).  The loop
+        # only touches the pipe when it is readable, and tearing the
+        # reader down is an fd-unregister.
+        asyncio.get_running_loop().add_reader(handle.fd, self._on_readable, handle)
         return handle
+
+    @staticmethod
+    def _unwatch(handle: _WorkerHandle) -> None:
+        try:
+            asyncio.get_running_loop().remove_reader(handle.fd)
+        except (OSError, ValueError):
+            pass
 
     async def stop(self) -> None:
         """Stop every worker: polite stop message, then join, then terminate."""
         self._stopping = True
         loop = asyncio.get_running_loop()
+        for task in list(self._tasks):
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
         handles = [handle for handle in self._handles if handle is not None]
         for handle in handles:
             handle.closing = True
+            if handle.timer is not None:
+                handle.timer.cancel()
             try:
                 handle.conn.send(("stop",))
             except (BrokenPipeError, OSError):
@@ -333,210 +365,255 @@ class ProcessWorkerPool:
             if handle.process.is_alive():
                 handle.process.terminate()
                 await loop.run_in_executor(None, handle.process.join, 1.0)
-        # Retire the readers before closing their connections: the reader
-        # owns the fd's readiness registration, and closing an fd that is
-        # still registered (or mid-callback) is how reader leaks start.
-        readers = [handle.reader for handle in handles if handle.reader is not None]
-        for reader in readers:
-            reader.cancel()
-        await asyncio.gather(*readers, return_exceptions=True)
+        unanswered = [pending for queue in self._backlog.values() for pending in queue]
         for handle in handles:
+            # Unregister before closing: closing an fd that is still
+            # registered is how reader leaks start.
+            self._unwatch(handle)
             try:
                 handle.conn.close()
             except OSError:
                 pass
-            for pending in handle.inflight.values():
-                if not pending.future.done():
-                    pending.future.set_result(
-                        QueryOutcome(
-                            status="crashed",
-                            error=error_payload(
-                                "ServiceStopped",
-                                "the service stopped before this query finished",
-                            ),
-                        )
-                    )
-            handle.inflight.clear()
+            if handle.pending is not None:
+                unanswered.append(handle.pending)
+                handle.pending = None
+        self._backlog.clear()
+        for pending in unanswered:
+            if not pending.future.done():
+                pending.future.set_result(_stopped())
 
-    # -- routing ---------------------------------------------------------
-    def worker_index(self, program_hash: str) -> int:
-        return int(program_hash[:8], 16) % self.size
+    # -- placement -------------------------------------------------------
+    @staticmethod
+    def _alive(handle: Optional[_WorkerHandle]) -> bool:
+        return handle is not None and not handle.dead and handle.process.is_alive()
 
     def alive_count(self) -> int:
-        return sum(
-            1
-            for handle in self._handles
-            if handle is not None and not handle.dead and handle.process.is_alive()
-        )
+        return sum(1 for handle in self._handles if self._alive(handle))
 
     def worker_states(self) -> List[Dict[str, object]]:
-        states = []
-        for index, handle in enumerate(self._handles):
-            states.append(
-                {
-                    "index": index,
-                    "pid": handle.pid if handle is not None else None,
-                    "alive": bool(
-                        handle is not None
-                        and not handle.dead
-                        and handle.process.is_alive()
-                    ),
-                    "restarts": handle.restarts if handle is not None else 0,
-                    "inflight": len(handle.inflight) if handle is not None else 0,
-                }
-            )
-        return states
+        return [
+            {
+                "index": index,
+                "pid": handle.pid if handle is not None else None,
+                "alive": self._alive(handle),
+                "restarts": handle.restarts if handle is not None else 0,
+                "inflight": int(handle is not None and handle.pending is not None),
+            }
+            for index, handle in enumerate(self._handles)
+        ]
 
-    async def _handle_for(self, index: int) -> _WorkerHandle:
+    def _dispatch(self) -> None:
+        """Give every idle worker its next query.
+
+        A worker first serves queued queries for the sessions it holds;
+        otherwise it takes the oldest query whose program no worker holds.
+        Idle workers choose fewest-sessions first, so a new program goes to
+        the least-loaded idle worker.
+        """
+        if self._stopping or not self._backlog:
+            return
+        idle = [handle for handle in self._handles if handle is not None and handle.idle]
+        for handle in sorted(idle, key=lambda h: (len(h.sessions), h.index)):
+            pending = self._next_for(handle)
+            if pending is not None:
+                self._send(handle, pending)
+
+    def _next_for(self, handle: _WorkerHandle) -> Optional[_Pending]:
+        for program_hash in list(handle.sessions):
+            pending = self._pop(program_hash)
+            if pending is not None:
+                return pending
         while True:
-            handle = self._handles[index]
-            if handle is not None and not handle.dead:
-                return handle
-            await self._ready[index].wait()
+            free = next((h for h in self._backlog if h not in self._holders), None)
+            if free is None:
+                return None
+            pending = self._pop(free)
+            if pending is not None:
+                return pending
 
-    # -- work ------------------------------------------------------------
-    async def submit(self, job: QueryJob) -> QueryOutcome:
-        index = self.worker_index(job.program_hash)
-        handle = await self._handle_for(index)
-        future: "asyncio.Future[QueryOutcome]" = asyncio.get_running_loop().create_future()
-        pending = _Pending(job=job, future=future)
-        handle.inflight[job.id] = pending
+    def _pop(self, program_hash: str) -> Optional[_Pending]:
+        """The program's oldest queued query still awaited, if any."""
+        queue = self._backlog.get(program_hash)
+        while queue:
+            pending = queue.popleft()
+            if not pending.future.done():
+                if not queue:
+                    del self._backlog[program_hash]
+                return pending
+        self._backlog.pop(program_hash, None)
+        return None
+
+    def _send(self, handle: _WorkerHandle, pending: _Pending) -> None:
+        job = pending.job
+        handle.pending = pending
+        if not job.concurrent:
+            handle.sessions.add(job.program_hash)
+            self._holders[job.program_hash] = handle
+        if self._shard_timeout is not None:
+            handle.timer = asyncio.get_running_loop().call_later(
+                self._shard_timeout, self._expire, handle, pending
+            )
         try:
             handle.conn.send(("query", job))
         except (BrokenPipeError, OSError):
-            # The worker died under us; the reader's death path owns this
-            # pending entry now (retry or structured failure).
+            # The worker died under us; the death path owns this pending
+            # entry now (retry or structured failure).
             pass
+
+    def _forget(self, handle: _WorkerHandle, program_hash: str) -> None:
+        handle.sessions.discard(program_hash)
+        if self._holders.get(program_hash) is handle:
+            del self._holders[program_hash]
+
+    def _retire(self, handle: _WorkerHandle) -> Optional[_Pending]:
+        """Take a dead or doomed worker out of placement; its unanswered query."""
+        handle.dead = True
+        if handle.timer is not None:
+            handle.timer.cancel()
+        for program_hash in list(handle.sessions):
+            self._forget(handle, program_hash)
+        pending, handle.pending = handle.pending, None
+        return pending if pending is not None and not pending.future.done() else None
+
+    # -- work ------------------------------------------------------------
+    async def submit(self, job: QueryJob) -> QueryOutcome:
+        if self._stopping:
+            return _stopped()
+        future: "asyncio.Future[QueryOutcome]" = asyncio.get_running_loop().create_future()
+        self._backlog.setdefault(job.program_hash, deque()).append(
+            _Pending(job=job, future=future)
+        )
+        self._dispatch()
         return await future
 
-    async def evict(self, program_hash: str, worker_index: Optional[int] = None) -> None:
-        index = worker_index if worker_index is not None else self.worker_index(program_hash)
-        handle = self._handles[index]
-        if handle is None or handle.dead:
-            # A dead worker already lost its sessions; nothing to evict.
-            if self.on_evicted is not None:
-                self.on_evicted(program_hash, 0)
-            return
-        try:
-            handle.conn.send(("evict", program_hash))
-        except (BrokenPipeError, OSError):
-            if self.on_evicted is not None:
-                self.on_evicted(program_hash, 0)
+    async def evict(self, program_hash: str) -> None:
+        handle = self._holders.get(program_hash)
+        if handle is not None:
+            self._forget(handle, program_hash)
+            try:
+                handle.conn.send(("evict", program_hash))
+                return
+            except (BrokenPipeError, OSError):
+                pass
+        # No live holder: its sessions died with it, nothing to evict.
+        if self.on_evicted is not None:
+            self.on_evicted(program_hash, 0)
 
     # -- supervision -----------------------------------------------------
-    async def _read_loop(self, handle: _WorkerHandle) -> None:
-        # Readiness-driven, not thread-driven: a thread blocked in
-        # ``conn.recv`` cannot be cancelled and would wedge the default
-        # executor's shutdown if the peer fd never delivers EOF (fork
-        # helpers inheriting the child end keep the pipe alive).  With
-        # ``add_reader`` the loop only touches the pipe when it is
-        # readable, and tearing the reader down is an ordinary
-        # task-cancel plus fd-unregister.
-        loop = asyncio.get_running_loop()
-        fd = handle.conn.fileno()
-        readable = asyncio.Event()
-        loop.add_reader(fd, readable.set)
-        registered = True
-
-        def _unregister() -> None:
-            nonlocal registered
-            if registered:
-                registered = False
-                try:
-                    loop.remove_reader(fd)
-                except (OSError, ValueError):
-                    pass
-
+    def _on_readable(self, handle: _WorkerHandle) -> None:
         try:
-            while True:
-                await readable.wait()
-                readable.clear()
-                while True:
-                    try:
-                        if not handle.conn.poll(0):
-                            break
-                        message = handle.conn.recv()
-                    except (EOFError, OSError):
-                        _unregister()
-                        if self._stopping or handle.closing:
-                            return
-                        await self._on_worker_death(handle)
-                        return
-                    self._dispatch(handle, message)
-        finally:
-            _unregister()
+            while handle.conn.poll(0):
+                self._on_message(handle, handle.conn.recv())
+        except (EOFError, OSError):
+            self._unwatch(handle)
+            if not (self._stopping or handle.closing):
+                self._track(self._on_worker_death(handle))
 
-    def _dispatch(self, handle: _WorkerHandle, message) -> None:
+    def _on_message(self, handle: _WorkerHandle, message) -> None:
         kind = message[0]
         if kind == "result":
-            pending = handle.inflight.pop(message[1], None)
-            if pending is not None and not pending.future.done():
-                outcome: QueryOutcome = message[2]
-                if pending.attempts > 1:
-                    outcome.retries = pending.attempts - 1
-                    if outcome.status == "ok":
-                        outcome.status = "retried"
+            pending = handle.pending
+            if pending is None or pending.job.id != message[1]:
+                return  # answered already (driver-side timeout)
+            handle.pending = None
+            if handle.timer is not None:
+                handle.timer.cancel()
+            if pending.job.close_session:
+                self._forget(handle, pending.job.program_hash)
+            outcome: QueryOutcome = message[2]
+            if pending.attempts > 1:
+                outcome.retries = pending.attempts - 1
+                if outcome.status == "ok":
+                    outcome.status = "retried"
+            if not pending.future.done():
                 pending.future.set_result(outcome)
+            self._dispatch()
         elif kind == "evicted":
             if self.on_evicted is not None:
                 self.on_evicted(message[1], message[2])
 
     async def _on_worker_death(self, handle: _WorkerHandle) -> None:
-        """Fail over a dead worker: rebuild it, retry its in-flight jobs once."""
-        handle.dead = True
-        index = handle.index
-        self._ready[index].clear()
-        self.restarts += 1
-        pending_jobs = list(handle.inflight.values())
-        handle.inflight.clear()
+        """Fail over a dead worker: rebuild it, re-run its query once."""
+        pending = self._retire(handle)
+        if pending is not None and pending.attempts >= MAX_ATTEMPTS:
+            pending.future.set_result(
+                QueryOutcome(
+                    status="crashed",
+                    error=error_payload(
+                        "WorkerCrashed",
+                        f"worker {handle.index} died running query "
+                        f"{pending.job.name!r} ({pending.attempts} attempt(s))",
+                        attempts=pending.attempts,
+                    ),
+                    retries=pending.attempts - 1,
+                    worker_pid=handle.pid,
+                )
+            )
+            pending = None
+        backoff = min(self._retry_backoff * 2 ** handle.restarts, BACKOFF_CAP_SECONDS)
+        await self._rebuild(handle, pending, backoff)
+
+    def _expire(self, handle: _WorkerHandle, pending: _Pending) -> None:
+        """Driver-side timeout: answer ``timeout``, replace the stuck worker."""
+        if handle.pending is not pending:
+            return
+        self._retire(handle)
+        handle.closing = True
+        seconds = self._shard_timeout or 0.0
+        if not pending.future.done():
+            pending.future.set_result(
+                QueryOutcome(
+                    status="timeout",
+                    error=error_payload(
+                        "AnalysisTimeout",
+                        f"query exceeded the driver-side {seconds:g}s timeout",
+                        resource="wall-clock",
+                        consumed=seconds,
+                        budget=seconds,
+                    ),
+                    elapsed_seconds=seconds,
+                    retries=pending.attempts - 1,
+                    worker_pid=handle.pid,
+                )
+            )
+        self._track(self._replace(handle))
+
+    def _track(self, coroutine) -> None:
+        """Run a supervision coroutine as a task that stop() cancels."""
+        task = asyncio.get_running_loop().create_task(coroutine)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _replace(self, handle: _WorkerHandle) -> None:
+        handle.process.terminate()
+        self._unwatch(handle)
+        await self._rebuild(handle, None, 0.0)
+
+    async def _rebuild(
+        self, handle: _WorkerHandle, retry: Optional[_Pending], delay: float
+    ) -> None:
+        """Start a fresh worker in a retired one's slot and re-send ``retry``."""
+        # The retry stays on the retired handle until the rebuild, so a
+        # stop() meanwhile still answers it.
+        handle.pending = retry
         try:
             handle.conn.close()
         except OSError:
             pass
-        handle.process.join(0.5)
-        retryable: List[_Pending] = []
-        for pending in pending_jobs:
-            if pending.future.done():
-                continue
-            if pending.attempts >= self._max_attempts:
-                pending.future.set_result(
-                    QueryOutcome(
-                        status="crashed",
-                        error=error_payload(
-                            "WorkerCrashed",
-                            f"worker {index} died running query "
-                            f"{pending.job.name!r} ({pending.attempts} attempt(s))",
-                            attempts=pending.attempts,
-                        ),
-                        retries=pending.attempts - 1,
-                    )
-                )
-            else:
-                retryable.append(pending)
-        restarts = handle.restarts + 1
-        backoff = min(self._retry_backoff * (2 ** (restarts - 1)), self._backoff_cap)
-        await asyncio.sleep(backoff)
+        self.restarts += 1
+        # Queries that waited on the retired worker's sessions may go
+        # elsewhere now.
+        self._dispatch()
+        await asyncio.get_running_loop().run_in_executor(None, handle.process.join, 1.0)
+        await asyncio.sleep(delay)
         if self._stopping:
-            for pending in retryable:
-                if not pending.future.done():
-                    pending.future.set_result(
-                        QueryOutcome(
-                            status="crashed",
-                            error=error_payload(
-                                "ServiceStopped",
-                                "the service stopped before this query finished",
-                            ),
-                        )
-                    )
             return
-        new_handle = self._install(index, restarts)
-        for pending in retryable:
-            pending.attempts += 1
-            new_handle.inflight[pending.job.id] = pending
-            try:
-                new_handle.conn.send(("query", pending.job))
-            except (BrokenPipeError, OSError):
-                pass  # the new reader's death path owns these now
+        handle.pending = None
+        rebuilt = self._install(handle.index, handle.restarts + 1)
+        if retry is not None:
+            retry.attempts += 1
+            self._send(rebuilt, retry)
+        self._dispatch()
 
 
 class InlineWorkerPool:
@@ -544,8 +621,8 @@ class InlineWorkerPool:
 
     Sessions live in the driver process; injected worker kills are inert
     here by design (the fault plan is installed without the worker mark).
-    Used when ``workers=0`` is requested or process pools are unavailable,
-    and by tests that exercise daemon logic without multiprocessing.
+    Used when ``workers=0`` is requested, and by tests that exercise daemon
+    logic without multiprocessing.
     """
 
     size = 1
@@ -563,8 +640,6 @@ class InlineWorkerPool:
 
     async def start(self) -> None:
         if self._fault_plan is not None:
-            from ..testing import faults
-
             faults.install(self._fault_plan)
 
     async def stop(self) -> None:
@@ -572,12 +647,7 @@ class InlineWorkerPool:
         await loop.run_in_executor(self._executor, self._cache.close)
         self._executor.shutdown(wait=True)
         if self._fault_plan is not None:
-            from ..testing import faults
-
             faults.clear()
-
-    def worker_index(self, program_hash: str) -> int:
-        return 0
 
     def alive_count(self) -> int:
         return 1
@@ -599,7 +669,7 @@ class InlineWorkerPool:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._executor, execute_job, self._cache, job)
 
-    async def evict(self, program_hash: str, worker_index: Optional[int] = None) -> None:
+    async def evict(self, program_hash: str) -> None:
         loop = asyncio.get_running_loop()
         freed = await loop.run_in_executor(self._executor, self._cache.evict, program_hash)
         if self.on_evicted is not None:

@@ -11,11 +11,10 @@ one:
   JSON payload (the daemon never answers a malformed request with a
   traceback).
 * :class:`QueryOutcome` is the picklable worker-to-driver result record.  Its
-  ``status`` field extends the shard taxonomy of
-  :class:`repro.parallel.shards.ShardResult` (``ok/retried/timeout/resource/
-  crashed``) with the service-side outcomes ``error`` (user error),
-  ``shed`` (load-shed rejection), ``circuit-open`` (quarantined program
-  hash) and ``draining`` (shutdown in progress).
+  ``status`` is the query taxonomy ``ok/retried/error/timeout/resource/
+  crashed`` (see :mod:`repro.service.worker`), which batch shards report
+  too; the daemon adds ``shed`` (load-shed rejection), ``circuit-open``
+  (quarantined program hash) and ``draining`` (shutdown in progress).
 * :func:`content_hash` is the program identity the session pool, the
   request coalescer and the circuit breaker all key on: the SHA-256 of the
   program source text, so textually identical programs share a pooled
@@ -26,9 +25,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..algorithms.engine import SEQUENTIAL_ALGORITHMS
+from ..algorithms.result import ReachabilityResult
 from ..limits import ResourceLimits
 
 __all__ = [
@@ -39,22 +39,6 @@ __all__ = [
     "parse_request",
     "error_payload",
 ]
-
-#: Statuses a response may carry.  The first five mirror the shard taxonomy
-#: (see :class:`repro.parallel.shards.ShardResult`); the rest are produced by
-#: the daemon itself, before a query ever reaches a worker.
-RESPONSE_STATUSES = (
-    "ok",
-    "retried",
-    "timeout",
-    "resource",
-    "crashed",
-    "error",
-    "shed",
-    "circuit-open",
-    "draining",
-)
-
 
 def content_hash(source: str) -> str:
     """The pool/coalescing/breaker key of a program: SHA-256 of its text."""
@@ -80,18 +64,20 @@ class ProtocolError(ValueError):
 class QueryJob:
     """One admitted query, as plain picklable data (driver -> worker).
 
-    ``id`` is the daemon-side correlation key (echoed in the response);
+    ``id`` is the driver-side correlation key;
     ``name`` is the friendly label fault plans and load reports key on
-    (mirrors :class:`repro.parallel.shards.BatchQuery.name`).
-    ``program_hash`` is precomputed so workers and the driver agree on the
-    session-pool key without re-hashing the source per hop.
+    (a batch query's :attr:`repro.parallel.BatchQuery.name`).
+    ``program`` is source text (a batch may also ship a parsed program).
+    ``program_hash`` is the session-pool key, precomputed so workers and
+    the driver agree on it without re-hashing the source per hop; a batch
+    gives each group of queries its own key.
     """
 
     id: str
     name: str
-    program: str
+    program: Union[str, object]
     program_hash: str
-    target: Union[str, Tuple[str, ...], Tuple[Tuple[int, int], ...]] = "error"
+    target: Union[str, Sequence[str], Sequence[Tuple[int, int]]] = "error"
     algorithm: str = "ef-opt"
     concurrent: bool = False
     context_switches: int = 2
@@ -114,6 +100,13 @@ class QueryJob:
     #: Attach a replay-validated counterexample trace to a reachable verdict
     #: (the ``witness`` op / request field; sequential queries only).
     witness: bool = False
+    #: String target specs a level-2 session slices towards.  Batch groups
+    #: set it to the union of their targets; daemon sessions serve
+    #: arbitrary targets and never slice.
+    slice_targets: Optional[Tuple[str, ...]] = None
+    #: This is the last query its session serves (a batch group's last
+    #: query): skip the up-front solve and close the session afterwards.
+    close_session: bool = False
 
     def coalesce_key(self) -> Tuple[object, ...]:
         """Requests with equal keys are answered by one shared execution."""
@@ -133,23 +126,20 @@ class QueryJob:
 class QueryOutcome:
     """What one executed job produced (worker -> driver, picklable).
 
-    ``session_live_nodes`` is the serving session's live BDD node count
-    *after* the query (the pool's eviction currency);
-    ``gc_collections`` is the session-cumulative collection count (the
-    driver accumulates deltas per program hash).  Both are 0 for concurrent
-    queries, which run without a pooled session.
+    ``result`` is the query's :class:`~repro.algorithms.ReachabilityResult`
+    (None exactly when ``error`` is set).  ``session_live_nodes`` is the
+    serving session's live BDD node count *after* the query (the pool's
+    eviction currency); it is 0 for concurrent queries, which run without
+    a pooled session.  ``elapsed_seconds`` is the execution time in the
+    process that ran the query.
     """
 
     status: str = "ok"
-    reachable: Optional[bool] = None
-    algorithm: Optional[str] = None
-    degraded_from: Optional[str] = None
+    result: Optional[ReachabilityResult] = None
     warm: bool = False
-    iterations: int = 0
     elapsed_seconds: float = 0.0
     error: Optional[Dict[str, object]] = None
     session_live_nodes: int = 0
-    gc_collections: int = 0
     retries: int = 0
     worker_pid: int = 0
     #: A freshly frozen :class:`repro.api.session.SessionSnapshot` the
@@ -158,12 +148,6 @@ class QueryOutcome:
     #: True when the serving session was opened from a catalog snapshot on
     #: this very query (the solve was skipped, copy-free).
     snapshot_attached: bool = False
-    #: Replay-validated counterexample trace (``WitnessTrace.to_dict()``
-    #: shape) when the job asked for a witness and the target is reachable.
-    witness: Optional[Dict[str, object]] = None
-    #: Typed extraction/validation failure (``"ExcType: message"``); the
-    #: verdict above is still authoritative when this is set.
-    witness_error: Optional[str] = None
 
     @property
     def ok(self) -> bool:

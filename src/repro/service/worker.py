@@ -1,29 +1,44 @@
-"""Worker-side execution: pooled analysis sessions behind a message loop.
+"""Query execution: one job path and one status taxonomy for every caller.
 
-A service worker is a long-lived process owning a :class:`SessionCache` —
-the materialised half of the daemon's session pool.  The driver keys the
-pool and decides evictions (see :mod:`repro.service.pool`); the worker holds
-the actual :class:`repro.api.AnalysisSession` objects, because BDD managers,
-compiled plans and retained interpretations must never cross a process
-boundary (the ownership contract of :mod:`repro.parallel.shards`).
+Every query — a daemon request or one query of a batch — runs through
+:func:`execute_job` against a :class:`SessionCache`, either inline (the
+daemon's ``workers=0`` mode, :func:`repro.parallel.run_shards` at
+``jobs <= 1``) or inside a worker process of
+:class:`repro.service.pool.ProcessWorkerPool`, whose message loop is
+:func:`worker_main`.  BDD managers, compiled plans and retained
+interpretations never cross a process boundary; only the picklable
+:class:`QueryJob`/:class:`QueryOutcome` records do, and the outcome carries
+the query's full :class:`~repro.algorithms.ReachabilityResult`.
 
-The message protocol over the worker's pipe is deliberately tiny:
+Sessions are keyed by ``QueryJob.program_hash``.  A daemon session stays
+open across requests — the first query solves the target-independent
+summary, later ones are warm post-passes — until the driver evicts it.  A
+batch group shares one session that slices towards the group's targets
+(``slice_targets``) and is closed after the group's last query
+(``close_session``), which also skips the up-front solve: a session that
+serves no further query gains nothing from it, and early stop still
+applies.
+
+:func:`classify_failure` is the only place a query failure is classified:
+``timeout``/``resource`` for typed resource exhaustion (with the
+consumed-vs-budget payload), ``error`` for user errors (parse, static
+semantics, unknown targets) and ``crashed`` for anything unexpected.  The
+pool adds ``retried`` (a worker died and a rebuilt one answered),
+``crashed`` (it died twice) and ``timeout`` (a driver-side timeout fired).
+
+The message protocol over a worker's pipe:
 
 * ``("query", QueryJob)``  -> ``("result", job id, QueryOutcome)``
 * ``("evict", hash)``      -> ``("evicted", hash, freed live nodes)``
 * ``("stop",)``            -> the worker closes every session and exits.
-
-:func:`execute_job` is transport-free so the daemon's in-process fallback
-mode (``workers=0``) runs the *identical* code path on a driver-local cache
-— keeping the single-process configuration measurable against the pooled
-one, not a separate implementation.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import time
-from typing import Dict, Optional
+from typing import Dict, Tuple
 
 from ..api.session import AnalysisSession
 from ..boolprog import BoolProgError
@@ -32,7 +47,7 @@ from ..limits import DEGRADATION_LADDER
 from ..testing import faults
 from .protocol import QueryJob, QueryOutcome, error_payload
 
-__all__ = ["SessionCache", "execute_job", "worker_main"]
+__all__ = ["SessionCache", "classify_failure", "execute_job", "worker_main"]
 
 
 class _CacheEntry:
@@ -43,7 +58,6 @@ class _CacheEntry:
         #: Algorithms whose summary fixed point this session has solved; a
         #: repeat query on one of them is a *warm* hit (post-pass, no solve).
         self.solved: set = set()
-        self.queries = 0
         #: The session was attached from a daemon-catalog snapshot (the
         #: solve was skipped); the first query on it reports the attach.
         self.from_snapshot = from_snapshot
@@ -56,17 +70,14 @@ class _CacheEntry:
 class SessionCache:
     """Program-hash -> open session map, owned by one worker (or the driver).
 
-    Eviction is commanded by the driver's pool index; the cache itself only
-    opens, serves and closes sessions.  ``evict`` returns the live-node
-    count released so the driver can reconcile its accounting even if its
-    own estimate went stale between messages.
+    Eviction is commanded by the driver (or by a job's ``close_session``);
+    the cache itself only opens, serves and closes sessions.  ``evict``
+    returns the live-node count released so the driver can reconcile its
+    accounting even if its own estimate went stale between messages.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[str, _CacheEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def entry(self, job: QueryJob) -> _CacheEntry:
         """The pooled session for ``job``'s program (opened on first use).
@@ -90,20 +101,25 @@ class SessionCache:
                 except Exception:  # noqa: BLE001 — degrade to a fresh session
                     session = None
             if session is None:
-                # Pooled sessions serve arbitrary targets across requests,
-                # so they optimize but never slice (slice_targets stays
-                # unset); string specs resolve against the optimized CFG.
+                # String specs resolve against the optimized CFG; only a
+                # batch group, whose targets are known up front, slices.
                 session = AnalysisSession(
                     job.program,
                     default_algorithm=job.algorithm,
                     limits=job.limits,
                     optimize=job.optimize,
+                    slice_targets=job.slice_targets,
                 )
             entry = _CacheEntry(session, from_snapshot=from_snapshot)
             if from_snapshot:
                 entry.solved.add(job.snapshot.algorithm)
             self._entries[job.program_hash] = entry
         return entry
+
+    def live_nodes(self, program_hash: str) -> int:
+        """Live nodes of one open session (0 when none is open)."""
+        entry = self._entries.get(program_hash)
+        return entry.session.live_nodes() if entry is not None else 0
 
     def evict(self, program_hash: str) -> int:
         """Close and drop one pooled session; returns the live nodes freed."""
@@ -121,7 +137,7 @@ class SessionCache:
         self._entries.clear()
 
 
-def _session_outcome(cache: SessionCache, job: QueryJob, started: float) -> QueryOutcome:
+def _session_outcome(cache: SessionCache, job: QueryJob) -> QueryOutcome:
     """Run one sequential query against the pooled session for its program."""
     entry = cache.entry(job)
     session = entry.session
@@ -129,26 +145,19 @@ def _session_outcome(cache: SessionCache, job: QueryJob, started: float) -> Quer
     # (and budgets): re-arm before every query.
     session.set_limits(job.limits)
     warm = job.algorithm in entry.solved
-    entry.queries += 1
-    if not warm:
+    if not warm and not job.close_session:
         # Solve the target-independent summary up front so every later
         # query on this (program, algorithm) is a post-pass — the warm-hit
         # contract of the pool.  A failed solve (budget, target-dependent
         # system) degrades to the lazy per-query evaluation below.
         try:
             session.solve(job.algorithm)
-        except ResourceExhausted:
+        except (ResourceExhausted, ValueError):
             pass
-        except ValueError:
-            pass
+    target = list(job.target) if isinstance(job.target, tuple) else job.target
     algorithm = job.algorithm
-    degraded_from: Optional[str] = None
     try:
-        result = session.check(
-            list(job.target) if isinstance(job.target, tuple) else job.target,
-            algorithm=algorithm,
-            early_stop=job.early_stop,
-        )
+        result = session.check(target, algorithm=algorithm, early_stop=job.early_stop)
     except ResourceExhausted:
         fallback = (
             DEGRADATION_LADDER.get(algorithm)
@@ -157,12 +166,8 @@ def _session_outcome(cache: SessionCache, job: QueryJob, started: float) -> Quer
         )
         if fallback is None:
             raise
-        result = session.check(
-            list(job.target) if isinstance(job.target, tuple) else job.target,
-            algorithm=fallback,
-            early_stop=job.early_stop,
-        )
-        degraded_from = algorithm
+        result = session.check(target, algorithm=fallback, early_stop=job.early_stop)
+        result.degraded_from = algorithm
         algorithm = fallback
     # A query answered from (or promoted to) the retained summary leaves
     # the session solved for this algorithm: the next query is a warm hit.
@@ -184,48 +189,33 @@ def _session_outcome(cache: SessionCache, job: QueryJob, started: float) -> Quer
             entry.published.add(algorithm)
         except Exception:  # noqa: BLE001 — snapshots are an optimisation
             snapshot = None
-    witness_dict: Optional[Dict[str, object]] = None
-    witness_error: Optional[str] = None
     if job.witness and result.reachable:
-        # Witness extraction is a post-pass on the pooled session's retained
-        # summary; a typed failure is reported alongside the (authoritative)
+        # Witness extraction is a post-pass on the session's retained
+        # summary; a typed failure is recorded next to the (authoritative)
         # verdict, never instead of it.
         from ..witness import WitnessError
 
         try:
-            trace = session.explain(
-                list(job.target) if isinstance(job.target, tuple) else job.target,
-                algorithm=algorithm,
-            )
+            trace = session.explain(target, algorithm=algorithm)
         except WitnessError as exc:
-            witness_error = f"{type(exc).__name__}: {exc}"
+            result.details["witness_error"] = f"{type(exc).__name__}: {exc}"
         else:
-            witness_dict = trace.to_dict() if trace is not None else None
+            result.witness = trace.to_dict() if trace is not None else None
         # explain() solves when needed, so the session is warm afterwards.
         entry.solved.add(algorithm)
     attached = entry.from_snapshot and not entry.attach_reported
     entry.attach_reported = True
-    live = session.live_nodes()
-    gc = result.gc_stats() or {}
     return QueryOutcome(
         status="ok",
-        reachable=result.reachable,
-        algorithm=result.algorithm,
-        degraded_from=degraded_from or result.degraded_from,
+        result=result,
         warm=warm,
-        iterations=result.iterations,
-        elapsed_seconds=time.perf_counter() - started,
-        session_live_nodes=live,
-        gc_collections=int(gc.get("collections", 0) or 0),
-        worker_pid=os.getpid(),
+        session_live_nodes=session.live_nodes(),
         snapshot=snapshot,
         snapshot_attached=attached,
-        witness=witness_dict,
-        witness_error=witness_error,
     )
 
 
-def _concurrent_outcome(job: QueryJob, started: float) -> QueryOutcome:
+def _concurrent_outcome(job: QueryJob) -> QueryOutcome:
     """Concurrent queries run without a pooled session (engine singletons)."""
     from ..frontends.getafix import check_concurrent_reachability
 
@@ -236,25 +226,18 @@ def _concurrent_outcome(job: QueryJob, started: float) -> QueryOutcome:
         early_stop=job.early_stop,
         limits=job.limits,
     )
-    return QueryOutcome(
-        status="ok",
-        reachable=result.reachable,
-        algorithm=result.algorithm,
-        iterations=result.iterations,
-        elapsed_seconds=time.perf_counter() - started,
-        worker_pid=os.getpid(),
-    )
+    return QueryOutcome(status="ok", result=result)
 
 
 def execute_job(cache: SessionCache, job: QueryJob) -> QueryOutcome:
     """Execute one job against ``cache``; never raises, always an outcome.
 
-    Failure classification mirrors the shard taxonomy: typed resource
-    exhaustion becomes ``timeout``/``resource`` with the consumed-vs-budget
-    payload, user errors (parse, static semantics, bad targets) become
-    ``error``, and anything unexpected becomes ``crashed`` — the session
-    pool survives all three (PR 5's exhaustion contract keeps blown
-    sessions usable).
+    Typed resource exhaustion becomes ``timeout``/``resource`` with the
+    consumed-vs-budget payload, user errors (parse, static semantics, bad
+    targets) become ``error``, and anything unexpected becomes ``crashed``;
+    the session survives all three (exhaustion leaves sessions usable).
+    ``elapsed_seconds`` covers everything the query caused in this process:
+    opening the session and solving it up front included.
     """
     started = time.perf_counter()
     try:
@@ -262,65 +245,57 @@ def execute_job(cache: SessionCache, job: QueryJob) -> QueryOutcome:
         # process marked as a pool worker — kill the process outright.
         faults.on_shard([job.name])
         if job.concurrent:
-            return _concurrent_outcome(job, started)
-        return _session_outcome(cache, job, started)
-    except AnalysisTimeout as exc:
-        return _failure(cache, job, "timeout", exc, exc.detail(), started)
-    except ResourceExhausted as exc:
-        return _failure(cache, job, "resource", exc, exc.detail(), started)
-    except (BoolProgError, ValueError, KeyError) as exc:
-        payload = error_payload(type(exc).__name__, str(exc))
-        return _failure(cache, job, "error", exc, payload, started)
+            outcome = _concurrent_outcome(job)
+        else:
+            outcome = _session_outcome(cache, job)
     except Exception as exc:  # noqa: BLE001 — a job failure must not kill the loop
-        payload = error_payload(type(exc).__name__, str(exc))
-        return _failure(cache, job, "crashed", exc, payload, started)
+        outcome = _failure(cache, job, *classify_failure(exc))
+    outcome.elapsed_seconds = time.perf_counter() - started
+    outcome.worker_pid = os.getpid()
+    if job.close_session:
+        cache.evict(job.program_hash)
+    return outcome
 
 
-def _pooled_live_nodes(cache: SessionCache, job: QueryJob) -> int:
-    """Live nodes of the job's pooled session, if one is open (0 otherwise).
-
-    Reported on failure outcomes too: a session that blew its budget still
-    holds nodes, and the driver's pool accounting must see them or the
-    eviction policy undercounts exactly the sessions most worth evicting.
-    """
-    entry = cache._entries.get(job.program_hash)
-    return entry.session.live_nodes() if entry is not None else 0
+def classify_failure(exc: Exception) -> Tuple[str, Dict[str, object]]:
+    """The status and typed error payload of a failed query."""
+    if isinstance(exc, ResourceExhausted):
+        status = "timeout" if isinstance(exc, AnalysisTimeout) else "resource"
+        return status, {**exc.detail(), "message": str(exc)}
+    status = "error" if isinstance(exc, (BoolProgError, ValueError, KeyError)) else "crashed"
+    return status, error_payload(type(exc).__name__, str(exc))
 
 
 def _failure(
-    cache: SessionCache,
-    job: QueryJob,
-    status: str,
-    exc: BaseException,
-    payload: Dict[str, object],
-    started: float,
+    cache: SessionCache, job: QueryJob, status: str, payload: Dict[str, object]
 ) -> QueryOutcome:
-    if "message" not in payload:
-        payload = dict(payload)
-        payload["message"] = str(exc)
     live = 0
     if not job.concurrent:
+        # A session that blew its budget still holds nodes, and the driver's
+        # pool accounting must see them or the eviction policy undercounts
+        # exactly the sessions most worth evicting.
         try:
-            live = _pooled_live_nodes(cache, job)
+            live = cache.live_nodes(job.program_hash)
         except Exception:  # noqa: BLE001 — accounting must not mask the failure
             live = 0
-    return QueryOutcome(
-        status=status,
-        error=payload,
-        elapsed_seconds=time.perf_counter() - started,
-        session_live_nodes=live,
-        worker_pid=os.getpid(),
-    )
+    return QueryOutcome(status=status, error=payload, session_live_nodes=live)
 
 
 def worker_main(conn, fault_plan=None) -> None:
-    """Entry point of one service worker process.
+    """Entry point of one pool worker process.
 
     Serves query/evict messages until a ``stop`` message or a closed pipe,
     then closes every pooled session.  The fault plan (tests/CI only) is
     installed with ``worker=True`` so injected kills are allowed to fire
     here — and only here; the same plan installed in the driver is inert.
     """
+    # A forked worker inherits the driver's signal set-up, asyncio's wakeup
+    # fd included: a SIGTERM that stops this worker must not reach the
+    # driver's event loop, and an interrupt is the driver's to handle (it
+    # stops its workers).
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if fault_plan is not None:
         faults.install(fault_plan, worker=True)
     cache = SessionCache()

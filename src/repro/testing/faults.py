@@ -2,18 +2,18 @@
 
 The production code has three failure surfaces that are hard to hit on
 demand: a pool worker dying mid-batch, a query exhausting its resource
-envelope at a GC safe point, and a shard running longer than its driver-side
+envelope at a GC safe point, and a query running longer than its driver-side
 timeout.  This module gives tests and the CI smoke step a way to trigger each
 one deterministically.
 
 A :class:`FaultPlan` is a frozen, picklable description of the faults to
-inject.  The driver ships it across the process-pool boundary (see
-``repro.parallel.shards``); each worker installs it before running its shard
-group.  The hooks below are called from fixed points in the production code
+inject.  The driver ships it to every worker of its process pool (see
+``repro.service.pool``), which installs it before serving queries.  The
+hooks below are called from fixed points in the production code
 and are no-ops (a single ``is None`` check) when no plan is installed, so
 the harness costs nothing in normal runs:
 
-- :func:`on_shard` — start of a shard group (worker kill, injected delay,
+- :func:`on_shard` — start of every query (worker kill, injected delay,
   deterministic raise).
 - :func:`on_safe_point` — every ``SymbolicBackend.gc_step`` safe point
   (raise a typed resource error at the Nth safe point).
@@ -26,7 +26,7 @@ Worker kills only fire in processes marked as pool workers
 sequential path can never take down the driver itself.  One-shot faults
 (kill the worker the *first* time it sees a query) latch on an exclusive
 token file shared by all workers, which makes "transient crash, retry
-succeeds" reproducible across pool rebuilds.
+succeeds" reproducible across worker rebuilds.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class FaultPlan:
     Attributes
     ----------
     kill_query:
-        Kill the pool worker (``os._exit``) when it starts a shard group
-        containing this query name.  Only fires in worker processes.
+        Kill the pool worker (``os._exit``) when it starts the query of this
+        name.  Only fires in worker processes.
     kill_exit_code:
         Exit code for the injected kill (nonzero, so the pool sees a crash).
     once_token:
@@ -65,15 +65,15 @@ class FaultPlan:
         for the first process that wins an ``O_CREAT | O_EXCL`` create of the
         file — i.e. the fault is transient and a retry succeeds.  When None,
         the kill fires on every attempt (a persistent crasher, which the
-        scheduler must quarantine).
+        pool must answer ``crashed``).
     delay_query:
-        Sleep ``delay_seconds`` at the start of the shard group containing
-        this query (drives the driver-side shard timeout path).
+        Sleep ``delay_seconds`` at the start of this query (drives the
+        driver-side timeout path).
     delay_seconds:
         Injected delay duration.
     fail_query:
-        Raise a plain ``RuntimeError`` when a shard group containing this
-        query starts, in any process (a deterministic "crashed"-status
+        Raise a plain ``RuntimeError`` when this query starts, in any
+        process (a deterministic "crashed"-status
         failure that does not kill the worker).  Honors ``once_token`` the
         same way the kill does, so a *transient* raise — fails once, retry
         succeeds — is expressible too (drives the retry-once paths).
@@ -134,7 +134,7 @@ def _claim_token(path: str) -> bool:
 
 
 def on_shard(names: Iterable[str]) -> None:
-    """Hook: a shard group containing ``names`` is about to run."""
+    """Hook: the queries named ``names`` are about to run."""
     plan = _ACTIVE
     if plan is None:
         return

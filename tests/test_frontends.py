@@ -189,7 +189,7 @@ class TestCliExitCodes:
             (["--max-iterations", "0"], "--max-iterations"),
             (["--shard-timeout", "-2.5"], "--shard-timeout"),
             (["--shard-timeout", "0"], "--shard-timeout"),
-            (["--retries", "-1"], "--retries"),
+            (["--jobs", "0"], "--jobs"),
             (["--context-switches", "-1"], "--context-switches"),
         ],
     )
@@ -356,22 +356,3 @@ class TestCliBatch:
         assert [row["reused_solve"] for row in rows] == [False, True]
         assert payload["queries_per_solve"] == 2.0
         assert payload["reused_solves"] == 1
-
-    def test_no_group_restores_one_solve_per_query(self, tmp_path, capsys):
-        source = """
-        decl g;
-        main() begin
-          g := T;
-          if (g) then a: skip; fi
-          if (!g) then b: skip; fi
-        end
-        """
-        path = tmp_path / "multi.bp"
-        path.write_text(source)
-        status = main(
-            [str(path), "--target", "main:a", "--target", "main:b", "--no-group", "--json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert status == 1
-        assert payload["queries_per_solve"] == 1.0
-        assert all(row["reused_solve"] is False for row in payload["shards"])

@@ -186,6 +186,34 @@ class TestScheduler:
 
         assert all(s.pid != os.getpid() for s in results)
 
+    def test_groups_stay_on_one_worker_under_contention(self):
+        # More workers than cores and interleaved groups: a group whose
+        # later queries left the worker holding its session would re-solve
+        # (reused_solve False) or run on a second pid.
+        queries = []
+        for number in range(12):
+            source = (POSITIVE if number % 2 else NEGATIVE) + f"// program {number}\n"
+            for target in ["main:target", ["main:target"], "main:target"][: 1 + number % 3]:
+                queries.append(
+                    BatchQuery(
+                        name=f"g{number}:{len(queries)}",
+                        program=source,
+                        target=target,
+                        expected=bool(number % 2),
+                    )
+                )
+        results, mode, _ = run_shards(queries[::2] + queries[1::2], jobs=4)
+        assert mode == "process-pool"
+        assert all(s.ok for s in results) and not any(s.mismatch for s in results)
+        groups = {}
+        for shard in results:
+            groups.setdefault(shard.name.split(":")[0], []).append(shard)
+        for shards in groups.values():
+            assert len({shard.pid for shard in shards}) == 1
+            assert [shard.reused_solve for shard in shards] == [False] + [True] * (
+                len(shards) - 1
+            )
+
 
 class TestRunBatch:
     def test_accepts_mappings(self):
@@ -208,6 +236,20 @@ class TestRunBatch:
         assert report.verdicts() == {"bad": None, "good": False}
         table = report.format_table()
         assert "ERROR" in table and "good" in table
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_user_errors_are_error_not_crashed(self, jobs):
+        """A parse error and an unknown label are user errors, as in the daemon."""
+        report = run_batch(
+            [
+                BatchQuery(name="parse", program="main( begin", target="error"),
+                BatchQuery(name="label", program=NEGATIVE, target="main:nolabel"),
+            ],
+            jobs=jobs,
+        )
+        assert [shard.status for shard in report.shards] == ["error", "error"]
+        assert report.crash_failures() == []
+        assert report.status_counts() == {"error": 2}
 
     @pytest.mark.parametrize("jobs", [4])
     def test_batch_determinism_across_jobs(self, jobs):

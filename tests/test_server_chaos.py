@@ -27,7 +27,7 @@ import pytest
 
 from repro.algorithms import run_batch
 from repro.parallel import BatchQuery
-from repro.service import AnalysisDaemon, DaemonConfig
+from repro.service import AnalysisDaemon, DaemonConfig, content_hash
 from repro.testing import FaultPlan, faults
 
 POSITIVE = """
@@ -156,6 +156,64 @@ class TestWorkerKillFailover:
         assert survivors[0]["reachable"] == expected["neg"]
         assert survivors[1]["reachable"] == expected["third"]
         assert metrics["breaker"]["trips"] == 1
+
+    def test_innocent_queued_behind_a_crasher_is_served(self):
+        # One worker, a persistent crasher and an innocent sent together:
+        # the innocent waits for the worker instead of riding along on the
+        # crasher's attempts, so only the crasher is convicted.
+        plan = FaultPlan(kill_query="pos")
+
+        async def scenario(daemon):
+            crasher, innocent = await asyncio.gather(
+                daemon.handle_request(query("pos")),
+                daemon.handle_request(query("neg")),
+            )
+            return crasher, innocent, daemon.breaker.strikes(content_hash(NEGATIVE))
+
+        config = DaemonConfig(workers=1, retry_backoff=0.01, fault_plan=plan)
+        crasher, innocent, strikes = asyncio.run(_with_daemon(config, scenario))
+        assert crasher["status"] == "crashed"
+        assert innocent["status"] == "ok"
+        assert innocent["reachable"] is False
+        assert strikes == 0
+
+
+def _same_parity_sources():
+    """Two programs whose ``content_hash[:8]`` agree mod 2: the pair a
+    ``hash % 2`` router would put on one worker."""
+    first = POSITIVE
+    second = NEGATIVE
+    parity = int(content_hash(first)[:8], 16) % 2
+    while int(content_hash(second)[:8], 16) % 2 != parity:
+        second += "// pad\n"
+    return first, second
+
+
+class TestPlacement:
+    def test_distinct_programs_spread_then_stay_pinned(self):
+        first, second = _same_parity_sources()
+
+        def request(source, **fields):
+            return {"op": "query", "program": source, "target": "main:target", **fields}
+
+        async def scenario(daemon):
+            cold = await asyncio.gather(
+                daemon.handle_request(request(first)),
+                daemon.handle_request(request(second)),
+            )
+            again = [
+                await daemon.handle_request(request(first, id="again-first")),
+                await daemon.handle_request(request(second, id="again-second")),
+            ]
+            return cold, again
+
+        cold, again = asyncio.run(_with_daemon(DaemonConfig(workers=2), scenario))
+        assert all(response["ok"] for response in cold + again)
+        # Sent together, the two programs went to different workers ...
+        assert cold[0]["worker_pid"] != cold[1]["worker_pid"]
+        # ... and each repeat is a warm hit on the worker holding its session.
+        assert [response.get("warm") for response in again] == [True, True]
+        assert [r["worker_pid"] for r in again] == [r["worker_pid"] for r in cold]
 
 
 class TestDeadlineStorm:

@@ -121,44 +121,44 @@ class TestProtocol:
 class TestSessionPoolIndex:
     def test_lru_eviction_under_budget(self):
         index = SessionPoolIndex(memory_budget_nodes=1000)
-        index.touch("aaa", 0, 600)
-        index.touch("bbb", 1, 600)
+        index.touch("aaa", 600)
+        index.touch("bbb", 600)
         victims = index.evictions(busy=set())
-        assert victims == [("aaa", 0)]
+        assert victims == ["aaa"]
         assert "aaa" not in index and "bbb" in index
 
     def test_touch_refreshes_recency(self):
         index = SessionPoolIndex(memory_budget_nodes=1000)
-        index.touch("aaa", 0, 600)
-        index.touch("bbb", 1, 600)
-        index.touch("aaa", 0, 600)  # aaa is now the most recent
-        assert index.evictions(busy=set()) == [("bbb", 1)]
+        index.touch("aaa", 600)
+        index.touch("bbb", 600)
+        index.touch("aaa", 600)  # aaa is now the most recent
+        assert index.evictions(busy=set()) == ["bbb"]
 
     def test_busy_sessions_are_spared(self):
         index = SessionPoolIndex(memory_budget_nodes=1000)
-        index.touch("aaa", 0, 600)
-        index.touch("bbb", 1, 600)
-        index.touch("ccc", 0, 600)
+        index.touch("aaa", 600)
+        index.touch("bbb", 600)
+        index.touch("ccc", 600)
         victims = index.evictions(busy={"aaa"})
-        assert ("aaa", 0) not in victims
-        assert ("bbb", 1) in victims
+        assert "aaa" not in victims
+        assert "bbb" in victims
 
     def test_most_recent_session_is_never_evicted(self):
         index = SessionPoolIndex(memory_budget_nodes=100)
-        index.touch("aaa", 0, 600)  # alone and over budget: still spared
+        index.touch("aaa", 600)  # alone and over budget: still spared
         assert index.evictions(busy=set()) == []
 
     def test_unbounded_pool_never_evicts(self):
         index = SessionPoolIndex(memory_budget_nodes=None)
         for i in range(10):
-            index.touch(f"h{i}", 0, 10_000)
+            index.touch(f"h{i}", 10_000)
         assert index.evictions(busy=set()) == []
 
     def test_gc_delta_accounting(self):
         index = SessionPoolIndex()
-        assert index.touch("aaa", 0, 100, gc_collections=2) == 2
-        assert index.touch("aaa", 0, 100, gc_collections=5) == 3
-        assert index.touch("aaa", 0, 100, gc_collections=5) == 0
+        assert index.touch("aaa", 100, gc_collections=2) == 2
+        assert index.touch("aaa", 100, gc_collections=5) == 3
+        assert index.touch("aaa", 100, gc_collections=5) == 0
 
 
 class TestCircuitBreaker:

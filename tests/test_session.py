@@ -24,7 +24,7 @@ from repro.algorithms import SEQUENTIAL_ALGORITHMS, run_batch, run_sequential
 from repro.api import AnalysisSession, SessionSpec
 from repro.boolprog import parse_program
 from repro.frontends import resolve_target
-from repro.parallel import BatchQuery, group_queries
+from repro.parallel import BatchQuery, group_queries, run_shard
 
 ALGORITHMS = sorted(SEQUENTIAL_ALGORITHMS)
 
@@ -294,16 +294,15 @@ class TestBatchGrouping:
     def test_grouped_batch_matches_ungrouped_verdicts(self):
         queries = self._queries()
         grouped = run_batch(queries, jobs=1)
-        ungrouped = run_batch(queries, jobs=1, group_by_program=False)
-        assert not grouped.failures() and not ungrouped.failures()
-        assert not grouped.mismatches() and not ungrouped.mismatches()
-        assert grouped.verdicts() == ungrouped.verdicts()
+        fresh = [run_shard(query) for query in queries]
+        assert not grouped.failures() and all(shard.ok for shard in fresh)
+        assert not grouped.mismatches() and not any(shard.mismatch for shard in fresh)
+        assert grouped.verdicts() == {shard.name: shard.result.reachable for shard in fresh}
         # The three same-program queries shared one solve...
         assert grouped.reused_count == 2
         assert grouped.queries_per_solve == pytest.approx(2.0)
-        # ...while the ungrouped run paid one solve per query.
-        assert ungrouped.reused_count == 0
-        assert ungrouped.queries_per_solve == pytest.approx(1.0)
+        # ...while a query run alone pays its own.
+        assert not any(shard.reused_solve for shard in fresh)
         flags = {row["name"]: row["reused_solve"] for row in grouped.rows()}
         assert flags == {"p:yes": False, "p:never": True, "p:cold": True, "other": False}
 

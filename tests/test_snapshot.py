@@ -10,9 +10,9 @@ The load-bearing properties:
 * **Differential identity** — verdicts, iteration counts and model counts
   answered through a snapshot attach equal the live session's, on every
   sequential algorithm, with the handle round-tripped through pickle (it
-  crosses process boundaries in the shard and service paths).
-* **Lifecycle** — attachers never unlink, owners always do: the shard
-  driver's ``finally``, the daemon's drain and a worker SIGKILL must all
+  crosses process boundaries in the service path).
+* **Lifecycle** — attachers never unlink, owners always do: the daemon's
+  drain and a worker SIGKILL must all
   leave ``/dev/shm`` free of ``repro-snap-*`` segments; ``unlink`` is
   idempotent.
 * **Budget equivalence** — ``NodeBudgetExceeded`` fires on *live* nodes: a
@@ -38,7 +38,6 @@ from repro.bdd.manager import BddError
 from repro.boolprog import parse_program
 from repro.errors import NodeBudgetExceeded
 from repro.frontends import resolve_target
-from repro.parallel import BatchQuery, run_shards, run_shards_snapshot
 from repro.service import AnalysisDaemon, DaemonConfig
 from repro.testing import faults
 
@@ -249,64 +248,6 @@ end
         with AnalysisSession(parse_program(PROGRAM)) as session:
             with pytest.raises(RuntimeError, match="solve"):
                 session.freeze("summary")
-
-
-class TestShardsSnapshot:
-    def _queries(self):
-        return [
-            BatchQuery(name=f"q:{target}", program=PROGRAM, target=target,
-                       expected=expected)
-            for target, expected in zip(TARGETS, EXPECTED)
-        ]
-
-    def test_fan_out_matches_classic_grouped_path(self):
-        queries = self._queries()
-        classic, classic_mode, _ = run_shards(queries, jobs=2)
-        snap, mode, reason = run_shards_snapshot(queries, jobs=2)
-        assert mode == "snapshot-pool", reason
-        assert reason is None
-        assert [s.ok for s in snap] == [True] * len(queries)
-        assert not any(s.mismatch for s in snap)
-        assert [s.result.reachable for s in snap] == [
-            s.result.reachable for s in classic
-        ]
-        # Solve attribution mirrors the classic grouped path: exactly one
-        # shard carries the solve, the rest are post-passes.
-        assert [s.reused_solve for s in snap].count(False) == 1
-        assert snap[0].reused_solve is False
-        # The fan-out genuinely used more than one process.
-        assert len({s.pid for s in snap}) >= 2
-
-    def test_worker_death_recovers_inline_without_resolving(self, tmp_path):
-        queries = self._queries()
-        plan = faults.FaultPlan(
-            kill_query="q:main:yes", once_token=str(tmp_path / "latch")
-        )
-        snap, mode, reason = run_shards_snapshot(queries, jobs=2, fault_plan=plan)
-        assert mode == "snapshot-pool"
-        assert reason is not None and "re-attached inline" in reason
-        assert [s.ok for s in snap] == [True] * len(queries)
-        assert [s.result.reachable for s in snap] == EXPECTED
-
-    def test_ineligible_batches_fall_back_with_reason(self):
-        mixed = self._queries()
-        mixed[1] = BatchQuery(
-            name=mixed[1].name,
-            program=mixed[1].program,
-            target=mixed[1].target,
-            algorithm="summary" if mixed[0].algorithm != "summary" else "ef",
-            expected=mixed[1].expected,
-        )
-        results, mode, reason = run_shards_snapshot(mixed, jobs=2)
-        assert mode != "snapshot-pool"
-        assert reason == "queries span multiple programs/algorithms/envelopes"
-        assert [s.result.reachable for s in results] == EXPECTED
-
-    def test_single_query_does_not_fan_out(self):
-        results, mode, reason = run_shards_snapshot(self._queries()[:1], jobs=2)
-        assert mode != "snapshot-pool"
-        assert reason == "nothing to fan out"
-        assert results[0].result.reachable is True
 
 
 class TestServiceSnapshot:
