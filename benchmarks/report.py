@@ -549,8 +549,10 @@ def figure3_symbolic(max_switches: int = 3) -> None:
 def kernel(bits: int = 14) -> None:
     """The BDD kernel micro-benchmark table (see bench_bdd_kernel.py)."""
     from bench_bdd_kernel import kernel_report
+    from repro.bdd import BddManager
 
     print(f"== BDD kernel micro-benchmarks ({bits}-bit synthetic counter) ==")
+    print(f"apply loop: {BddManager().stats()['kernel']}")
     print(
         f"{'case':10s}  {'time (s)':>9s}  {'checksum':>10s}  "
         f"{'peak nodes':>10s}  {'live nodes':>10s}  {'gc':>4s}"

@@ -1,0 +1,896 @@
+/* Native apply loop for repro.bdd.manager.BddManager.
+ *
+ * Each entry point mirrors one Python recursion of the manager -- _and,
+ * _exists, _and_exists, _rename_shift and _restrict, plus the _mk they
+ * allocate with -- step for step.  It works on the manager's own
+ * containers (the _level/_lo/_hi arrays, _unique, the op caches, _free)
+ * and counters (_hits/_misses, _live/_peak_live, the deadline countdown),
+ * and it probes, caches and allocates in the same order as the Python
+ * code.  A native call therefore leaves the manager in exactly the state
+ * the Python kernel would: the same edges, node table and counters, so GC,
+ * snapshots, the sanitizer and stats() need not know which kernel ran.
+ *
+ * manager.py compiles this file at first import and falls back to the
+ * Python methods, which stay the oracle, when it cannot (see _load_native
+ * there).  Every entry point takes the manager as its first argument.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+/* Packed-key layout, as in manager.py. */
+#define EDGE_BITS 24
+#define LEVEL_SHIFT 48
+
+/* Negative results: ERR means a Python exception is set; ABORT means the
+ * rename rebuild met a clash level or a level-order violation. */
+#define ERR (-1)
+#define ABORT (-2)
+
+enum { AND, EXISTS, AND_EXISTS, RENAME, RESTRICT, NOPS };
+
+static const char *const OP_NAMES[NOPS] = {
+    "and", "exists", "and_exists", "rename", "restrict"};
+static const char *const CACHE_NAMES[NOPS] = {
+    "_and_cache", "_exists_cache", "_and_exists_cache", "_rename_cache",
+    "_restrict_cache"};
+static const char *const VECTOR_NAMES[3] = {"_level", "_lo", "_hi"};
+
+/* Interned attribute names. */
+static PyObject *s_op[NOPS], *s_cache[NOPS], *s_vector[3];
+static PyObject *s_hits, *s_misses, *s_unique, *s_free, *s_live, *s_peak_live;
+static PyObject *s_node_budget, *s_deadline, *s_countdown, *s_interval;
+static PyObject *s_check_deadline, *s_append, *s_uid, *s_last, *s_mask;
+static PyObject *s_table, *s_max_index, *s_budget_error, *s_table_full;
+static PyObject *s_consumed, *s_budget;
+
+/* repro.bdd.manager's namespace (set by bind()): MAX_NODE_INDEX, the error
+ * class and _node_table_full are read from it when they are needed, so a
+ * patched module global binds both kernels alike. */
+static PyObject *manager_globals;
+
+typedef struct {
+    PyObject *mgr;
+    PyObject *vector[3];
+    Py_buffer view[3];
+    int held;
+    int64_t *level, *lo, *hi;
+    Py_ssize_t capacity;
+    PyObject *cache[NOPS];
+    long long hits[NOPS], misses[NOPS];
+    /* Allocation state, loaded by the first allocation of the call. */
+    int alloc;
+    PyObject *unique, *free_list;
+    long long live, peak, countdown, interval, budget, max_index;
+    int has_budget, has_deadline;
+    /* The rename/restrict table of the call, when there is one. */
+    Py_buffer table_view;
+    int table_held;
+} Ctx;
+
+typedef struct {
+    long long uid, last;
+    const char *mask;
+} Cube;
+
+typedef struct {
+    long long uid;
+    const int64_t *table;
+    Py_ssize_t size;
+} Map;
+
+/* -- node vectors ------------------------------------------------------ */
+
+static void release_vectors(Ctx *c)
+{
+    if (c->held) {
+        for (int i = 0; i < 3; i++)
+            PyBuffer_Release(&c->view[i]);
+        c->held = 0;
+    }
+}
+
+static int hold_vectors(Ctx *c)
+{
+    for (int i = 0; i < 3; i++) {
+        if (PyObject_GetBuffer(c->vector[i], &c->view[i], PyBUF_WRITABLE) < 0) {
+            while (i--)
+                PyBuffer_Release(&c->view[i]);
+            return -1;
+        }
+    }
+    c->held = 1;
+    if (c->view[0].itemsize != 8 || c->view[1].itemsize != 8
+        || c->view[2].itemsize != 8 || c->view[0].len != c->view[1].len
+        || c->view[0].len != c->view[2].len) {
+        release_vectors(c);
+        PyErr_SetString(PyExc_TypeError, "node vectors must be equal-length int64 arrays");
+        return -1;
+    }
+    c->level = (int64_t *)c->view[0].buf;
+    c->lo = (int64_t *)c->view[1].buf;
+    c->hi = (int64_t *)c->view[2].buf;
+    c->capacity = c->view[0].len / 8;
+    return 0;
+}
+
+/* Append one node slot.  An exported buffer pins an array's size, so the
+ * views are dropped around the appends and taken again afterwards. */
+static int append_node(Ctx *c, int64_t level, int64_t lo, int64_t hi)
+{
+    int64_t values[3] = {level, lo, hi};
+    release_vectors(c);
+    for (int i = 0; i < 3; i++) {
+        PyObject *value = PyLong_FromLongLong(values[i]);
+        if (value == NULL)
+            return -1;
+        PyObject *done = PyObject_CallMethodOneArg(c->vector[i], s_append, value);
+        Py_DECREF(value);
+        if (done == NULL)
+            return -1;
+        Py_DECREF(done);
+    }
+    return hold_vectors(c);
+}
+
+/* -- call context ------------------------------------------------------ */
+
+static int ctx_open(Ctx *c, PyObject *mgr)
+{
+    memset(c, 0, sizeof(*c));
+    c->mgr = mgr;
+    for (int i = 0; i < 3; i++) {
+        c->vector[i] = PyObject_GetAttr(mgr, s_vector[i]);
+        if (c->vector[i] == NULL)
+            return -1;
+    }
+    return hold_vectors(c);
+}
+
+static long long attr_ll(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    long long result = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    return result;
+}
+
+static int load_alloc(Ctx *c)
+{
+    PyObject *value;
+    c->unique = PyObject_GetAttr(c->mgr, s_unique);
+    c->free_list = PyObject_GetAttr(c->mgr, s_free);
+    if (c->unique == NULL || c->free_list == NULL)
+        return -1;
+    if (!PyDict_CheckExact(c->unique) || !PyList_CheckExact(c->free_list)) {
+        PyErr_SetString(PyExc_TypeError, "unique table must be a dict, free list a list");
+        return -1;
+    }
+    c->live = attr_ll(c->mgr, s_live);
+    c->peak = attr_ll(c->mgr, s_peak_live);
+    c->countdown = attr_ll(c->mgr, s_countdown);
+    c->interval = attr_ll(c->mgr, s_interval);
+    if (PyErr_Occurred())
+        return -1;
+    value = PyObject_GetAttr(c->mgr, s_node_budget);
+    if (value == NULL)
+        return -1;
+    c->has_budget = value != Py_None;
+    c->budget = c->has_budget ? PyLong_AsLongLong(value) : 0;
+    Py_DECREF(value);
+    if (PyErr_Occurred())
+        return -1;
+    value = PyObject_GetAttr(c->mgr, s_deadline);
+    if (value == NULL)
+        return -1;
+    c->has_deadline = value != Py_None;
+    Py_DECREF(value);
+    value = PyDict_GetItemWithError(manager_globals, s_max_index);
+    if (value == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "MAX_NODE_INDEX is not defined");
+        return -1;
+    }
+    c->max_index = PyLong_AsLongLong(value);
+    if (PyErr_Occurred())
+        return -1;
+    c->alloc = 1;
+    return 0;
+}
+
+static int set_ll(PyObject *obj, PyObject *name, long long value)
+{
+    PyObject *boxed = PyLong_FromLongLong(value);
+    if (boxed == NULL)
+        return -1;
+    int status = PyObject_SetAttr(obj, name, boxed);
+    Py_DECREF(boxed);
+    return status;
+}
+
+static int add_count(PyObject *counts, PyObject *op, long long delta)
+{
+    PyObject *old = PyDict_GetItemWithError(counts, op);
+    if (old == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, op);
+        return -1;
+    }
+    long long base = PyLong_AsLongLong(old);
+    if (base == -1 && PyErr_Occurred())
+        return -1;
+    PyObject *boxed = PyLong_FromLongLong(base + delta);
+    if (boxed == NULL)
+        return -1;
+    int status = PyDict_SetItem(counts, op, boxed);
+    Py_DECREF(boxed);
+    return status;
+}
+
+/* Write the call's counters back to the manager and free the context. */
+static int ctx_flush(Ctx *c)
+{
+    int status = 0;
+    PyObject *counters[2] = {NULL, NULL};
+    long long *deltas[2] = {c->hits, c->misses};
+    PyObject *names[2] = {s_hits, s_misses};
+    for (int k = 0; k < 2; k++) {
+        for (int op = 0; op < NOPS; op++) {
+            if (!deltas[k][op])
+                continue;
+            if (counters[k] == NULL)
+                counters[k] = PyObject_GetAttr(c->mgr, names[k]);
+            if (counters[k] == NULL || add_count(counters[k], s_op[op], deltas[k][op]) < 0) {
+                status = -1;
+                break;
+            }
+        }
+        Py_XDECREF(counters[k]);
+    }
+    if (c->alloc) {
+        if (set_ll(c->mgr, s_live, c->live) < 0 || set_ll(c->mgr, s_peak_live, c->peak) < 0
+            || set_ll(c->mgr, s_countdown, c->countdown) < 0)
+            status = -1;
+    }
+    return status;
+}
+
+static PyObject *ctx_close(Ctx *c, long long result)
+{
+    PyObject *type, *value, *traceback;
+    PyErr_Fetch(&type, &value, &traceback);
+    release_vectors(c);
+    if (c->table_held)
+        PyBuffer_Release(&c->table_view);
+    int status = ctx_flush(c);
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(c->vector[i]);
+    for (int op = 0; op < NOPS; op++)
+        Py_XDECREF(c->cache[op]);
+    Py_XDECREF(c->unique);
+    Py_XDECREF(c->free_list);
+    if (type != NULL) {
+        /* The first error wins over any raised while flushing. */
+        PyErr_Clear();
+        PyErr_Restore(type, value, traceback);
+        return NULL;
+    }
+    if (status < 0 || result == ERR)
+        return NULL;
+    return PyLong_FromLongLong(result == ABORT ? -1 : result);
+}
+
+/* -- keys and caches --------------------------------------------------- */
+
+/* The Python kernel's key ((a << 24 | b) << 24) | c as an int. */
+static PyObject *pack_key(long long a, long long b, long long c)
+{
+    if (a < (1LL << 15) && b < (1LL << 39))
+        return PyLong_FromLongLong((a << LEVEL_SHIFT) | (b << EDGE_BITS) | c);
+    long long parts[2] = {b, c};
+    PyObject *shift = PyLong_FromLong(EDGE_BITS);
+    PyObject *key = PyLong_FromLongLong(a);
+    for (int i = 0; i < 2 && key != NULL && shift != NULL; i++) {
+        PyObject *part = PyLong_FromLongLong(parts[i]);
+        PyObject *shifted = part ? PyNumber_Lshift(key, shift) : NULL;
+        Py_DECREF(key);
+        key = shifted ? PyNumber_Or(shifted, part) : NULL;
+        Py_XDECREF(shifted);
+        Py_XDECREF(part);
+    }
+    Py_XDECREF(shift);
+    return key;
+}
+
+/* 1 with *out set on a hit, 0 on a miss, -1 on error; counts like the
+ * Python kernel's probes. */
+static int probe(Ctx *c, int op, PyObject *key, int64_t *out)
+{
+    if (c->cache[op] == NULL) {
+        c->cache[op] = PyObject_GetAttr(c->mgr, s_cache[op]);
+        if (c->cache[op] == NULL)
+            return -1;
+    }
+    PyObject *value = PyDict_GetItemWithError(c->cache[op], key);
+    if (value != NULL) {
+        *out = PyLong_AsLongLong(value);
+        if (*out == -1 && PyErr_Occurred())
+            return -1;
+        c->hits[op]++;
+        return 1;
+    }
+    if (PyErr_Occurred())
+        return -1;
+    c->misses[op]++;
+    return 0;
+}
+
+static int store(Ctx *c, int op, PyObject *key, int64_t result)
+{
+    PyObject *value = PyLong_FromLongLong(result);
+    if (value == NULL)
+        return -1;
+    int status = PyDict_SetItem(c->cache[op], key, value);
+    Py_DECREF(value);
+    return status;
+}
+
+/* -- node creation ----------------------------------------------------- */
+
+static int raise_from(PyObject *error)
+{
+    if (error != NULL) {
+        PyErr_SetObject((PyObject *)Py_TYPE(error), error);
+        Py_DECREF(error);
+    }
+    return -1;
+}
+
+static int raise_budget(Ctx *c)
+{
+    PyObject *cls = PyDict_GetItemWithError(manager_globals, s_budget_error);
+    if (cls == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "NodeBudgetExceeded is not defined");
+        return -1;
+    }
+    PyObject *kwargs = Py_BuildValue("{OLOL}", s_consumed, c->live, s_budget, c->budget);
+    if (kwargs == NULL)
+        return -1;
+    PyObject *args = PyTuple_New(0);
+    PyObject *error = args ? PyObject_Call(cls, args, kwargs) : NULL;
+    Py_XDECREF(args);
+    Py_DECREF(kwargs);
+    return raise_from(error);
+}
+
+static int raise_table_full(int64_t index)
+{
+    PyObject *make = PyDict_GetItemWithError(manager_globals, s_table_full);
+    if (make == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "_node_table_full is not defined");
+        return -1;
+    }
+    PyObject *boxed = PyLong_FromLongLong(index);
+    if (boxed == NULL)
+        return -1;
+    PyObject *error = PyObject_CallOneArg(make, boxed);
+    Py_DECREF(boxed);
+    return raise_from(error);
+}
+
+/* BddManager._mk: find or create (level, lo, hi); a signed edge or ERR. */
+static int64_t mk(Ctx *c, int64_t level, int64_t lo, int64_t hi)
+{
+    if (lo == hi)
+        return lo;
+    int64_t sign = hi & 1;
+    if (sign) {
+        lo ^= 1;
+        hi ^= 1;
+    }
+    if (!c->alloc && load_alloc(c) < 0)
+        return ERR;
+    PyObject *key = PyLong_FromLongLong((level << LEVEL_SHIFT) | (lo << EDGE_BITS) | hi);
+    if (key == NULL)
+        return ERR;
+    int64_t index;
+    PyObject *found = PyDict_GetItemWithError(c->unique, key);
+    if (found != NULL) {
+        index = PyLong_AsLongLong(found);
+        Py_DECREF(key);
+        if (index == -1 && PyErr_Occurred())
+            return ERR;
+        return (index << 1) | sign;
+    }
+    if (PyErr_Occurred())
+        goto fail;
+    Py_ssize_t free_count = PyList_GET_SIZE(c->free_list);
+    if (free_count) {
+        index = PyLong_AsLongLong(PyList_GET_ITEM(c->free_list, free_count - 1));
+        if ((index == -1 && PyErr_Occurred())
+            || PyList_SetSlice(c->free_list, free_count - 1, free_count, NULL) < 0)
+            goto fail;
+        c->level[index] = level;
+        c->lo[index] = lo;
+        c->hi[index] = hi;
+    } else {
+        index = c->capacity;
+        if (index > c->max_index) {
+            raise_table_full(index);
+            goto fail;
+        }
+        if (append_node(c, level, lo, hi) < 0)
+            goto fail;
+    }
+    PyObject *boxed = PyLong_FromLongLong(index);
+    if (boxed == NULL || PyDict_SetItem(c->unique, key, boxed) < 0) {
+        Py_XDECREF(boxed);
+        goto fail;
+    }
+    Py_DECREF(boxed);
+    Py_DECREF(key);
+    c->live++;
+    if (c->live > c->peak)
+        c->peak = c->live;
+    if (c->has_budget && c->live > c->budget) {
+        raise_budget(c);
+        return ERR;
+    }
+    if (c->has_deadline) {
+        c->countdown--;
+        if (c->countdown <= 0) {
+            c->countdown = c->interval;
+            PyObject *done = PyObject_CallMethodNoArgs(c->mgr, s_check_deadline);
+            if (done == NULL)
+                return ERR;
+            Py_DECREF(done);
+        }
+    }
+    return (index << 1) | sign;
+fail:
+    Py_DECREF(key);
+    return ERR;
+}
+
+/* -- apply recursions -------------------------------------------------- */
+
+/* Node vectors may move whenever a callee allocates, so they are always
+ * read through c, never through a pointer cached across a call. */
+
+static void cofactors(Ctx *c, int64_t edge, int64_t level, int64_t *lo, int64_t *hi)
+{
+    int64_t index = edge >> 1;
+    if (c->level[index] == level) {
+        int64_t sign = edge & 1;
+        *lo = c->lo[index] ^ sign;
+        *hi = c->hi[index] ^ sign;
+    } else {
+        *lo = *hi = edge;
+    }
+}
+
+static int64_t and_rec(Ctx *c, int64_t f, int64_t g)
+{
+    if (f == g || g == 1)
+        return f;
+    if (f == 1)
+        return g;
+    if (f == 0 || g == 0 || f == (g ^ 1))
+        return 0;
+    if (f > g) {
+        int64_t swap = f;
+        f = g;
+        g = swap;
+    }
+    PyObject *key = pack_key(0, f, g);
+    if (key == NULL)
+        return ERR;
+    int64_t result, lo, hi;
+    int hit = probe(c, AND, key, &result);
+    if (hit)
+        goto done;
+    int64_t level_f = c->level[f >> 1], level_g = c->level[g >> 1];
+    int64_t level = level_f < level_g ? level_f : level_g;
+    int64_t f_lo, f_hi, g_lo, g_hi;
+    cofactors(c, f, level, &f_lo, &f_hi);
+    cofactors(c, g, level, &g_lo, &g_hi);
+    lo = and_rec(c, f_lo, g_lo);
+    if (lo < 0)
+        goto fail;
+    hi = and_rec(c, f_hi, g_hi);
+    if (hi < 0)
+        goto fail;
+    result = lo == hi ? lo : mk(c, level, lo, hi);
+    if (result < 0 || store(c, AND, key, result) < 0)
+        goto fail;
+done:
+    Py_DECREF(key);
+    return hit < 0 ? ERR : result;
+fail:
+    Py_DECREF(key);
+    return ERR;
+}
+
+static int64_t or_rec(Ctx *c, int64_t f, int64_t g)
+{
+    int64_t result = and_rec(c, f ^ 1, g ^ 1);
+    return result < 0 ? result : result ^ 1;
+}
+
+static int64_t exists_rec(Ctx *c, int64_t f, const Cube *q)
+{
+    if (f <= 1)
+        return f;
+    int64_t index = f >> 1;
+    int64_t level = c->level[index];
+    if (level > q->last)
+        return f;
+    PyObject *key = pack_key(0, q->uid, f);
+    if (key == NULL)
+        return ERR;
+    int64_t result, lo, hi;
+    int hit = probe(c, EXISTS, key, &result);
+    if (hit)
+        goto done;
+    int64_t sign = f & 1;
+    lo = exists_rec(c, c->lo[index] ^ sign, q);
+    if (lo < 0)
+        goto fail;
+    if (q->mask[level] && lo == 1) {
+        result = 1;
+    } else {
+        hi = exists_rec(c, c->hi[index] ^ sign, q);
+        if (hi < 0)
+            goto fail;
+        result = q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi);
+    }
+    if (result < 0 || store(c, EXISTS, key, result) < 0)
+        goto fail;
+done:
+    Py_DECREF(key);
+    return hit < 0 ? ERR : result;
+fail:
+    Py_DECREF(key);
+    return ERR;
+}
+
+static int64_t and_exists_rec(Ctx *c, int64_t f, int64_t g, const Cube *q)
+{
+    if (f == 0 || g == 0 || f == (g ^ 1))
+        return 0;
+    if (f == 1 && g == 1)
+        return 1;
+    if (f == 1)
+        return exists_rec(c, g, q);
+    if (g == 1 || f == g)
+        return exists_rec(c, f, q);
+    if (f > g) {
+        int64_t swap = f;
+        f = g;
+        g = swap;
+    }
+    int64_t level_f = c->level[f >> 1], level_g = c->level[g >> 1];
+    int64_t level = level_f < level_g ? level_f : level_g;
+    if (level > q->last)
+        return and_rec(c, f, g);
+    PyObject *key = pack_key(q->uid, f, g);
+    if (key == NULL)
+        return ERR;
+    int64_t result, lo, hi;
+    int hit = probe(c, AND_EXISTS, key, &result);
+    if (hit)
+        goto done;
+    int64_t f_lo, f_hi, g_lo, g_hi;
+    cofactors(c, f, level, &f_lo, &f_hi);
+    cofactors(c, g, level, &g_lo, &g_hi);
+    lo = and_exists_rec(c, f_lo, g_lo, q);
+    if (lo < 0)
+        goto fail;
+    if (q->mask[level] && lo == 1) {
+        result = 1;
+    } else {
+        hi = and_exists_rec(c, f_hi, g_hi, q);
+        if (hi < 0)
+            goto fail;
+        result = q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi);
+    }
+    if (result < 0 || store(c, AND_EXISTS, key, result) < 0)
+        goto fail;
+done:
+    Py_DECREF(key);
+    return hit < 0 ? ERR : result;
+fail:
+    Py_DECREF(key);
+    return ERR;
+}
+
+/* BddManager._rename_shift: the structural rebuild; ABORT when a node sits
+ * at a clash level or would land at or below one of its rebuilt children. */
+static int64_t rename_rec(Ctx *c, int64_t f, const Map *m)
+{
+    if (f <= 1)
+        return f;
+    int64_t sign = f & 1;
+    f ^= sign;
+    PyObject *key = pack_key(0, m->uid, f);
+    if (key == NULL)
+        return ERR;
+    int64_t result, lo, hi;
+    int hit = probe(c, RENAME, key, &result);
+    if (hit)
+        goto done;
+    int64_t index = f >> 1;
+    int64_t level = c->level[index];
+    int64_t target = level < m->size ? m->table[level] : level;
+    if (target < 0) {
+        Py_DECREF(key);
+        return ABORT;
+    }
+    lo = rename_rec(c, c->lo[index], m);
+    if (lo < 0)
+        goto fail;
+    hi = rename_rec(c, c->hi[index], m);
+    if (hi < 0) {
+        lo = hi;
+        goto fail;
+    }
+    if (target >= c->level[lo >> 1] || target >= c->level[hi >> 1]) {
+        lo = ABORT;
+        goto fail;
+    }
+    result = mk(c, target, lo, hi);
+    if (result < 0 || store(c, RENAME, key, result) < 0) {
+        lo = ERR;
+        goto fail;
+    }
+done:
+    Py_DECREF(key);
+    return hit < 0 ? ERR : result ^ sign;
+fail:
+    Py_DECREF(key);
+    return lo;
+}
+
+static int64_t restrict_rec(Ctx *c, int64_t f, const Map *m)
+{
+    if (f <= 1)
+        return f;
+    int64_t sign = f & 1;
+    f ^= sign;
+    PyObject *key = pack_key(0, m->uid, f);
+    if (key == NULL)
+        return ERR;
+    int64_t result, lo, hi;
+    int hit = probe(c, RESTRICT, key, &result);
+    if (hit)
+        goto done;
+    int64_t index = f >> 1;
+    int64_t level = c->level[index];
+    int64_t fixed = level < m->size ? m->table[level] : -1;
+    if (fixed >= 0) {
+        result = restrict_rec(c, fixed ? c->hi[index] : c->lo[index], m);
+    } else {
+        lo = restrict_rec(c, c->lo[index], m);
+        if (lo < 0)
+            goto fail;
+        hi = restrict_rec(c, c->hi[index], m);
+        if (hi < 0)
+            goto fail;
+        result = mk(c, level, lo, hi);
+    }
+    if (result < 0 || store(c, RESTRICT, key, result) < 0)
+        goto fail;
+done:
+    Py_DECREF(key);
+    return hit < 0 ? ERR : result ^ sign;
+fail:
+    Py_DECREF(key);
+    return ERR;
+}
+
+/* -- entry points ------------------------------------------------------ */
+
+static int edge_arg(PyObject *arg, int64_t *edge)
+{
+    *edge = PyLong_AsLongLong(arg);
+    return *edge == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* The recursions index the node vectors with the caller's edges. */
+static int check_edges(const Ctx *c, int64_t f, int64_t g)
+{
+    if (f >= 0 && g >= 0 && (f >> 1) < c->capacity && (g >> 1) < c->capacity)
+        return 0;
+    PyErr_SetString(PyExc_IndexError, "edge outside the node table");
+    return -1;
+}
+
+static int check_nargs(Py_ssize_t nargs, Py_ssize_t expected, const char *name)
+{
+    if (nargs == expected)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, expected, nargs);
+    return -1;
+}
+
+static int read_cube(PyObject *obj, Cube *q)
+{
+    PyObject *mask = PyObject_GetAttr(obj, s_mask);
+    if (mask == NULL)
+        return -1;
+    if (!PyBytes_Check(mask)) {
+        Py_DECREF(mask);
+        PyErr_SetString(PyExc_TypeError, "cube mask must be bytes");
+        return -1;
+    }
+    /* The cube keeps its mask alive for the whole call. */
+    q->mask = PyBytes_AS_STRING(mask);
+    Py_ssize_t size = PyBytes_GET_SIZE(mask);
+    Py_DECREF(mask);
+    q->uid = attr_ll(obj, s_uid);
+    q->last = attr_ll(obj, s_last);
+    if (PyErr_Occurred())
+        return -1;
+    if (q->last < 0 || q->last >= size) {
+        PyErr_SetString(PyExc_ValueError, "cube mask does not cover its last level");
+        return -1;
+    }
+    return 0;
+}
+
+static int read_map(Ctx *c, PyObject *obj, Map *m)
+{
+    m->uid = attr_ll(obj, s_uid);
+    if (m->uid == -1 && PyErr_Occurred())
+        return -1;
+    PyObject *table = PyObject_GetAttr(obj, s_table);
+    if (table == NULL)
+        return -1;
+    int status = PyObject_GetBuffer(table, &c->table_view, PyBUF_SIMPLE);
+    Py_DECREF(table);
+    if (status < 0)
+        return -1;
+    c->table_held = 1;
+    if (c->table_view.itemsize != 8) {
+        PyErr_SetString(PyExc_TypeError, "map table must be an int64 array");
+        return -1;
+    }
+    m->table = (const int64_t *)c->table_view.buf;
+    m->size = c->table_view.len / 8;
+    return 0;
+}
+
+static PyObject *native_and(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t f, g;
+    Ctx c;
+    if (check_nargs(nargs, 3, "and_") < 0 || edge_arg(args[1], &f) < 0
+        || edge_arg(args[2], &g) < 0)
+        return NULL;
+    if (ctx_open(&c, args[0]) < 0 || check_edges(&c, f, g) < 0)
+        return ctx_close(&c, ERR);
+    return ctx_close(&c, and_rec(&c, f, g));
+}
+
+static PyObject *native_exists(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t f;
+    Cube q;
+    Ctx c;
+    if (check_nargs(nargs, 3, "exists") < 0 || edge_arg(args[1], &f) < 0
+        || read_cube(args[2], &q) < 0)
+        return NULL;
+    if (ctx_open(&c, args[0]) < 0 || check_edges(&c, f, 0) < 0)
+        return ctx_close(&c, ERR);
+    return ctx_close(&c, exists_rec(&c, f, &q));
+}
+
+static PyObject *native_and_exists(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t f, g;
+    Cube q;
+    Ctx c;
+    if (check_nargs(nargs, 4, "and_exists") < 0 || edge_arg(args[1], &f) < 0
+        || edge_arg(args[2], &g) < 0 || read_cube(args[3], &q) < 0)
+        return NULL;
+    if (ctx_open(&c, args[0]) < 0 || check_edges(&c, f, g) < 0)
+        return ctx_close(&c, ERR);
+    return ctx_close(&c, and_exists_rec(&c, f, g, &q));
+}
+
+static PyObject *native_rename_shift(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t f;
+    Map m;
+    Ctx c;
+    if (check_nargs(nargs, 3, "rename_shift") < 0 || edge_arg(args[1], &f) < 0)
+        return NULL;
+    if (ctx_open(&c, args[0]) < 0 || check_edges(&c, f, 0) < 0
+        || read_map(&c, args[2], &m) < 0)
+        return ctx_close(&c, ERR);
+    return ctx_close(&c, rename_rec(&c, f, &m));
+}
+
+static PyObject *native_restrict(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int64_t f;
+    Map m;
+    Ctx c;
+    if (check_nargs(nargs, 3, "restrict") < 0 || edge_arg(args[1], &f) < 0)
+        return NULL;
+    if (ctx_open(&c, args[0]) < 0 || check_edges(&c, f, 0) < 0
+        || read_map(&c, args[2], &m) < 0)
+        return ctx_close(&c, ERR);
+    return ctx_close(&c, restrict_rec(&c, f, &m));
+}
+
+static PyObject *native_bind(PyObject *module, PyObject *namespace)
+{
+    if (!PyDict_Check(namespace)) {
+        PyErr_SetString(PyExc_TypeError, "bind() takes the manager module's globals");
+        return NULL;
+    }
+    Py_INCREF(namespace);
+    Py_XSETREF(manager_globals, namespace);
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef native_methods[] = {
+    {"and_", (PyCFunction)(void (*)(void))native_and, METH_FASTCALL,
+     "and_(manager, f, g): BddManager._and"},
+    {"exists", (PyCFunction)(void (*)(void))native_exists, METH_FASTCALL,
+     "exists(manager, f, cube): BddManager._exists"},
+    {"and_exists", (PyCFunction)(void (*)(void))native_and_exists, METH_FASTCALL,
+     "and_exists(manager, f, g, cube): BddManager._and_exists"},
+    {"rename_shift", (PyCFunction)(void (*)(void))native_rename_shift, METH_FASTCALL,
+     "rename_shift(manager, f, rmap): BddManager._rename_shift (-1 on abort)"},
+    {"restrict", (PyCFunction)(void (*)(void))native_restrict, METH_FASTCALL,
+     "restrict(manager, f, fmap): BddManager._restrict"},
+    {"bind", native_bind, METH_O,
+     "bind(globals): the manager module namespace the kernel reads its bounds and errors from"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef native_module = {
+    PyModuleDef_HEAD_INIT, "_native", "Native apply loop for repro.bdd.manager.", -1,
+    native_methods,
+};
+
+static int intern(PyObject **slot, const char *name)
+{
+    *slot = PyUnicode_InternFromString(name);
+    return *slot == NULL ? -1 : 0;
+}
+
+PyMODINIT_FUNC PyInit__native(void)
+{
+    for (int op = 0; op < NOPS; op++) {
+        if (intern(&s_op[op], OP_NAMES[op]) < 0 || intern(&s_cache[op], CACHE_NAMES[op]) < 0)
+            return NULL;
+    }
+    for (int i = 0; i < 3; i++) {
+        if (intern(&s_vector[i], VECTOR_NAMES[i]) < 0)
+            return NULL;
+    }
+    if (intern(&s_hits, "_hits") < 0 || intern(&s_misses, "_misses") < 0
+        || intern(&s_unique, "_unique") < 0 || intern(&s_free, "_free") < 0
+        || intern(&s_live, "_live") < 0 || intern(&s_peak_live, "_peak_live") < 0
+        || intern(&s_node_budget, "_node_budget") < 0 || intern(&s_deadline, "_deadline") < 0
+        || intern(&s_countdown, "_deadline_countdown") < 0
+        || intern(&s_interval, "_deadline_interval") < 0
+        || intern(&s_check_deadline, "_check_deadline") < 0 || intern(&s_append, "append") < 0
+        || intern(&s_uid, "uid") < 0 || intern(&s_last, "last") < 0
+        || intern(&s_mask, "mask") < 0 || intern(&s_table, "table") < 0
+        || intern(&s_max_index, "MAX_NODE_INDEX") < 0
+        || intern(&s_budget_error, "NodeBudgetExceeded") < 0
+        || intern(&s_table_full, "_node_table_full") < 0 || intern(&s_consumed, "consumed") < 0
+        || intern(&s_budget, "budget") < 0)
+        return NULL;
+    return PyModule_Create(&native_module);
+}

@@ -3,8 +3,9 @@ edges, a struct-of-arrays node store and a mark-and-sweep garbage collector.
 
 This module is the symbolic-representation substrate of the reproduction: it
 plays the role that CUDD plays inside MUCKE in the original Getafix tool.  It
-is a from-scratch, pure-Python implementation with the operations the
-fixed-point evaluator needs.
+is a from-scratch implementation with the operations the fixed-point
+evaluator needs: Python throughout, with an optional native apply loop for
+the hottest recursions (see "Native kernel" below).
 
 Signed-edge (complement-edge) representation
 --------------------------------------------
@@ -74,13 +75,30 @@ when every live edge is enumerable — the evaluator does so between outer
 fixed-point iterations.  Nothing collects implicitly during an apply
 recursion, so intermediate results never need protection.
 
+Native kernel
+-------------
+``_native.c`` is a CPython extension that runs ``and_``/``or_``,
+``exists``/``forall``, ``and_exists``, ``rename``'s structural rebuild and
+``restrict`` — with the node allocation they do — in C.  It works on this
+manager's own vectors, tables, caches and counters and visits, caches and
+allocates in the same order as the Python methods, so both kernels leave
+identical edges, node tables and statistics; the node budget, the
+table-full bound and the deadline countdown raise the same typed errors.
+The module is compiled at first import (:func:`_load_native`) and cached
+in ``__pycache__/``; when it cannot be built or loaded the Python methods
+run instead, and they stay the oracle the native loop is tested against
+(``tests/test_bdd_native.py``).  ``stats()["kernel"]`` says which kernel a
+manager uses.  ``ite``, ``xor``, ``compose``, counting, cube picking and GC
+are Python only, as is the snapshot overlay.
+
 Recursion depth
 ---------------
-The apply recursions descend one Python frame per variable level.  The
-deepest nestings stack two of them — ``rename``'s ``ite`` rebuild, and the
-``or_`` inside ``exists`` / ``and_exists`` — so :meth:`BddManager.add_var`
-raises the interpreter's recursion limit (it never lowers it) to two frames
-per declared level plus headroom for the caller's own stack.
+The apply recursions descend one frame per variable level.  The deepest
+nestings stack two of them — ``rename``'s ``ite`` rebuild, and the ``or_``
+inside ``exists`` / ``and_exists`` — so :meth:`BddManager.add_var` raises
+the interpreter's recursion limit (it never lowers it) to two frames per
+declared level plus headroom for the caller's own stack.  The native loop
+recurses on the C stack, under 100 bytes a frame.
 
 Every operation family maintains hit/miss counters; :meth:`BddManager.stats`
 exposes them together with cache sizes, live/peak node counts and GC
@@ -93,6 +111,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+import warnings
 from array import array
 from typing import (
     Callable,
@@ -143,24 +162,29 @@ class BddError(Exception):
 class QuantCube:
     """An interned quantification variable set.
 
-    ``levels`` is the sorted tuple of variable indices, ``members`` a set for
-    O(1) membership tests, and ``last`` the deepest (largest) quantified
-    level — the point below which quantification is the identity.  Cubes are
-    interned per manager (see :meth:`BddManager.quant_cube`), so identity
-    comparison and the default object hash make them cheap cache-key
-    components.  The constructor normalises (sorts, dedups) its input and
-    rejects empty sets, so a hand-built cube behaves like an interned one.
+    ``levels`` is the sorted tuple of variable indices, ``mask`` one byte
+    per level up to ``last`` (1 for quantified levels) for O(1) membership
+    tests in both kernels, and ``last`` the deepest (largest) quantified
+    level — the point below which quantification is the identity.  Cubes
+    are interned per manager (see :meth:`BddManager.quant_cube`), so
+    identity comparison and the default object hash make them cheap
+    cache-key components.  The constructor normalises (sorts, dedups) its
+    input and rejects empty sets, so a hand-built cube behaves like an
+    interned one.
     """
 
-    __slots__ = ("levels", "members", "last", "uid")
+    __slots__ = ("levels", "mask", "last", "uid")
 
     def __init__(self, levels: Iterable[int]) -> None:
         ordered = tuple(sorted(set(levels)))
         if not ordered:
             raise BddError("a quantifier cube needs at least one variable")
         self.levels = ordered
-        self.members = set(ordered)
         self.last = ordered[-1]
+        mask = bytearray(self.last + 1)
+        for level in ordered:
+            mask[level] = 1
+        self.mask = bytes(mask)
         # Small per-manager integer, assigned when a manager interns the
         # cube (:meth:`BddManager.quant_cube`); it packs into cache keys.
         self.uid: Optional[int] = None
@@ -233,6 +257,9 @@ class BddManager:
         if debug_checks is None:
             debug_checks = os.environ.get("REPRO_DEBUG_CHECKS", "") not in ("", "0")
         self._debug_checks = bool(debug_checks)
+        # The compiled apply loop (see "Native kernel" above), or None to run
+        # the Python recursions.
+        self._native = _native
         # Parallel node vectors.  Index 0 is the sole terminal; a signed edge
         # is (index << 1) | complement, so FALSE = 0 and TRUE = 1.
         self._level = array("q", [self._TERMINAL_LEVEL])
@@ -520,6 +547,8 @@ class BddManager:
 
     def and_(self, f: int, g: int) -> int:
         """Boolean conjunction (dedicated apply recursion, own cache)."""
+        if self._native is not None:
+            return self._native.and_(self, f, g)
         return self._and(f, g)
 
     def _and(self, f: int, g: int) -> int:
@@ -563,6 +592,8 @@ class BddManager:
 
     def or_(self, f: int, g: int) -> int:
         """Boolean disjunction: De Morgan over the ``and_`` cache."""
+        if self._native is not None:
+            return self._native.and_(self, f ^ 1, g ^ 1) ^ 1
         return self._and(f ^ 1, g ^ 1) ^ 1
 
     def xor(self, f: int, g: int) -> int:
@@ -675,6 +706,8 @@ class BddManager:
         cube = self.quant_cube(variables)
         if cube is None:
             return f
+        if self._native is not None:
+            return self._native.exists(self, f, cube)
         return self._exists(f, cube)
 
     def _exists(self, f: int, cube: QuantCube) -> int:
@@ -693,7 +726,7 @@ class BddManager:
         sign = f & 1
         lo = self._lo[index] ^ sign
         hi = self._hi[index] ^ sign
-        if level in cube.members:
+        if cube.mask[level]:
             r_lo = self._exists(lo, cube)
             if r_lo == self.TRUE:
                 result = self.TRUE
@@ -709,6 +742,8 @@ class BddManager:
         cube = self.quant_cube(variables)
         if cube is None:
             return f
+        if self._native is not None:
+            return self._native.exists(self, f ^ 1, cube) ^ 1
         return self._exists(f ^ 1, cube) ^ 1
 
     def and_exists(self, f: int, g: int, variables: QuantVars) -> int:
@@ -716,6 +751,8 @@ class BddManager:
         cube = self.quant_cube(variables)
         if cube is None:
             return self.and_(f, g)
+        if self._native is not None:
+            return self._native.and_exists(self, f, g, cube)
         return self._and_exists(f, g, cube)
 
     def _and_exists(self, f: int, g: int, cube: QuantCube) -> int:
@@ -742,7 +779,7 @@ class BddManager:
         self._misses["and_exists"] += 1
         f_lo, f_hi = self._cofactors(f, level)
         g_lo, g_hi = self._cofactors(g, level)
-        if level in cube.members:
+        if cube.mask[level]:
             lo = self._and_exists(f_lo, g_lo, cube)
             if lo == self.TRUE:
                 result = self.TRUE
@@ -771,22 +808,24 @@ class BddManager:
     def rename(self, f: int, mapping: Dict[int | str, int | str]) -> int:
         """Rename variables of ``f`` according to ``mapping`` (var -> var).
 
-        The substitution is simultaneous and order-insensitive: when the
-        mapping preserves the relative level order of the function's support
-        (the common prime/unprime shift produced by the template encoders),
-        the BDD is rebuilt structurally node-by-node; otherwise each renamed
-        node is re-inserted with ``ite`` on the target variable.  The mapping
-        must be injective on the variables it moves and no target variable
-        may also appear in the support of ``f`` unless it is itself renamed
-        away.
+        The substitution is simultaneous and order-insensitive.  The BDD is
+        first rebuilt structurally, node by node; that is right whenever
+        each rebuilt node's target level stays above its rebuilt children's
+        levels, as under the common prime/unprime shift produced by the
+        template encoders.  The rebuild checks that at every node it makes
+        and, on the first node that breaks it, gives up; each renamed node
+        is then re-inserted with ``ite`` on the target variable instead.
+        The mapping must be injective on the variables it moves (checked
+        once, when the map is interned) and no target variable may also
+        appear in the support of ``f`` unless it is itself renamed away (a
+        node at such a level also stops the rebuild, and the ``ite`` path
+        names every clashing variable).
 
         Renaming commutes with complementation, so results are cached per
         (regular edge, interned mapping) and the sign is re-applied on the
         way out; repeated renames of the same function — every fixed-point
         iteration applies the same relation arguments — are constant-time
-        after the first: a hit on the cross-call cache skips even the
-        support walk that validates the mapping (validation already passed
-        when the entry was created).
+        after the first.
         """
         normalised: Dict[int, int] = {}
         for src, dst in mapping.items():
@@ -798,35 +837,36 @@ class BddManager:
             return f
         intern_key = tuple(sorted(normalised.items()))
         rmap = self._rename_table.get(intern_key)
-        if rmap is not None:
+        if rmap is None:
+            targets = set(normalised.values())
+            if len(targets) != len(normalised):
+                raise BddError("rename mapping must be injective")
+            rmap = _RenameMap.for_rename(normalised, self._next_uid)
+            self._next_uid += 1
+            self._rename_table[intern_key] = rmap
+        else:
             cached = self._rename_cache.get((rmap.uid << EDGE_BITS) | (f & ~1))
             if cached is not None:
                 self._hits["rename"] += 1
                 return cached ^ (f & 1)
-        targets = list(normalised.values())
-        if len(set(targets)) != len(targets):
-            raise BddError("rename mapping must be injective")
-        support = self.support(f)
-        clashes = (set(targets) & support) - set(normalised)
+        if self._native is not None:
+            result = self._native.rename_shift(self, f, rmap)
+        else:
+            result = self._rename_shift(f, rmap)
+        if result >= 0:
+            self._rename_fast += 1
+            return result
+        table = rmap.table
+        clashes = [i for i in self.support(f) if i < len(table) and table[i] < 0]
         if clashes:
             names = sorted(self._var_names[i] for i in clashes)
             raise BddError(f"rename targets already in support: {names}")
-        if rmap is None:
-            rmap = _RenameMap(dict(normalised), self._next_uid)
-            self._next_uid += 1
-            self._rename_table[intern_key] = rmap
-        ordered = sorted(support)
-        mapped = [normalised.get(levels, levels) for levels in ordered]
-        if all(mapped[i] < mapped[i + 1] for i in range(len(mapped) - 1)):
-            # Order-preserving on the support: every rebuilt child keeps its
-            # mapped levels strictly below its parent's mapped level, so the
-            # ROBDD invariants survive a direct structural rebuild.
-            self._rename_fast += 1
-            return self._rename_shift(f, rmap)
         self._rename_slow += 1
         return self._rename_ite(f, rmap)
 
     def _rename_shift(self, f: int, rmap: "_RenameMap") -> int:
+        """Structural rebuild of ``f`` under ``rmap``; -1 if a node below
+        sits at a clash level or would land at or below a rebuilt child."""
         if f <= 1:
             return f
         sign = f & 1
@@ -838,11 +878,20 @@ class BddManager:
             return cached ^ sign
         self._misses["rename"] += 1
         index = f >> 1
-        lo = self._rename_shift(self._lo[index], rmap)
-        hi = self._rename_shift(self._hi[index], rmap)
         level = self._level[index]
-        mapping = rmap.mapping
-        result = self._mk(mapping.get(level, level), lo, hi)
+        table = rmap.table
+        target = table[level] if level < len(table) else level
+        if target < 0:
+            return -1
+        lo = self._rename_shift(self._lo[index], rmap)
+        if lo < 0:
+            return lo
+        hi = self._rename_shift(self._hi[index], rmap)
+        if hi < 0:
+            return hi
+        if target >= self._level[lo >> 1] or target >= self._level[hi >> 1]:
+            return -1
+        result = self._mk(target, lo, hi)
         self._rename_cache[key] = result
         return result ^ sign
 
@@ -861,7 +910,8 @@ class BddManager:
         lo = self._rename_ite(self._lo[index], rmap)
         hi = self._rename_ite(self._hi[index], rmap)
         level = self._level[index]
-        target = rmap.mapping.get(level, level)
+        table = rmap.table
+        target = table[level] if level < len(table) else level
         result = self.ite(self.var(target), hi, lo)
         self._rename_cache[key] = result
         return result ^ sign
@@ -884,9 +934,11 @@ class BddManager:
         key = tuple(sorted(fixed.items()))
         fmap = self._restrict_table.get(key)
         if fmap is None:
-            fmap = _RenameMap(fixed, self._next_uid)
+            fmap = _RenameMap.for_restrict(fixed, self._next_uid)
             self._next_uid += 1
             self._restrict_table[key] = fmap
+        if self._native is not None:
+            return self._native.restrict(self, f, fmap)
         return self._restrict(f, fmap)
 
     def _restrict(self, f: int, fmap: "_RenameMap") -> int:
@@ -902,9 +954,10 @@ class BddManager:
         self._misses["restrict"] += 1
         index = f >> 1
         level = self._level[index]
-        fixed = fmap.mapping
-        if level in fixed:
-            branch = self._hi[index] if fixed[level] else self._lo[index]
+        table = fmap.table
+        value = table[level] if level < len(table) else -1
+        if value >= 0:
+            branch = self._hi[index] if value else self._lo[index]
             result = self._restrict(branch, fmap)
         else:
             lo = self._restrict(self._lo[index], fmap)
@@ -1664,6 +1717,7 @@ class BddManager:
         }
         return {
             "store": self.STORE,
+            "kernel": "python" if self._native is None else "native",
             "nodes": self._live,
             "peak_nodes": self._peak_live,
             "capacity": len(self._level),
@@ -1709,13 +1763,106 @@ class _RenameMap:
     (level -> bool); interning makes the map a cheap cross-call cache-key
     component, and ``uid`` is the per-manager integer the owning manager
     assigns at intern time to pack it into integer cache keys.
+
+    ``table`` holds the map as one flat int64 vector, which both kernels
+    read: entry ``l`` is the image of level ``l`` — its rename target, or
+    the fixed value (0/1) of a restricted level — and ``-1`` marks a rename
+    *clash* level (a target that is not also a source) or a free restrict
+    level.  Levels past the end are unmoved (rename) or free (restrict).
     """
 
-    __slots__ = ("mapping", "uid")
+    __slots__ = ("uid", "table")
 
-    def __init__(self, mapping: Dict[int, int], uid: int) -> None:
-        self.mapping = mapping
+    def __init__(self, uid: int, table: array) -> None:
         self.uid = uid
+        self.table = table
+
+    @classmethod
+    def for_rename(cls, mapping: Dict[int, int], uid: int) -> "_RenameMap":
+        clashes = set(mapping.values()) - mapping.keys()
+        table = array("q", range(max(mapping.keys() | clashes) + 1))
+        for src, dst in mapping.items():
+            table[src] = dst
+        for level in clashes:
+            table[level] = -1
+        return cls(uid, table)
+
+    @classmethod
+    def for_restrict(cls, fixed: Dict[int, bool], uid: int) -> "_RenameMap":
+        table = array("q", [-1]) * (max(fixed) + 1)
+        for level, value in fixed.items():
+            table[level] = value
+        return cls(uid, table)
 
     def __repr__(self) -> str:
-        return f"_RenameMap({self.mapping})"
+        return f"_RenameMap({self.table.tolist()})"
+
+
+def _build_native(source: str, target: str) -> None:
+    """Compile ``source`` into the extension ``target``, atomically.
+
+    Uses the interpreter's own compiler and flags (``sysconfig``) and
+    renames the finished file into place, so a concurrent first import
+    never loads a half-written one.
+    """
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    fd, partial = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".partial")
+    os.close(fd)
+    try:
+        command = (
+            sysconfig.get_config_var("LDSHARED").split()
+            + sysconfig.get_config_var("CFLAGS").split()
+            + sysconfig.get_config_var("CCSHARED").split()
+            + ["-I", sysconfig.get_paths()["include"], source, "-o", partial]
+        )
+        subprocess.run(command, check=True, capture_output=True, timeout=300)
+        os.replace(partial, target)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+def _load_native():
+    """Import the native apply loop, building it first if needed.
+
+    The build is cached in ``__pycache__/`` under a name that carries the
+    source hash and the interpreter's extension suffix, so only the first
+    import after an edit of ``_native.c`` compiles.  Returns None when the
+    build or the load fails; the Python kernel then runs.
+    """
+    import hashlib
+    import importlib.machinery
+    import importlib.util
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.join(here, "_native.c")
+    try:
+        with open(source, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()[:16]
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        target = os.path.join(here, "__pycache__", f"_native-{digest}{suffix}")
+        if not os.path.exists(target):
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            _build_native(source, target)
+        loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._native", target)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(loader.name, loader, origin=target)
+        )
+        loader.exec_module(module)
+        module.bind(globals())
+        return module
+    except Exception as error:  # any failure leaves the Python kernel running
+        detail = getattr(error, "stderr", None) or b""
+        warnings.warn(
+            "native BDD apply loop unavailable, the Python kernel runs: "
+            f"{error} {detail.decode(errors='replace')}".rstrip(),
+            RuntimeWarning,
+        )
+        return None
+
+
+#: The native apply loop, or None when it could not be built or loaded.
+_native = _load_native()

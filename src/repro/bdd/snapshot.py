@@ -338,6 +338,9 @@ class SnapshotOverlayManager(BddManager):
         self._hi = _ChainVec(view.hi, array("q"))
         self._unique = {}
         self._free = []
+        # The native kernel works on flat arrays; the chained base/tail
+        # vectors and the frozen-table probe in `_mk` stay Python.
+        self._native = None
 
     # -- node creation ---------------------------------------------------
     def _mk(self, level: int, lo: int, hi: int) -> int:

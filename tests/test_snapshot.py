@@ -103,6 +103,8 @@ class TestKernelSnapshot:
         try:
             with SnapshotView(name) as view:
                 overlay = SnapshotOverlayManager(view)
+                # The chained base/tail store always runs the Python kernel.
+                assert overlay.stats()["kernel"] == "python"
                 baseline = overlay.stats()["snapshot"]["overlay_nodes"]
                 f2 = _ripple(overlay)
                 # Intermediates (swept out of the frozen image) re-allocate

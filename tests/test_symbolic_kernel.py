@@ -6,6 +6,8 @@ Covers the pieces the PR's kernel rework touches:
   targets, and the staged-overlap case) against brute-force set semantics,
 * ``and_exists`` vs ``exists(and_(...))`` on randomized BDDs,
 * the order-preserving rename fast path vs the ite rebuild fall-back,
+* rename's validation fused into the rebuild (no support walk on the fast
+  path, unchanged errors), on both the native and the Python kernel,
 * deep variable orders past the interpreter's default recursion limit,
 * static-formula hoisting (compiled plans agree with direct evaluation),
 * cache clearing and statistics plumbing.
@@ -13,9 +15,11 @@ Covers the pieces the PR's kernel rework touches:
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BddManager
+from repro.bdd import BddError, BddManager
+from repro.bdd import manager as bdd_manager
 from repro.fixedpoint import (
     And,
     EnumSort,
@@ -192,6 +196,85 @@ class TestRenameFastPath:
             env_f = dict(zip(["a", "b", "c"], values))
             env_g = dict(zip(["z", "y", "x"], values))
             assert mgr.eval(f, env_f) == mgr.eval(g, env_g)
+
+
+@pytest.fixture(params=["native", "python"])
+def kernel_manager(request, monkeypatch):
+    """A manager factory for each kernel (native only when it was built)."""
+    if request.param == "python":
+        monkeypatch.setattr(bdd_manager, "_native", None)
+    elif bdd_manager._native is None:
+        pytest.skip("the native kernel could not be built")
+
+    def make(names):
+        mgr = BddManager(names)
+        assert mgr.stats()["kernel"] == request.param
+        return mgr
+
+    return make
+
+
+class TestFusedRenameValidation:
+    """``rename`` validates the map inside the structural rebuild; only the
+    rare ``ite`` fall-back still walks the operand's support."""
+
+    NAMES = ["a", "b", "c", "x", "y", "z"]
+
+    def _f(self, mgr, names):
+        a, b, c = (mgr.var(name) for name in names)
+        return mgr.or_(mgr.and_(a, b ^ 1), mgr.and_(b, c))
+
+    def test_order_preserving_rename_walks_no_support(self, kernel_manager, monkeypatch):
+        mgr = kernel_manager(self.NAMES)
+        f = self._f(mgr, "abc")
+
+        def no_support(self, edge):
+            raise AssertionError("support() walked on the rename fast path")
+
+        monkeypatch.setattr(BddManager, "support", no_support)
+        g = mgr.rename(f, {"a": "x", "b": "y", "c": "z"})
+        assert g == self._f(mgr, "xyz")
+        assert mgr.stats()["rename_fast_path"] == 1
+        assert mgr.stats()["rename_fallback"] == 0
+
+    def test_order_violating_map_falls_back_to_ite(self, kernel_manager):
+        mgr = kernel_manager(self.NAMES)
+        f = self._f(mgr, "abc")
+        g = mgr.rename(f, {"a": "z", "b": "y", "c": "x"})
+        assert g == self._f(mgr, "zyx")
+        assert mgr.rename(f ^ 1, {"a": "z", "b": "y", "c": "x"}) == g ^ 1
+        assert mgr.stats()["rename_fallback"] == 1
+
+    def test_non_injective_map_is_rejected(self, kernel_manager):
+        mgr = kernel_manager(self.NAMES)
+        f = self._f(mgr, "abc")
+        for _ in range(2):
+            with pytest.raises(BddError, match="rename mapping must be injective"):
+                mgr.rename(f, {"a": "x", "b": "x"})
+        with pytest.raises(BddError, match="injective"):
+            mgr.rename(mgr.TRUE, {"a": "x", "b": "x"})
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"a": "z", "b": "y"},  # order-preserving: the rebuild meets the clash
+            {"b": "z", "a": "y"},  # also order-violating
+        ],
+    )
+    def test_clash_lists_every_clashing_name_sorted(self, kernel_manager, mapping):
+        # Level order x < z < y, so sorted names differ from level order.
+        mgr = kernel_manager(["a", "b", "x", "z", "y"])
+        f = mgr.conjoin([mgr.var("a"), mgr.var("b"), mgr.var("z"), mgr.var("y")])
+        before = mgr.stats()
+        with pytest.raises(BddError) as info:
+            mgr.rename(f, mapping)
+        assert str(info.value) == "rename targets already in support: ['y', 'z']"
+        after = mgr.stats()
+        assert after["rename_fast_path"] == before["rename_fast_path"]
+        assert after["rename_fallback"] == before["rename_fallback"]
+        # The same map still renames a function without the clashing names.
+        g = mgr.and_(mgr.var("a"), mgr.var("b"))
+        assert mgr.rename(g, mapping) == mgr.and_(mgr.var("z"), mgr.var("y"))
 
 
 class TestDeepRecursion:
