@@ -18,7 +18,7 @@ copies — exercised through five kernel pillars:
                   shape of Section 4.3), run with a low GC trigger so the
                   mark-and-sweep collector reclaims each round's residues,
 * ``count``     — repeated model counting over the relation and reach sets
-                  (each count is one vectorised bottom-up pass over the
+                  (each count is one exact memoised recursion over the
                   node vectors).
 
 Each case is exposed three ways: as a plain callable returning a
@@ -258,14 +258,14 @@ def _hidden_weighted_bit(mgr: BddManager, names: List[str]) -> int:
 
 
 def bench_count(bits: int = DEFAULT_BITS) -> KernelResult:
-    """Repeated model counting: the vectorised bottom-up pass's home turf.
+    """Repeated model counting over a large, heavily shared BDD.
 
     Builds the hidden-weighted-bit function over all ``2 * bits`` variables
     (a large, heavily shared BDD — the summary-relation shape), sweeps the
     construction residues, then counts it and several derived functions
     over and over, full-support and restricted — the ``count_sat`` pattern
     of summary-state reporting and the snapshot post-passes, each answered
-    by one bottom-up pass over the flat node vectors.
+    by one exact memoised recursion over the flat node vectors.
     """
     mgr = _make_manager(bits)
     names = list(mgr.var_names)

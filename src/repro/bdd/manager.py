@@ -61,9 +61,10 @@ lifetime); :meth:`collect_garbage` marks from those roots plus any *extra
 roots* the caller passes (e.g. the fixed-point evaluator's current
 interpretations), frees every unmarked node into a free list for reuse, and
 drops all operation caches so no cache entry can resurrect a dead node.
-The mark phase and the unique-table update are vectorised over the flat
-vectors with numpy (:mod:`repro.bdd._vector`; a scalar sweep runs when numpy
-is unavailable), and the sweep trims the trailing run of free slots so
+The sweep works run by run: each run of dead slots between live ones is
+cleared with one slice assignment per vector, the unique table is rebuilt
+from the live slots when at least half of it died (and has its dead keys
+deleted otherwise), and the trailing run of free slots is trimmed so
 capacity tracks the live high-water mark.  Registered GC hooks let consumers
 (the symbolic backend's plan memos) invalidate their own node-keyed caches
 in the same sweep.
@@ -126,7 +127,6 @@ from typing import (
 )
 
 from ..errors import AnalysisTimeout, NodeBudgetExceeded
-from . import _vector
 
 __all__ = ["BddManager", "BddError", "QuantCube"]
 
@@ -1034,45 +1034,24 @@ class BddManager:
     def count_sat(self, f: int, variables: Optional[Iterable[int | str]] = None) -> int:
         """Number of satisfying assignments of ``f`` over ``variables``.
 
-        When ``variables`` is omitted, all declared variables are used.  The
-        count is one vectorised bottom-up pass over the node vectors; counts
-        past 62 variables (which overflow int64) and numpy-less runs take the
-        exact big-int recursion instead.
+        When ``variables`` is omitted, all declared variables are used;
+        otherwise they must cover the support of ``f``.  The count is exact
+        at any width: a memoised big-int recursion over the node vectors.
         """
-        order = self._count_order(f, variables)
+        if variables is None:
+            order = list(range(len(self._var_names)))
+        else:
+            var_set = self._var_set(variables)
+            missing = self.support(f) - var_set
+            if missing:
+                names = sorted(self._var_names[i] for i in missing)
+                raise BddError(f"count_sat variables must cover the support; missing {names}")
+            order = sorted(var_set)
         if f == self.FALSE:
             return 0
         if f == self.TRUE:
             return 1 << len(order)
-        if not _vector.HAVE_NUMPY or len(order) > _vector.MAX_VECTOR_COUNT_LEVELS:
-            return self._count_sat_exact(f, order)
-        level_v = _vector.int64_view(self._level)
-        lo_v = _vector.int64_view(self._lo)
-        hi_v = _vector.int64_view(self._hi)
-        try:
-            return self._count_sat_vector(level_v, lo_v, hi_v, f, order)
-        finally:
-            del level_v, lo_v, hi_v
-
-    def _count_order(self, f: int, variables: Optional[Iterable[int | str]]) -> List[int]:
-        """The sorted counting variables, checked to cover the support of ``f``."""
-        if variables is None:
-            return list(range(len(self._var_names)))
-        var_set = self._var_set(variables)
-        missing = self.support(f) - var_set
-        if missing:
-            names = sorted(self._var_names[i] for i in missing)
-            raise BddError(f"count_sat variables must cover the support; missing {names}")
-        return sorted(var_set)
-
-    def _count_sat_vector(self, level, lo, hi, f: int, order: List[int]) -> int:
-        """Vectorised count of ``f`` over int64 views of the node vectors."""
-        import numpy as np
-
-        pos_of = np.full(max(len(self._var_names), 1), -1, dtype=np.int64)
-        for pos, lvl in enumerate(order):
-            pos_of[lvl] = pos
-        return _vector.count_sat_vector(level, lo, hi, f, pos_of, len(order))
+        return self._count_sat_exact(f, order)
 
     def _count_sat_exact(self, f: int, order: List[int]) -> int:
         """Exact count by a memoised big-int recursion over the node vectors."""
@@ -1330,112 +1309,69 @@ class BddManager:
         (their keys and values may mention dead edges) and GC hooks run so
         consumers drop node-keyed caches of their own.
         """
-        if not _vector.HAVE_NUMPY:
-            return self._collect_garbage_scalar(roots)
-        import numpy as np
-
-        root_indices: List[int] = list(self._extref)
-        for edge in roots:
-            root_indices.append(edge >> 1)
-        level_v = _vector.int64_view(self._level)
-        lo_v = _vector.int64_view(self._lo)
-        hi_v = _vector.int64_view(self._hi)
-        mask = _vector.reachable_mask(level_v, lo_v, hi_v, root_indices)
-        mask[0] = True
-        dead = ~mask & (level_v != self._FREE_LEVEL)
-        dead_idx = np.nonzero(dead)[0]
-        reclaimed = int(dead_idx.size)
-        self._gc_collections += 1
-        if not reclaimed:
-            del level_v, lo_v, hi_v
-            if self._debug_checks:
-                self._debug_validate()
-            return 0
-        # Unique-table update: delete the dead keys one by one when few are
-        # dead, rebuild the whole table from the live slots (one vectorised
-        # key computation) when a sweep kills most of it.
-        if reclaimed * 2 >= len(self._unique):
-            live_idx = np.nonzero(mask)[0]
-            live_idx = live_idx[live_idx != 0]
-            keys = (
-                (level_v[live_idx] << LEVEL_SHIFT)
-                | (lo_v[live_idx] << EDGE_BITS)
-                | hi_v[live_idx]
-            )
-            self._unique = dict(zip(keys.tolist(), live_idx.tolist()))
-        else:
-            unique = self._unique
-            keys = (
-                (level_v[dead_idx] << LEVEL_SHIFT)
-                | (lo_v[dead_idx] << EDGE_BITS)
-                | hi_v[dead_idx]
-            )
-            for key in keys.tolist():
-                del unique[key]
-        level_v[dead_idx] = self._FREE_LEVEL
-        lo_v[dead_idx] = 0
-        hi_v[dead_idx] = 0
-        # Compaction: trim the trailing run of free slots so capacity tracks
-        # the live high-water mark; the free list is rebuilt descending so
-        # `pop()` hands out the lowest index first (dense reuse).
-        last_live = int(np.nonzero(mask)[0].max())
-        free_idx = np.nonzero(~mask)[0]
-        trim = len(self._level) - (last_live + 1)
-        if trim > 0:
-            free_idx = free_idx[free_idx <= last_live]
-        self._free = free_idx[::-1].tolist()
-        # Views pin the array buffers against resizing — drop every one of
-        # them before the tail trim mutates the arrays.
-        del level_v, lo_v, hi_v, mask, dead, dead_idx, free_idx, keys
-        if trim > 0:
-            del self._level[last_live + 1 :]
-            del self._lo[last_live + 1 :]
-            del self._hi[last_live + 1 :]
-        self._live -= reclaimed
-        self._gc_reclaimed += reclaimed
-        self._drop_op_caches()
-        for hook in self._gc_hooks:
-            hook()
-        if self._debug_checks:
-            self._debug_validate()
-        return reclaimed
-
-    def _collect_garbage_scalar(self, roots: Iterable[int] = ()) -> int:
-        """Numpy-less sweep: a scalar mark-and-sweep with tail compaction."""
-        marked = bytearray(len(self._level))
-        marked[0] = 1
+        base, level, lo, hi = self._collectable()
+        # Mark in the flat arrays' own coordinates: slot ``base + i`` is
+        # ``level[i]``.  Slots below ``base`` are never collected.
+        marked = bytearray(len(level))
+        if base == 0:
+            marked[0] = 1  # the terminal
+        live: List[int] = []
         stack: List[int] = list(self._extref)
         for edge in roots:
             stack.append(edge >> 1)
-        level = self._level
-        lo = self._lo
-        hi = self._hi
         while stack:
-            index = stack.pop()
-            if marked[index]:
+            i = stack.pop() - base
+            if i < 0 or marked[i]:
                 continue
-            marked[index] = 1
-            stack.append(lo[index] >> 1)
-            stack.append(hi[index] >> 1)
-        reclaimed = 0
-        free_level = self._FREE_LEVEL
-        unique = self._unique
-        for index in range(1, len(level)):
-            if marked[index] or level[index] == free_level:
-                continue
-            del unique[
-                (level[index] << LEVEL_SHIFT) | (lo[index] << EDGE_BITS) | hi[index]
-            ]
-            level[index] = free_level
-            lo[index] = 0
-            hi[index] = 0
-            self._free.append(index)
-            reclaimed += 1
+            marked[i] = 1
+            live.append(i)
+            stack.append(lo[i] >> 1)
+            stack.append(hi[i] >> 1)
+        reclaimed = self._live - 1 - len(live)  # `_live` counts the terminal
         self._gc_collections += 1
         if reclaimed:
+            free_level = self._FREE_LEVEL
+            unique = self._unique
+            rebuild = reclaimed * 2 >= len(unique)
+            if rebuild:
+                self._unique = {
+                    (level[i] << LEVEL_SHIFT) | (lo[i] << EDGE_BITS) | hi[i]: base + i
+                    for i in live
+                }
+            # Every run of unmarked slots is dead (or already free).  Runs
+            # below the last live slot are cleared with one slice assignment
+            # per vector and free-listed; the trailing run is trimmed.
+            end = marked.rfind(1) + 1
+            free: List[int] = []
+            start = marked.find(0)
+            while start >= 0:
+                stop = marked.find(1, start)
+                if stop < 0:
+                    stop = len(marked)
+                if not rebuild:
+                    for node_level, node_lo, node_hi in zip(
+                        level[start:stop], lo[start:stop], hi[start:stop]
+                    ):
+                        if node_level != free_level:
+                            del unique[
+                                (node_level << LEVEL_SHIFT) | (node_lo << EDGE_BITS) | node_hi
+                            ]
+                if stop < end:
+                    size = stop - start
+                    zeros = array("q", bytes(8 * size))
+                    level[start:stop] = array("q", [free_level]) * size
+                    lo[start:stop] = zeros
+                    hi[start:stop] = zeros
+                    free.extend(range(base + start, base + stop))
+                start = marked.find(0, stop)
+            # Descending, so `pop()` hands out the lowest slot first.
+            free.reverse()
+            self._free = free
+            del level[end:]
+            del lo[end:]
+            del hi[end:]
             self._live -= reclaimed
             self._gc_reclaimed += reclaimed
-            self._trim_tail_scalar()
             self._drop_op_caches()
             for hook in self._gc_hooks:
                 hook()
@@ -1443,20 +1379,14 @@ class BddManager:
             self._debug_validate()
         return reclaimed
 
-    def _trim_tail_scalar(self) -> None:
-        """Tail compaction for the numpy-less sweep fallback."""
-        level = self._level
-        last = len(level) - 1
-        free_level = self._FREE_LEVEL
-        while last > 0 and level[last] == free_level:
-            last -= 1
-        if last == len(level) - 1:
-            return
-        keep = last + 1
-        del self._level[keep:]
-        del self._lo[keep:]
-        del self._hi[keep:]
-        self._free = sorted((i for i in self._free if i < keep), reverse=True)
+    def _collectable(self) -> Tuple[int, array, array, array]:
+        """``(base, level, lo, hi)``: flat vectors holding slots ``base`` onward.
+
+        :meth:`collect_garbage` sweeps exactly these slots (the terminal
+        excepted).  A snapshot overlay returns its private tail here, so
+        its frozen base is never marked, written or freed.
+        """
+        return 0, self._level, self._lo, self._hi
 
     def maybe_collect(self, roots: Iterable[int] = ()) -> bool:
         """Collect at a safe point if a growth trigger fired; True if collected.

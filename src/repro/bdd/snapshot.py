@@ -41,10 +41,9 @@ import os
 import pickle
 import secrets
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import NodeBudgetExceeded
-from . import _vector
 from .manager import (
     EDGE_BITS,
     LEVEL_SHIFT,
@@ -205,10 +204,10 @@ def list_segments() -> List[str]:
 class SnapshotView:
     """A copy-free attachment to a frozen node table.
 
-    Exposes the three node vectors as read-only int64 memoryviews (plus
-    numpy aliases when numpy is available), the frozen unique-table probe,
-    and the metadata needed to rebuild a manager around the image.  Views
-    only ever ``close()``; they never unlink (see the module docstring).
+    Exposes the three node vectors as read-only int64 memoryviews, the
+    frozen unique-table probe, and the metadata needed to rebuild a manager
+    around the image.  Views only ever ``close()``; they never unlink (see
+    the module docstring).
     """
 
     def __init__(self, name: str) -> None:
@@ -247,13 +246,6 @@ class SnapshotView:
         self.hi = span(off + 2 * cap_b, cap_b)
         self._keys = span(off + 3 * cap_b, tab_b)
         self._vals = span(off + 3 * cap_b + tab_b, tab_b)
-        self.level_np = self.lo_np = self.hi_np = None
-        if _vector.HAVE_NUMPY:
-            import numpy as np
-
-            self.level_np = np.frombuffer(self.level, dtype=np.int64)
-            self.lo_np = np.frombuffer(self.lo, dtype=np.int64)
-            self.hi_np = np.frombuffer(self.hi, dtype=np.int64)
         self._closed = False
 
     def lookup(self, key: int) -> Optional[int]:
@@ -274,7 +266,6 @@ class SnapshotView:
         if self._closed:
             return
         self._closed = True
-        self.level_np = self.lo_np = self.hi_np = None
         self.level = self.lo = self.hi = self._keys = self._vals = None
         for view in self._views:
             view.release()
@@ -386,69 +377,12 @@ class SnapshotOverlayManager(BddManager):
         return (index << 1) | sign
 
     # -- garbage collection (tail-only) ----------------------------------
-    def collect_garbage(self, roots: Iterable[int] = ()) -> int:
-        base_len = self._base_len
-        tail_len = len(self._level) - base_len
-        marked = bytearray(tail_len)
-        stack: List[int] = list(self._extref)
-        for edge in roots:
-            stack.append(edge >> 1)
-        level = self._level
-        lo = self._lo
-        hi = self._hi
-        while stack:
-            index = stack.pop()
-            if index < base_len:
-                # Frozen nodes are immortal and closed under reachability:
-                # nothing below them can be a tail node.
-                continue
-            local = index - base_len
-            if marked[local]:
-                continue
-            marked[local] = 1
-            stack.append(lo[index] >> 1)
-            stack.append(hi[index] >> 1)
-        reclaimed = 0
-        free_level = self._FREE_LEVEL
-        unique = self._unique
-        for local in range(tail_len):
-            index = base_len + local
-            if marked[local] or level[index] == free_level:
-                continue
-            del unique[
-                (level[index] << LEVEL_SHIFT) | (lo[index] << EDGE_BITS) | hi[index]
-            ]
-            level[index] = free_level
-            lo[index] = 0
-            hi[index] = 0
-            self._free.append(index)
-            reclaimed += 1
-        self._gc_collections += 1
-        if reclaimed:
-            self._live -= reclaimed
-            self._gc_reclaimed += reclaimed
-            self._trim_tail_scalar()
-            self._drop_op_caches()
-            for hook in self._gc_hooks:
-                hook()
-        if self._debug_checks:
-            self._debug_validate()
-        return reclaimed
-
-    def _trim_tail_scalar(self) -> None:
-        tail = self._level.tail
-        last = len(tail) - 1
-        free_level = self._FREE_LEVEL
-        while last >= 0 and tail[last] == free_level:
-            last -= 1
-        keep = last + 1
-        if keep == len(tail):
-            return
-        del self._level.tail[keep:]
-        del self._lo.tail[keep:]
-        del self._hi.tail[keep:]
-        boundary = self._base_len + keep
-        self._free = sorted((i for i in self._free if i < boundary), reverse=True)
+    def _collectable(self) -> Tuple[int, array, array, array]:
+        # Frozen nodes are immortal here and closed under reachability, so
+        # the shared sweep marks, clears and frees only the private tail.
+        # Dropping cached frozen-table hits from `_unique` is harmless:
+        # `_mk` probes the frozen table again.
+        return self._base_len, self._level.tail, self._lo.tail, self._hi.tail
 
     # -- kernel sanitizer (overlay-aware) --------------------------------
     def _debug_validate(self) -> None:
@@ -551,29 +485,6 @@ class SnapshotOverlayManager(BddManager):
             index = edge >> 1
             if not 0 <= index < capacity or level[index] == free_level:
                 raise BddError(f"sanitizer: {op} cache mentions dead edge {edge}")
-
-    # -- vectorised counting over the frozen image -----------------------
-    def count_sat(self, f: int, variables: Optional[Iterable[int | str]] = None) -> int:
-        order = self._count_order(f, variables)
-        view = self._view
-        if (
-            f > 1
-            and (f >> 1) < self._base_len
-            and view.level_np is not None
-            and not self._closed_view()
-            and len(order) <= _vector.MAX_VECTOR_COUNT_LEVELS
-        ):
-            # Frozen roots are closed over frozen nodes, so the vectorised
-            # bottom-up pass can run directly on the shared image.
-            return self._count_sat_vector(
-                view.level_np, view.lo_np, view.hi_np, f, order
-            )
-        # Tail-rooted (or numpy-less, or wide) counts walk the chain vector
-        # with the exact memoised recursion.
-        return self._count_sat_exact(f, order)
-
-    def _closed_view(self) -> bool:
-        return getattr(self._view, "_closed", True)
 
     # -- lifecycle / stats -----------------------------------------------
     def detach(self) -> None:

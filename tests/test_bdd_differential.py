@@ -13,8 +13,8 @@ each one that
   (and wins strictly overall across the corpus),
 * existential quantification agrees with the oracle,
 
-and that the numpy-less fallbacks (scalar GC sweep, tail trim, exact
-``count_sat``) meet the same oracle.
+and that the GC sweep, its tail trim and the exact ``count_sat`` meet the
+same oracle under the sanitizer.
 """
 
 import itertools
@@ -23,7 +23,6 @@ import random
 import pytest
 
 from repro.bdd import BddManager
-from repro.bdd import _vector
 
 from reference_bdd import ReferenceBdd
 
@@ -157,16 +156,9 @@ def test_count_sat_wide_variable_sets_fall_back_exactly():
     assert mgr.count_sat(mgr.TRUE) == 1 << 70
 
 
-def test_numpy_less_fallbacks_match_reference(corpus, monkeypatch):
-    """Without numpy the scalar sweep, its tail trim and the exact
-    ``count_sat`` recursion are the only code that runs: they must meet the
-    same oracle, and every sweep must pass the sanitizer."""
-
-    def no_vector_pass(*args, **kwargs):
-        raise AssertionError("a vectorised pass ran without numpy")
-
-    monkeypatch.setattr(_vector, "HAVE_NUMPY", False)
-    monkeypatch.setattr(_vector, "int64_view", no_vector_pass)
+def test_sweep_and_exact_count_match_reference(corpus):
+    """The GC sweep, its tail trim and the exact ``count_sat`` recursion
+    meet the same oracle, and every sweep passes the sanitizer."""
     mgr = BddManager(VAR_NAMES, debug_checks=True)
     ref = ReferenceBdd(VAR_NAMES)
     for expr in corpus:

@@ -41,6 +41,27 @@ class TestMarkAndSweep:
         assert reclaimed > 0
         for env in all_envs():
             assert mgr.eval(f, env) == truth[tuple(env.values())]
+        # Second input: fewer than half the nodes die, in several separate
+        # runs, so the sweep deletes dead unique keys instead of rebuilding
+        # the table and clears each run in place.
+        names = [f"v{i}" for i in range(11)]
+        mgr = BddManager(names, debug_checks=True)
+        edges = [mgr.var(name) for name in names]  # v{i} sits in slot i + 1
+        dead = {1, 2, 5, 8, 10}
+        for i, edge in enumerate(edges):
+            if i not in dead:
+                mgr.ref(edge)
+        assert len(dead) * 2 < len(mgr._unique)
+        assert mgr.collect_garbage() == len(dead)
+        for i, name in enumerate(names):
+            if i not in dead:
+                assert mgr.var(name) == edges[i]
+                assert mgr.eval(edges[i], {n: n == name for n in names})
+        # Free: the dead slots below the last live one (10), descending;
+        # the trailing dead slot 11 is trimmed.
+        assert mgr._free == [9, 6, 3, 2]
+        assert mgr.stats()["capacity"] == 11
+        assert mgr.var("v1") >> 1 == 2
 
     def test_extra_roots_survive_collection(self):
         mgr = BddManager(VAR_NAMES)

@@ -272,3 +272,20 @@ class TestInspection:
         f = mgr.and_(a, b)
         mgr.clear_caches()
         assert mgr.and_(a, b) == f
+
+
+def test_package_imports_do_not_load_numpy():
+    """No module in ``src/`` imports numpy: a fresh interpreter that loads
+    every public package still has no ``numpy`` in ``sys.modules``."""
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import repro.api, repro.witness, repro.service, repro.frontends, "
+        "repro.algorithms; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", script], timeout=60).returncode == 0

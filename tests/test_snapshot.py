@@ -119,12 +119,12 @@ class TestKernelSnapshot:
         finally:
             assert bdd_snapshot.unlink(name) is True
 
-    def test_vectorized_count_matches_scalar_on_frozen_root(self):
+    def test_count_on_frozen_root_matches_freezer(self):
         mgr, f, expected_count, name = self._frozen()
         try:
             with SnapshotView(name) as view:
                 overlay = SnapshotOverlayManager(view)
-                # Base-rooted: the vectorised pass runs on the shared image.
+                # Base-rooted: the count walks the shared image.
                 assert overlay.count_sat(f) == expected_count
                 # Complement edge and restricted-variable counts too.
                 assert overlay.count_sat(f ^ 1) == (1 << mgr.num_vars) - expected_count
