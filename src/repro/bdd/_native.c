@@ -10,6 +10,12 @@
  * the Python kernel would: the same edges, node table and counters, so GC,
  * snapshots, the sanitizer and stats() need not know which kernel ran.
  *
+ * A manager that runs this loop keeps its unique table and its and,
+ * exists, and_exists, rename and restrict caches in Table, the exact
+ * int-keyed hash table defined below.  The loop reads and writes its slots
+ * directly; Python code sees a mapping with the dict operations the
+ * manager uses.
+ *
  * manager.py compiles this file at first import and falls back to the
  * Python methods, which stay the oracle, when it cannot (see _load_native
  * there).  Every entry point takes the manager as its first argument.
@@ -28,6 +34,440 @@
  * rename rebuild met a clash level or a level-order violation. */
 #define ERR (-1)
 #define ABORT (-2)
+
+/* -- Table: the exact int-keyed hash table ----------------------------- */
+
+/* A key is a non-negative int below 2**111, held as two words split at
+ * LEVEL_SHIFT: for a packed key ((a << 24 | b) << 24) | c that is the a/uid
+ * field above and the two 24-bit edge fields below, so wide and_exists
+ * keys need no slow path.  A value is an int64.  Open addressing with
+ * linear probing; deletion shifts the probe run back, so there are no
+ * tombstones.  clear() frees the slot array, as dict.clear() does. */
+
+#define LOW_MASK ((1LL << LEVEL_SHIFT) - 1)
+#define EDGE_MASK ((1LL << EDGE_BITS) - 1)
+#define EMPTY (-1)
+#define MIN_SLOTS 8
+
+typedef struct {
+    int64_t high, low;
+} Key;
+
+typedef struct {
+    int64_t high, low, value; /* high == EMPTY marks a free slot */
+} Slot;
+
+typedef struct {
+    PyObject_HEAD
+    Slot *slots; /* NULL while the table holds no storage */
+    size_t mask; /* slot count - 1 */
+    Py_ssize_t used;
+} Table;
+
+static PyTypeObject TableType;
+
+/* The Python kernel's key ((a << 24 | b) << 24) | c, for c < 2**24. */
+static inline Key pack(int64_t a, int64_t b, int64_t c)
+{
+    Key key = {a | (b >> EDGE_BITS), ((b & EDGE_MASK) << EDGE_BITS) | c};
+    return key;
+}
+
+static inline size_t slot_index(const Table *t, int64_t high, int64_t low)
+{
+    uint64_t h = (uint64_t)low ^ ((uint64_t)high * 0x9E3779B97F4A7C15ULL);
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+    return (size_t)(h ^ (h >> 31)) & t->mask;
+}
+
+/* The slot holding the key, or the free slot that ends its probe run. */
+static inline Slot *find(const Table *t, Key key)
+{
+    size_t i = slot_index(t, key.high, key.low);
+    for (;;) {
+        Slot *s = &t->slots[i];
+        if (s->high == EMPTY || (s->high == key.high && s->low == key.low))
+            return s;
+        i = (i + 1) & t->mask;
+    }
+}
+
+static inline int table_get(const Table *t, Key key, int64_t *value)
+{
+    if (t->slots == NULL)
+        return 0;
+    const Slot *s = find(t, key);
+    if (s->high == EMPTY)
+        return 0;
+    *value = s->value;
+    return 1;
+}
+
+static int table_resize(Table *t, size_t size)
+{
+    Slot *old = t->slots;
+    size_t old_size = old == NULL ? 0 : t->mask + 1;
+    Slot *slots = size <= PY_SSIZE_T_MAX / sizeof(Slot) ? PyMem_Malloc(size * sizeof(Slot)) : NULL;
+    if (slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(slots, 0xff, size * sizeof(Slot));
+    t->slots = slots;
+    t->mask = size - 1;
+    for (size_t i = 0; i < old_size; i++) {
+        if (old[i].high != EMPTY) {
+            Key key = {old[i].high, old[i].low};
+            *find(t, key) = old[i];
+        }
+    }
+    PyMem_Free(old);
+    return 0;
+}
+
+/* Insert or overwrite; the load stays at most 2/3. */
+static int table_set(Table *t, Key key, int64_t value)
+{
+    Slot *s = NULL;
+    if (t->slots != NULL) {
+        s = find(t, key);
+        if (s->high != EMPTY) {
+            s->value = value;
+            return 0;
+        }
+    }
+    size_t size = t->slots == NULL ? 0 : t->mask + 1;
+    if ((size_t)(t->used + 1) * 3 > size * 2) {
+        if (table_resize(t, size ? 2 * size : MIN_SLOTS) < 0)
+            return -1;
+        s = find(t, key);
+    }
+    s->high = key.high;
+    s->low = key.low;
+    s->value = value;
+    t->used++;
+    return 0;
+}
+
+/* 1 when the key was removed, 0 when it was absent. */
+static int table_del(Table *t, Key key)
+{
+    if (t->slots == NULL)
+        return 0;
+    Slot *hole = find(t, key);
+    if (hole->high == EMPTY)
+        return 0;
+    size_t i = (size_t)(hole - t->slots), j = i;
+    for (;;) {
+        j = (j + 1) & t->mask;
+        Slot *s = &t->slots[j];
+        if (s->high == EMPTY)
+            break;
+        /* The entry at j may fill the hole at i unless its home slot lies
+         * cyclically in (i, j]. */
+        size_t home = slot_index(t, s->high, s->low);
+        if (((j - home) & t->mask) >= ((j - i) & t->mask)) {
+            t->slots[i] = *s;
+            i = j;
+        }
+    }
+    t->slots[i].high = EMPTY;
+    t->used--;
+    return 1;
+}
+
+static void table_clear(Table *t)
+{
+    PyMem_Free(t->slots);
+    t->slots = NULL;
+    t->mask = 0;
+    t->used = 0;
+}
+
+/* Split a Python int key: 1 when a table can hold it, 0 when it cannot
+ * (negative, or 2**111 or more), -1 with TypeError when it is no int. */
+static int split_key(PyObject *obj, Key *key)
+{
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "Table keys are ints, not %.200s", Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    int overflow;
+    long long value = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (!overflow) {
+        if (value < 0)
+            return 0;
+        key->high = value >> LEVEL_SHIFT;
+        key->low = value & LOW_MASK;
+        return 1;
+    }
+    if (overflow < 0)
+        return 0;
+    PyObject *shift = PyLong_FromLong(LEVEL_SHIFT);
+    PyObject *top = shift == NULL ? NULL : PyNumber_Rshift(obj, shift);
+    Py_XDECREF(shift);
+    if (top == NULL)
+        return -1;
+    key->high = PyLong_AsLongLongAndOverflow(top, &overflow);
+    Py_DECREF(top);
+    if (key->high == -1 && PyErr_Occurred())
+        return -1;
+    key->low = (int64_t)(PyLong_AsUnsignedLongLongMask(obj) & LOW_MASK);
+    return !overflow;
+}
+
+static PyObject *key_object(Key key)
+{
+    if (key.high < (1LL << (63 - LEVEL_SHIFT)))
+        return PyLong_FromLongLong((key.high << LEVEL_SHIFT) | key.low);
+    PyObject *high = PyLong_FromLongLong(key.high);
+    PyObject *shift = PyLong_FromLong(LEVEL_SHIFT);
+    PyObject *low = PyLong_FromLongLong(key.low);
+    PyObject *top = high && shift && low ? PyNumber_Lshift(high, shift) : NULL;
+    PyObject *result = top == NULL ? NULL : PyNumber_Or(top, low);
+    Py_XDECREF(high);
+    Py_XDECREF(shift);
+    Py_XDECREF(low);
+    Py_XDECREF(top);
+    return result;
+}
+
+static int table_set_object(Table *t, PyObject *k, PyObject *v)
+{
+    Key key;
+    int status = split_key(k, &key);
+    if (status == 0)
+        PyErr_SetString(PyExc_OverflowError, "Table keys lie in [0, 2**111)");
+    if (status <= 0)
+        return -1;
+    int64_t value = PyLong_AsLongLong(v);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    return table_set(t, key, value);
+}
+
+/* Table(items=()): from an iterable of (key, value) pairs. */
+static PyObject *Table_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    PyObject *items = NULL;
+    static char *names[] = {"items", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|O:Table", names, &items))
+        return NULL;
+    Table *t = (Table *)type->tp_alloc(type, 0);
+    if (t == NULL || items == NULL)
+        return (PyObject *)t;
+    PyObject *iterator = PyObject_GetIter(items), *pair;
+    if (iterator == NULL) {
+        Py_DECREF(t);
+        return NULL;
+    }
+    while ((pair = PyIter_Next(iterator)) != NULL) {
+        int status = -1;
+        if (PyTuple_Check(pair) && PyTuple_GET_SIZE(pair) == 2)
+            status = table_set_object(t, PyTuple_GET_ITEM(pair, 0), PyTuple_GET_ITEM(pair, 1));
+        else
+            PyErr_SetString(PyExc_TypeError, "Table items must be (key, value) tuples");
+        Py_DECREF(pair);
+        if (status < 0)
+            break;
+    }
+    Py_DECREF(iterator);
+    if (PyErr_Occurred())
+        Py_CLEAR(t);
+    return (PyObject *)t;
+}
+
+static void Table_dealloc(Table *t)
+{
+    PyMem_Free(t->slots);
+    Py_TYPE(t)->tp_free((PyObject *)t);
+}
+
+static Py_ssize_t Table_len(Table *t)
+{
+    return t->used;
+}
+
+/* 1 with *value set when the Python key is present, 0 when not, -1 on error. */
+static int lookup_object(Table *t, PyObject *k, int64_t *value)
+{
+    Key key;
+    int status = split_key(k, &key);
+    return status <= 0 ? status : table_get(t, key, value);
+}
+
+static PyObject *Table_subscript(Table *t, PyObject *k)
+{
+    int64_t value;
+    int found = lookup_object(t, k, &value);
+    if (found > 0)
+        return PyLong_FromLongLong(value);
+    if (found == 0)
+        PyErr_SetObject(PyExc_KeyError, k);
+    return NULL;
+}
+
+static int Table_ass_subscript(Table *t, PyObject *k, PyObject *v)
+{
+    if (v != NULL)
+        return table_set_object(t, k, v);
+    Key key;
+    int status = split_key(k, &key);
+    if (status > 0)
+        status = table_del(t, key);
+    if (status == 0)
+        PyErr_SetObject(PyExc_KeyError, k);
+    return status > 0 ? 0 : -1;
+}
+
+static int Table_contains(Table *t, PyObject *k)
+{
+    int64_t value;
+    return lookup_object(t, k, &value);
+}
+
+static PyObject *Table_get(Table *t, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 2) {
+        PyErr_Format(PyExc_TypeError, "get expected 1 or 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    int64_t value;
+    int found = lookup_object(t, args[0], &value);
+    if (found > 0)
+        return PyLong_FromLongLong(value);
+    if (found < 0)
+        return NULL;
+    PyObject *fallback = nargs == 2 ? args[1] : Py_None;
+    Py_INCREF(fallback);
+    return fallback;
+}
+
+/* The keys, or the (key, value) pairs, as a list in slot order. */
+static PyObject *table_list(Table *t, int pairs)
+{
+    PyObject *list = PyList_New(t->used);
+    Py_ssize_t n = 0;
+    for (size_t i = 0; list != NULL && t->slots != NULL && i <= t->mask; i++) {
+        const Slot *s = &t->slots[i];
+        if (s->high == EMPTY)
+            continue;
+        Key key = {s->high, s->low};
+        PyObject *item = key_object(key);
+        if (item != NULL && pairs) {
+            PyObject *value = PyLong_FromLongLong(s->value);
+            PyObject *pair = value == NULL ? NULL : PyTuple_Pack(2, item, value);
+            Py_XDECREF(value);
+            Py_SETREF(item, pair);
+        }
+        if (item == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, n++, item);
+    }
+    return list;
+}
+
+static PyObject *Table_items(Table *t, PyObject *unused)
+{
+    return table_list(t, 1);
+}
+
+/* Iterates over a snapshot of the keys, so the table may change meanwhile. */
+static PyObject *Table_iter(Table *t)
+{
+    PyObject *keys = table_list(t, 0);
+    PyObject *iterator = keys == NULL ? NULL : PyObject_GetIter(keys);
+    Py_XDECREF(keys);
+    return iterator;
+}
+
+static PyObject *Table_clear(Table *t, PyObject *unused)
+{
+    table_clear(t);
+    Py_RETURN_NONE;
+}
+
+static PyObject *Table_sizeof(Table *t, PyObject *unused)
+{
+    size_t size = sizeof(Table) + (t->slots == NULL ? 0 : (t->mask + 1) * sizeof(Slot));
+    return PyLong_FromSize_t(size);
+}
+
+/* 1 when the dict other holds exactly the entries of t, 0 when not, -1
+ * on error. */
+static int table_equals(Table *t, PyObject *other)
+{
+    if (PyDict_GET_SIZE(other) != t->used)
+        return 0;
+    PyObject *k, *v;
+    Py_ssize_t pos = 0;
+    while (PyDict_Next(other, &pos, &k, &v)) {
+        int64_t value;
+        int overflow;
+        if (!PyLong_Check(k) || !PyLong_Check(v) || lookup_object(t, k, &value) <= 0
+            || PyLong_AsLongLongAndOverflow(v, &overflow) != value || overflow)
+            return PyErr_Occurred() ? -1 : 0;
+    }
+    return 1;
+}
+
+static PyObject *Table_richcompare(Table *t, PyObject *other, int op)
+{
+    if ((op != Py_EQ && op != Py_NE) || !PyDict_Check(other))
+        Py_RETURN_NOTIMPLEMENTED;
+    int equal = table_equals(t, other);
+    if (equal < 0)
+        return NULL;
+    return PyBool_FromLong(equal == (op == Py_EQ));
+}
+
+static PyObject *Table_repr(Table *t)
+{
+    PyObject *items = table_list(t, 1);
+    PyObject *dict = items == NULL ? NULL : PyDict_New();
+    if (dict != NULL && PyDict_MergeFromSeq2(dict, items, 1) < 0)
+        Py_CLEAR(dict);
+    PyObject *repr = dict == NULL ? NULL : PyUnicode_FromFormat("Table(%R)", dict);
+    Py_XDECREF(items);
+    Py_XDECREF(dict);
+    return repr;
+}
+
+static PyMappingMethods Table_mapping = {
+    (lenfunc)Table_len, (binaryfunc)Table_subscript, (objobjargproc)Table_ass_subscript};
+
+static PySequenceMethods Table_sequence = {.sq_contains = (objobjproc)Table_contains};
+
+static PyMethodDef Table_methods[] = {
+    {"get", (PyCFunction)(void (*)(void))Table_get, METH_FASTCALL,
+     "get(key, default=None): the value of key, or default"},
+    {"items", (PyCFunction)Table_items, METH_NOARGS, "items(): a list of (key, value) pairs"},
+    {"clear", (PyCFunction)Table_clear, METH_NOARGS, "clear(): drop every entry and the slot array"},
+    {"__sizeof__", (PyCFunction)Table_sizeof, METH_NOARGS, "size of the table in bytes"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject TableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.bdd._native.Table",
+    .tp_basicsize = sizeof(Table),
+    .tp_dealloc = (destructor)Table_dealloc,
+    .tp_repr = (reprfunc)Table_repr,
+    .tp_as_sequence = &Table_sequence,
+    .tp_as_mapping = &Table_mapping,
+    .tp_hash = PyObject_HashNotImplemented,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Table(items=()): an exact hash table from int keys in [0, 2**111) to int64 values,\n"
+              "built from an iterable of (key, value) pairs",
+    .tp_richcompare = (richcmpfunc)Table_richcompare,
+    .tp_iter = (getiterfunc)Table_iter,
+    .tp_methods = Table_methods,
+    .tp_new = Table_new,
+};
 
 enum { AND, EXISTS, AND_EXISTS, RENAME, RESTRICT, NOPS };
 
@@ -58,11 +498,12 @@ typedef struct {
     int held;
     int64_t *level, *lo, *hi;
     Py_ssize_t capacity;
-    PyObject *cache[NOPS];
+    Table *cache[NOPS];
     long long hits[NOPS], misses[NOPS];
     /* Allocation state, loaded by the first allocation of the call. */
     int alloc;
-    PyObject *unique, *free_list;
+    Table *unique;
+    PyObject *free_list;
     long long live, peak, countdown, interval, budget, max_index;
     int has_budget, has_deadline;
     /* The rename/restrict table of the call, when there is one. */
@@ -159,15 +600,28 @@ static long long attr_ll(PyObject *obj, PyObject *name)
     return result;
 }
 
+/* The manager's Table attribute name (a new reference), or NULL. */
+static Table *table_attr(PyObject *mgr, PyObject *name)
+{
+    PyObject *obj = PyObject_GetAttr(mgr, name);
+    if (obj != NULL && !Py_IS_TYPE(obj, &TableType)) {
+        PyErr_Format(PyExc_TypeError, "%U must be a Table, not %.200s", name, Py_TYPE(obj)->tp_name);
+        Py_CLEAR(obj);
+    }
+    return (Table *)obj;
+}
+
 static int load_alloc(Ctx *c)
 {
     PyObject *value;
-    c->unique = PyObject_GetAttr(c->mgr, s_unique);
-    c->free_list = PyObject_GetAttr(c->mgr, s_free);
-    if (c->unique == NULL || c->free_list == NULL)
+    c->unique = table_attr(c->mgr, s_unique);
+    if (c->unique == NULL)
         return -1;
-    if (!PyDict_CheckExact(c->unique) || !PyList_CheckExact(c->free_list)) {
-        PyErr_SetString(PyExc_TypeError, "unique table must be a dict, free list a list");
+    c->free_list = PyObject_GetAttr(c->mgr, s_free);
+    if (c->free_list == NULL)
+        return -1;
+    if (!PyList_CheckExact(c->free_list)) {
+        PyErr_SetString(PyExc_TypeError, "free list must be a list");
         return -1;
     }
     c->live = attr_ll(c->mgr, s_live);
@@ -270,8 +724,8 @@ static PyObject *ctx_close(Ctx *c, long long result)
     for (int i = 0; i < 3; i++)
         Py_XDECREF(c->vector[i]);
     for (int op = 0; op < NOPS; op++)
-        Py_XDECREF(c->cache[op]);
-    Py_XDECREF(c->unique);
+        Py_XDECREF((PyObject *)c->cache[op]);
+    Py_XDECREF((PyObject *)c->unique);
     Py_XDECREF(c->free_list);
     if (type != NULL) {
         /* The first error wins over any raised while flushing. */
@@ -284,59 +738,28 @@ static PyObject *ctx_close(Ctx *c, long long result)
     return PyLong_FromLongLong(result == ABORT ? -1 : result);
 }
 
-/* -- keys and caches --------------------------------------------------- */
-
-/* The Python kernel's key ((a << 24 | b) << 24) | c as an int. */
-static PyObject *pack_key(long long a, long long b, long long c)
-{
-    if (a < (1LL << 15) && b < (1LL << 39))
-        return PyLong_FromLongLong((a << LEVEL_SHIFT) | (b << EDGE_BITS) | c);
-    long long parts[2] = {b, c};
-    PyObject *shift = PyLong_FromLong(EDGE_BITS);
-    PyObject *key = PyLong_FromLongLong(a);
-    for (int i = 0; i < 2 && key != NULL && shift != NULL; i++) {
-        PyObject *part = PyLong_FromLongLong(parts[i]);
-        PyObject *shifted = part ? PyNumber_Lshift(key, shift) : NULL;
-        Py_DECREF(key);
-        key = shifted ? PyNumber_Or(shifted, part) : NULL;
-        Py_XDECREF(shifted);
-        Py_XDECREF(part);
-    }
-    Py_XDECREF(shift);
-    return key;
-}
+/* -- op caches --------------------------------------------------------- */
 
 /* 1 with *out set on a hit, 0 on a miss, -1 on error; counts like the
  * Python kernel's probes. */
-static int probe(Ctx *c, int op, PyObject *key, int64_t *out)
+static int probe(Ctx *c, int op, Key key, int64_t *out)
 {
-    if (c->cache[op] == NULL) {
-        c->cache[op] = PyObject_GetAttr(c->mgr, s_cache[op]);
-        if (c->cache[op] == NULL)
-            return -1;
-    }
-    PyObject *value = PyDict_GetItemWithError(c->cache[op], key);
-    if (value != NULL) {
-        *out = PyLong_AsLongLong(value);
-        if (*out == -1 && PyErr_Occurred())
-            return -1;
+    if (c->cache[op] == NULL && (c->cache[op] = table_attr(c->mgr, s_cache[op])) == NULL)
+        return -1;
+    if (table_get(c->cache[op], key, out)) {
         c->hits[op]++;
         return 1;
     }
-    if (PyErr_Occurred())
-        return -1;
     c->misses[op]++;
     return 0;
 }
 
-static int store(Ctx *c, int op, PyObject *key, int64_t result)
+/* Cache a computed result after a miss; the result, or a negative one as is. */
+static int64_t store(Ctx *c, int op, Key key, int64_t result)
 {
-    PyObject *value = PyLong_FromLongLong(result);
-    if (value == NULL)
-        return -1;
-    int status = PyDict_SetItem(c->cache[op], key, value);
-    Py_DECREF(value);
-    return status;
+    if (result >= 0 && table_set(c->cache[op], key, result) < 0)
+        return ERR;
+    return result;
 }
 
 /* -- node creation ----------------------------------------------------- */
@@ -396,26 +819,16 @@ static int64_t mk(Ctx *c, int64_t level, int64_t lo, int64_t hi)
     }
     if (!c->alloc && load_alloc(c) < 0)
         return ERR;
-    PyObject *key = PyLong_FromLongLong((level << LEVEL_SHIFT) | (lo << EDGE_BITS) | hi);
-    if (key == NULL)
-        return ERR;
+    Key key = pack(level, lo, hi);
     int64_t index;
-    PyObject *found = PyDict_GetItemWithError(c->unique, key);
-    if (found != NULL) {
-        index = PyLong_AsLongLong(found);
-        Py_DECREF(key);
-        if (index == -1 && PyErr_Occurred())
-            return ERR;
+    if (table_get(c->unique, key, &index))
         return (index << 1) | sign;
-    }
-    if (PyErr_Occurred())
-        goto fail;
     Py_ssize_t free_count = PyList_GET_SIZE(c->free_list);
     if (free_count) {
         index = PyLong_AsLongLong(PyList_GET_ITEM(c->free_list, free_count - 1));
         if ((index == -1 && PyErr_Occurred())
             || PyList_SetSlice(c->free_list, free_count - 1, free_count, NULL) < 0)
-            goto fail;
+            return ERR;
         c->level[index] = level;
         c->lo[index] = lo;
         c->hi[index] = hi;
@@ -423,18 +836,13 @@ static int64_t mk(Ctx *c, int64_t level, int64_t lo, int64_t hi)
         index = c->capacity;
         if (index > c->max_index) {
             raise_table_full(index);
-            goto fail;
+            return ERR;
         }
         if (append_node(c, level, lo, hi) < 0)
-            goto fail;
+            return ERR;
     }
-    PyObject *boxed = PyLong_FromLongLong(index);
-    if (boxed == NULL || PyDict_SetItem(c->unique, key, boxed) < 0) {
-        Py_XDECREF(boxed);
-        goto fail;
-    }
-    Py_DECREF(boxed);
-    Py_DECREF(key);
+    if (table_set(c->unique, key, index) < 0)
+        return ERR;
     c->live++;
     if (c->live > c->peak)
         c->peak = c->live;
@@ -453,15 +861,14 @@ static int64_t mk(Ctx *c, int64_t level, int64_t lo, int64_t hi)
         }
     }
     return (index << 1) | sign;
-fail:
-    Py_DECREF(key);
-    return ERR;
 }
 
 /* -- apply recursions -------------------------------------------------- */
 
 /* Node vectors may move whenever a callee allocates, so they are always
- * read through c, never through a pointer cached across a call. */
+ * read through c, never through a pointer cached across a call.  A
+ * negative result (ERR, or ABORT from the rename rebuild) is passed up
+ * as is. */
 
 static void cofactors(Ctx *c, int64_t edge, int64_t level, int64_t *lo, int64_t *hi)
 {
@@ -488,33 +895,23 @@ static int64_t and_rec(Ctx *c, int64_t f, int64_t g)
         f = g;
         g = swap;
     }
-    PyObject *key = pack_key(0, f, g);
-    if (key == NULL)
-        return ERR;
-    int64_t result, lo, hi;
+    Key key = pack(0, f, g);
+    int64_t result;
     int hit = probe(c, AND, key, &result);
     if (hit)
-        goto done;
+        return hit < 0 ? ERR : result;
     int64_t level_f = c->level[f >> 1], level_g = c->level[g >> 1];
     int64_t level = level_f < level_g ? level_f : level_g;
     int64_t f_lo, f_hi, g_lo, g_hi;
     cofactors(c, f, level, &f_lo, &f_hi);
     cofactors(c, g, level, &g_lo, &g_hi);
-    lo = and_rec(c, f_lo, g_lo);
+    int64_t lo = and_rec(c, f_lo, g_lo);
     if (lo < 0)
-        goto fail;
-    hi = and_rec(c, f_hi, g_hi);
+        return lo;
+    int64_t hi = and_rec(c, f_hi, g_hi);
     if (hi < 0)
-        goto fail;
-    result = lo == hi ? lo : mk(c, level, lo, hi);
-    if (result < 0 || store(c, AND, key, result) < 0)
-        goto fail;
-done:
-    Py_DECREF(key);
-    return hit < 0 ? ERR : result;
-fail:
-    Py_DECREF(key);
-    return ERR;
+        return hi;
+    return store(c, AND, key, lo == hi ? lo : mk(c, level, lo, hi));
 }
 
 static int64_t or_rec(Ctx *c, int64_t f, int64_t g)
@@ -531,33 +928,21 @@ static int64_t exists_rec(Ctx *c, int64_t f, const Cube *q)
     int64_t level = c->level[index];
     if (level > q->last)
         return f;
-    PyObject *key = pack_key(0, q->uid, f);
-    if (key == NULL)
-        return ERR;
-    int64_t result, lo, hi;
+    Key key = pack(0, q->uid, f);
+    int64_t result;
     int hit = probe(c, EXISTS, key, &result);
     if (hit)
-        goto done;
+        return hit < 0 ? ERR : result;
     int64_t sign = f & 1;
-    lo = exists_rec(c, c->lo[index] ^ sign, q);
+    int64_t lo = exists_rec(c, c->lo[index] ^ sign, q);
     if (lo < 0)
-        goto fail;
-    if (q->mask[level] && lo == 1) {
-        result = 1;
-    } else {
-        hi = exists_rec(c, c->hi[index] ^ sign, q);
-        if (hi < 0)
-            goto fail;
-        result = q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi);
-    }
-    if (result < 0 || store(c, EXISTS, key, result) < 0)
-        goto fail;
-done:
-    Py_DECREF(key);
-    return hit < 0 ? ERR : result;
-fail:
-    Py_DECREF(key);
-    return ERR;
+        return lo;
+    if (q->mask[level] && lo == 1)
+        return store(c, EXISTS, key, 1);
+    int64_t hi = exists_rec(c, c->hi[index] ^ sign, q);
+    if (hi < 0)
+        return hi;
+    return store(c, EXISTS, key, q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi));
 }
 
 static int64_t and_exists_rec(Ctx *c, int64_t f, int64_t g, const Cube *q)
@@ -579,35 +964,23 @@ static int64_t and_exists_rec(Ctx *c, int64_t f, int64_t g, const Cube *q)
     int64_t level = level_f < level_g ? level_f : level_g;
     if (level > q->last)
         return and_rec(c, f, g);
-    PyObject *key = pack_key(q->uid, f, g);
-    if (key == NULL)
-        return ERR;
-    int64_t result, lo, hi;
+    Key key = pack(q->uid, f, g);
+    int64_t result;
     int hit = probe(c, AND_EXISTS, key, &result);
     if (hit)
-        goto done;
+        return hit < 0 ? ERR : result;
     int64_t f_lo, f_hi, g_lo, g_hi;
     cofactors(c, f, level, &f_lo, &f_hi);
     cofactors(c, g, level, &g_lo, &g_hi);
-    lo = and_exists_rec(c, f_lo, g_lo, q);
+    int64_t lo = and_exists_rec(c, f_lo, g_lo, q);
     if (lo < 0)
-        goto fail;
-    if (q->mask[level] && lo == 1) {
-        result = 1;
-    } else {
-        hi = and_exists_rec(c, f_hi, g_hi, q);
-        if (hi < 0)
-            goto fail;
-        result = q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi);
-    }
-    if (result < 0 || store(c, AND_EXISTS, key, result) < 0)
-        goto fail;
-done:
-    Py_DECREF(key);
-    return hit < 0 ? ERR : result;
-fail:
-    Py_DECREF(key);
-    return ERR;
+        return lo;
+    if (q->mask[level] && lo == 1)
+        return store(c, AND_EXISTS, key, 1);
+    int64_t hi = and_exists_rec(c, f_hi, g_hi, q);
+    if (hi < 0)
+        return hi;
+    return store(c, AND_EXISTS, key, q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi));
 }
 
 /* BddManager._rename_shift: the structural rebuild; ABORT when a node sits
@@ -618,43 +991,26 @@ static int64_t rename_rec(Ctx *c, int64_t f, const Map *m)
         return f;
     int64_t sign = f & 1;
     f ^= sign;
-    PyObject *key = pack_key(0, m->uid, f);
-    if (key == NULL)
-        return ERR;
-    int64_t result, lo, hi;
+    Key key = pack(0, m->uid, f);
+    int64_t result;
     int hit = probe(c, RENAME, key, &result);
     if (hit)
-        goto done;
+        return hit < 0 ? ERR : result ^ sign;
     int64_t index = f >> 1;
     int64_t level = c->level[index];
     int64_t target = level < m->size ? m->table[level] : level;
-    if (target < 0) {
-        Py_DECREF(key);
+    if (target < 0)
         return ABORT;
-    }
-    lo = rename_rec(c, c->lo[index], m);
+    int64_t lo = rename_rec(c, c->lo[index], m);
     if (lo < 0)
-        goto fail;
-    hi = rename_rec(c, c->hi[index], m);
-    if (hi < 0) {
-        lo = hi;
-        goto fail;
-    }
-    if (target >= c->level[lo >> 1] || target >= c->level[hi >> 1]) {
-        lo = ABORT;
-        goto fail;
-    }
-    result = mk(c, target, lo, hi);
-    if (result < 0 || store(c, RENAME, key, result) < 0) {
-        lo = ERR;
-        goto fail;
-    }
-done:
-    Py_DECREF(key);
-    return hit < 0 ? ERR : result ^ sign;
-fail:
-    Py_DECREF(key);
-    return lo;
+        return lo;
+    int64_t hi = rename_rec(c, c->hi[index], m);
+    if (hi < 0)
+        return hi;
+    if (target >= c->level[lo >> 1] || target >= c->level[hi >> 1])
+        return ABORT;
+    result = store(c, RENAME, key, mk(c, target, lo, hi));
+    return result < 0 ? result : result ^ sign;
 }
 
 static int64_t restrict_rec(Ctx *c, int64_t f, const Map *m)
@@ -663,35 +1019,27 @@ static int64_t restrict_rec(Ctx *c, int64_t f, const Map *m)
         return f;
     int64_t sign = f & 1;
     f ^= sign;
-    PyObject *key = pack_key(0, m->uid, f);
-    if (key == NULL)
-        return ERR;
-    int64_t result, lo, hi;
+    Key key = pack(0, m->uid, f);
+    int64_t result;
     int hit = probe(c, RESTRICT, key, &result);
     if (hit)
-        goto done;
+        return hit < 0 ? ERR : result ^ sign;
     int64_t index = f >> 1;
     int64_t level = c->level[index];
     int64_t fixed = level < m->size ? m->table[level] : -1;
     if (fixed >= 0) {
         result = restrict_rec(c, fixed ? c->hi[index] : c->lo[index], m);
     } else {
-        lo = restrict_rec(c, c->lo[index], m);
+        int64_t lo = restrict_rec(c, c->lo[index], m);
         if (lo < 0)
-            goto fail;
-        hi = restrict_rec(c, c->hi[index], m);
+            return lo;
+        int64_t hi = restrict_rec(c, c->hi[index], m);
         if (hi < 0)
-            goto fail;
+            return hi;
         result = mk(c, level, lo, hi);
     }
-    if (result < 0 || store(c, RESTRICT, key, result) < 0)
-        goto fail;
-done:
-    Py_DECREF(key);
-    return hit < 0 ? ERR : result ^ sign;
-fail:
-    Py_DECREF(key);
-    return ERR;
+    result = store(c, RESTRICT, key, result);
+    return result < 0 ? result : result ^ sign;
 }
 
 /* -- entry points ------------------------------------------------------ */
@@ -892,5 +1240,16 @@ PyMODINIT_FUNC PyInit__native(void)
         || intern(&s_table_full, "_node_table_full") < 0 || intern(&s_consumed, "consumed") < 0
         || intern(&s_budget, "budget") < 0)
         return NULL;
-    return PyModule_Create(&native_module);
+    if (PyType_Ready(&TableType) < 0)
+        return NULL;
+    PyObject *module = PyModule_Create(&native_module);
+    if (module == NULL)
+        return NULL;
+    Py_INCREF(&TableType);
+    if (PyModule_AddObject(module, "Table", (PyObject *)&TableType) < 0) {
+        Py_DECREF(&TableType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

@@ -41,7 +41,8 @@ Node store
 * The unique table and every per-op apply cache are keyed on *packed
   integer keys* (a single small int per probe instead of a tuple object);
   quantifier cubes and rename/restrict maps are interned to per-manager
-  integer ``uid``\\ s so they pack too.
+  integer ``uid``\\ s so they pack too.  Which container holds them depends
+  on the kernel (see "Native kernel" below).
 * The flat layout is what makes read-only shared-memory snapshots of solved
   tables possible (:mod:`repro.bdd.snapshot`).
 
@@ -85,6 +86,15 @@ manager's own vectors, tables, caches and counters and visits, caches and
 allocates in the same order as the Python methods, so both kernels leave
 identical edges, node tables and statistics; the node budget, the
 table-full bound and the deadline countdown raise the same typed errors.
+A manager that runs the native loop keeps its unique table and its
+``and``/``exists``/``and_exists``/``rename``/``restrict`` caches in
+``_native.Table``, an exact open-addressing hash table from packed keys
+(any width below 2**111) to int64 values, whose slots the loop reads and
+writes without a ``PyLong`` or a dict probe per step.  To Python it is a
+mapping with the dict operations GC, :mod:`~repro.bdd.snapshot` and the
+sanitizer use, equal to a dict with the same entries, and its ``clear()``
+frees its slots as ``dict.clear()`` does.  The Python kernel keeps plain
+dicts, as do the ``xor``/``ite`` caches and the snapshot overlay.
 The module is compiled at first import (:func:`_load_native`) and cached
 in ``__pycache__/``; when it cannot be built or loaded the Python methods
 run instead, and they stay the oracle the native loop is tested against
@@ -120,6 +130,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    MutableMapping,
     Optional,
     Sequence,
     Tuple,
@@ -239,6 +250,9 @@ class BddManager:
 
     #: Node-store layout name, reported by :meth:`stats`.
     STORE = "array"
+    #: Whether the native kernel can run on this class's node store (it
+    #: needs the flat vectors; see "Native kernel" above).
+    _NATIVE_STORE = True
 
     #: Sentinel level used for the terminal node; greater than any variable.
     _TERMINAL_LEVEL = 1 << 60
@@ -259,24 +273,28 @@ class BddManager:
         self._debug_checks = bool(debug_checks)
         # The compiled apply loop (see "Native kernel" above), or None to run
         # the Python recursions.
-        self._native = _native
+        self._native = _native if self._NATIVE_STORE else None
+        # The native loop keeps the tables it works on in its own exact hash
+        # table; the Python kernel keeps plain dicts.
+        table = dict if self._native is None else self._native.Table
         # Parallel node vectors.  Index 0 is the sole terminal; a signed edge
         # is (index << 1) | complement, so FALSE = 0 and TRUE = 1.
         self._level = array("q", [self._TERMINAL_LEVEL])
         self._lo = array("q", [0])
         self._hi = array("q", [0])
         # Unique table: packed (level, lo_edge, hi_edge) key -> node index.
-        self._unique: Dict[int, int] = {}
+        self._unique: MutableMapping[int, int] = table()
         # Operation caches, one per operation family so one workload cannot
         # evict another's entries.  `or` rides the `and` cache (De Morgan),
-        # `iff` rides `xor`, `forall` rides `exists`.
-        self._and_cache: Dict[int, int] = {}
+        # `iff` rides `xor`, `forall` rides `exists`.  The five the native
+        # loop runs use its table; `xor` and `ite` are Python only, so dicts.
+        self._and_cache: MutableMapping[int, int] = table()
         self._xor_cache: Dict[int, int] = {}
         self._ite_cache: Dict[int, int] = {}
-        self._exists_cache: Dict[int, int] = {}
-        self._and_exists_cache: Dict[int, int] = {}
-        self._rename_cache: Dict[int, int] = {}
-        self._restrict_cache: Dict[int, int] = {}
+        self._exists_cache: MutableMapping[int, int] = table()
+        self._and_exists_cache: MutableMapping[int, int] = table()
+        self._rename_cache: MutableMapping[int, int] = table()
+        self._restrict_cache: MutableMapping[int, int] = table()
         # Interning tables for quantifier cubes and rename/restrict maps; each
         # interned object gets a per-manager uid that packs into cache keys.
         self._cube_table: Dict[Tuple[int, ...], QuantCube] = {}
@@ -1334,10 +1352,10 @@ class BddManager:
             unique = self._unique
             rebuild = reclaimed * 2 >= len(unique)
             if rebuild:
-                self._unique = {
-                    (level[i] << LEVEL_SHIFT) | (lo[i] << EDGE_BITS) | hi[i]: base + i
+                self._unique = type(unique)(
+                    ((level[i] << LEVEL_SHIFT) | (lo[i] << EDGE_BITS) | hi[i], base + i)
                     for i in live
-                }
+                )
             # Every run of unmarked slots is dead (or already free).  Runs
             # below the last live slot are cleared with one slice assignment
             # per vector and free-listed; the trailing run is trimmed.

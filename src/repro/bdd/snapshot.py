@@ -320,6 +320,10 @@ class SnapshotOverlayManager(BddManager):
     overlay *is* cheap, and session-pool LRU pricing must see it that way.
     """
 
+    #: The native kernel works on flat arrays; the chained base/tail vectors
+    #: and the frozen-table probe in `_mk` stay Python, with dict tables.
+    _NATIVE_STORE = False
+
     def __init__(self, view: SnapshotView, **kwargs) -> None:
         self._view = view
         super().__init__(list(view.var_names), **kwargs)
@@ -327,11 +331,7 @@ class SnapshotOverlayManager(BddManager):
         self._level = _ChainVec(view.level, array("q"))
         self._lo = _ChainVec(view.lo, array("q"))
         self._hi = _ChainVec(view.hi, array("q"))
-        self._unique = {}
         self._free = []
-        # The native kernel works on flat arrays; the chained base/tail
-        # vectors and the frozen-table probe in `_mk` stay Python.
-        self._native = None
 
     # -- node creation ---------------------------------------------------
     def _mk(self, level: int, lo: int, hi: int) -> int:

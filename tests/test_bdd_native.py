@@ -277,3 +277,48 @@ def test_managers_stay_usable_after_a_budget_error():
         for name in VARS:
             mgr.var(name)
     assert not any(isinstance(o, Exception) for o in conjoin_in_step(native, python))
+
+
+def test_wide_cache_keys_match_the_python_kernel():
+    # Once a cube's uid reaches 2**15, an and_exists key ((uid << 24 | f)
+    # << 24) | g no longer fits 63 bits.  Intern 2**15 cubes that each hold
+    # one of eight padding levels first, so every cube the ops below name
+    # gets such a uid, then check that both kernels file and find the wide
+    # keys alike, across a GC.
+    padding = [f"p{i}" for i in range(8)]
+    native, python = BddManager(VARS + padding), python_manager(VARS + padding)
+    levels = range(len(VARS) + len(padding))
+    fillers = (
+        subset
+        for size in range(1, len(levels) + 1)
+        for subset in itertools.combinations(levels, size)
+        if subset[-1] >= len(VARS)
+    )
+    for subset in itertools.islice(fillers, 1 << 15):
+        for mgr in (native, python):
+            mgr.quant_cube(subset)
+    for mgr in (native, python):
+        for name in VARS:
+            mgr.var(name)
+    ops = [
+        ("or", 0, 1),
+        ("and", 0, 2),
+        ("xor", 1, 3),
+        ("and_exists", 0, 1, {"a", "x"}),
+        ("exists", 1, {"b", "c", "y"}),
+        ("forall", 2, {"a", "d"}),
+        ("gc", 0b1010101),
+        ("and", 1, 3),
+        ("and_exists", 0, 2, {"a", "x"}),
+        ("and_exists", 1, 2, {"c", "z", "w"}),
+        ("exists", 0, {"b", "c", "y"}),
+    ]
+    run(native, python, ops)
+    for mgr in (native, python):
+        for name in VARS:
+            mgr.var(name)
+    conjoin_in_step(native, python)
+    assert min(cube.uid for cube in python._cube_table.values() if cube.levels[-1] < 8) >= 1 << 15
+    assert max(python._and_exists_cache) >= 1 << 63
+    assert native._and_exists_cache == python._and_exists_cache
+    assert native._exists_cache == python._exists_cache
