@@ -244,6 +244,14 @@ def build_cbr_system(encoder: ConcurrentEncoder, context_switches: int) -> Algor
     )
 
 
+#: Variable-order rank of the context-switch counters.  ``Reach`` is applied
+#: to the counter pairs (ecs, cs), (ecsp, cs), (ecs, csp), (csp, cs),
+#: (ecsp, csp) and (ecs, css); in this order each of them keeps the order of
+#: the formal pair (ecs, cs), so every Reach rename is a monotone shift that
+#: the structural rebuild handles.
+_COUNTER_RANK = {name: rank for rank, name in enumerate(("ecs", "ecsp", "csp", "css", "cs"))}
+
+
 def _cbr_bit_order(encoder: ConcurrentEncoder, spec: AlgorithmSpec) -> List[str]:
     """Interleave the context-switch global copies with the state copies.
 
@@ -279,10 +287,17 @@ def _cbr_bit_order(encoder: ConcurrentEncoder, spec: AlgorithmSpec) -> List[str]
             order.append(bit)
 
     # Control bits first: cs counters, thread schedule, module and pc copies.
-    for name, var in variables.items():
-        if isinstance(var.sort, EnumSort) and var.sort.name in ("CS", "Thread"):
-            for bit in var.bit_names():
-                push(bit)
+    counters = sorted(
+        (
+            name
+            for name, var in variables.items()
+            if isinstance(var.sort, EnumSort) and var.sort.name in ("CS", "Thread")
+        ),
+        key=lambda name: _COUNTER_RANK.get(name, len(_COUNTER_RANK)),
+    )
+    for name in counters:
+        for bit in variables[name].bit_names():
+            push(bit)
     for name, var in variables.items():
         if var.sort.name == "TVec":
             for bit in var.bit_names():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.algorithms import run_concurrent
 from repro.baselines import run_concurrent_explicit
+from repro.benchgen import make_bluetooth
 from repro.boolprog import parse_concurrent_program
 from repro.encode.concurrent import ConcurrentEncoder
 from repro.frontends import check_concurrent_reachability
@@ -116,6 +117,16 @@ class TestReachabilityStructure:
         program = parse_concurrent_program(HANDOFF)
         with pytest.raises(ValueError):
             run_concurrent(program, locations(program, "ping:main:hit"), context_switches=-1)
+
+    def test_reach_renames_stay_structural(self):
+        # The context-switch counters are ordered so that every Reach
+        # application renames them monotonically; only the input-relation
+        # renames may still fall back to ite (61 did with the counters in
+        # discovery order).
+        program = make_bluetooth(1, 1)
+        result = run_concurrent(program, locations(program), context_switches=1)
+        assert not result.reachable
+        assert result.stats["manager"]["rename_fallback"] <= 5
 
 
 class TestExplicitSolverDetails:
