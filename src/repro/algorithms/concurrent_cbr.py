@@ -50,7 +50,7 @@ from ..fixedpoint import (
 )
 from ..fixedpoint.symbolic import SymbolicBackend, default_bit_order
 from ..fixedpoint.terms import Field
-from ..limits import ResourceLimits
+from ..limits import MAX_ITERATIONS, ResourceLimits
 from .common import AlgorithmSpec, compile_query, finish_symbolic_run
 from .result import ReachabilityResult
 
@@ -325,7 +325,6 @@ def run_concurrent(
     target_locations: Sequence[Tuple[int, int]],
     context_switches: int,
     early_stop: bool = True,
-    max_iterations: int = 100_000,
     validate: bool = True,
     count_states: bool = False,
     limits: Optional["ResourceLimits"] = None,
@@ -344,8 +343,6 @@ def run_concurrent(
     engine has no cheaper algorithm to degrade to.
     """
     started = time.perf_counter()
-    if limits is not None and limits.max_iterations is not None:
-        max_iterations = limits.max_iterations
     if validate:
         check_concurrent_program(program)
     encoder = ConcurrentEncoder(program)
@@ -371,7 +368,7 @@ def run_concurrent(
         spec.target_relation,
         backend,
         inputs,
-        max_iterations=max_iterations,
+        max_iterations=(limits and limits.max_iterations) or MAX_ITERATIONS,
         stop=stop,
     )
     reachable = query_holds(evaluation.interpretations)

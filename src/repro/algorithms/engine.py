@@ -8,11 +8,13 @@ or :mod:`~repro.algorithms.entry_forward_opt`) provides the fixed-point
 formula, and the symbolic evaluator (:mod:`repro.fixedpoint`) plays the role
 of MUCKE.
 
-Since the session API landed, :func:`run_sequential` and :func:`run_batch`
-are thin compatibility wrappers: a `run_sequential` call opens a one-shot
-:class:`repro.api.AnalysisSession`, answers the single query and closes the
-session — same signature, same semantics, same result record as the old
-monolithic pipeline.  Callers with several targets on one program should
+:func:`run_sequential` and :func:`run_batch` are thin wrappers over the
+session API: a `run_sequential` call opens a one-shot
+:class:`repro.api.AnalysisSession`, answers the single query with
+:meth:`~repro.api.AnalysisSession.check` and closes the session.  The
+post-answer policy — the ``ResourceLimits.degrade`` retry and witness
+attachment — is session behaviour, shared by every entry point rather than
+re-implemented here.  Callers with several targets on one program should
 hold a session (or let :func:`run_batch` group by program) so validation,
 encoding and the summary fixed point are paid once, not per query.
 """
@@ -23,8 +25,7 @@ import time
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from ..boolprog import Program
-from ..errors import ResourceExhausted
-from ..limits import DEGRADATION_LADDER, ResourceLimits
+from ..limits import ResourceLimits
 from . import entry_forward, entry_forward_opt, summary_basic
 from .result import ReachabilityResult
 
@@ -43,7 +44,6 @@ def run_sequential(
     target_locations: Sequence[Tuple[int, int]],
     algorithm: str = "ef-opt",
     early_stop: bool = True,
-    max_iterations: int = 100_000,
     validate: bool = True,
     limits: Optional[ResourceLimits] = None,
     optimize: int = 0,
@@ -66,11 +66,9 @@ def run_sequential(
     limits:
         Optional :class:`~repro.limits.ResourceLimits` envelope for the
         query.  Exhaustion raises the typed
-        :class:`~repro.errors.ResourceExhausted` subclass — unless
-        ``limits.degrade`` is set and :data:`~repro.limits.DEGRADATION_LADDER`
-        names a cheaper algorithm, in which case the query is retried once
-        with it (same limits) and a successful retry records the original
-        algorithm in ``ReachabilityResult.degraded_from``.
+        :class:`~repro.errors.ResourceExhausted` subclass, or with
+        ``limits.degrade`` retries on the cheaper algorithm as
+        :meth:`repro.api.AnalysisSession.check` describes.
     optimize:
         Static pre-analysis level (:mod:`repro.analysis`).  This entry
         point takes numeric ``(module, pc)`` targets, whose numbering only
@@ -81,40 +79,17 @@ def run_sequential(
     # Imported lazily: repro.api builds on this module's algorithm registry.
     from ..api.session import AnalysisSession
 
-    if algorithm not in SEQUENTIAL_ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose one of {sorted(SEQUENTIAL_ALGORITHMS)}"
-        )
     started = time.perf_counter()
-    attempts = [algorithm]
-    if limits is not None and limits.degrade:
-        fallback = DEGRADATION_LADDER.get(algorithm)
-        if fallback is not None:
-            attempts.append(fallback)
-    locations = [tuple(location) for location in target_locations]
-    for position, attempt in enumerate(attempts):
-        try:
-            session = AnalysisSession(
-                program,
-                default_algorithm=attempt,
-                validate=validate,
-                max_iterations=max_iterations,
-                limits=limits,
-                optimize=min(int(optimize), 1),
-            )
-            try:
-                result = session.check(locations, algorithm=attempt, early_stop=early_stop)
-            finally:
-                session.close()
-        except ResourceExhausted:
-            if position == len(attempts) - 1:
-                raise
-            continue
-        if position > 0:
-            result.degraded_from = algorithm
-        result.total_seconds = time.perf_counter() - started
-        return result
-    raise AssertionError("unreachable: every attempt either returned or raised")
+    with AnalysisSession(
+        program,
+        default_algorithm=algorithm,
+        validate=validate,
+        limits=limits,
+        optimize=min(int(optimize), 1),
+    ) as session:
+        result = session.check(list(target_locations), early_stop=early_stop)
+    result.total_seconds = time.perf_counter() - started
+    return result
 
 
 def run_batch(

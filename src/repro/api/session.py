@@ -83,10 +83,10 @@ from ..fixedpoint import evaluate_nested, evaluate_simultaneous
 from ..fixedpoint.evaluator import EvaluationResult
 from ..fixedpoint.symbolic import SymbolicBackend
 from ..frontends.getafix import TargetSpec, resolve_target_locations
-from ..limits import ResourceLimits
+from ..limits import DEGRADATION_LADDER, MAX_ITERATIONS, ResourceLimits
 from ..testing import faults
 
-__all__ = ["AnalysisSession", "SessionSnapshot", "SessionSpec", "SolveInfo"]
+__all__ = ["AnalysisSession", "SessionSnapshot", "SolveInfo"]
 
 #: Algorithms whose evaluation is plain monotone Kleene iteration, making an
 #: early-stopped intermediate iterate a sound warm-start seed.
@@ -102,47 +102,6 @@ def _picklable(value: object) -> bool:
         return True
     except Exception:
         return False
-
-
-@dataclass(frozen=True)
-class SessionSpec:
-    """Picklable description of a session, for shipping into workers.
-
-    A :class:`AnalysisSession` holds BDD managers, compiled plans and GC
-    hooks — none of which may cross a process boundary (see the ownership
-    contract in :mod:`repro.parallel.shards`).  A spec is the plain-data
-    form: program source (or a parsed, picklable
-    :class:`~repro.boolprog.Program`) plus construction options.  Workers
-    call :meth:`open` to build the real session locally.
-    """
-
-    program: Union[str, Program]
-    default_algorithm: str = "ef-opt"
-    validate: bool = True
-    max_iterations: int = 100_000
-    limits: Optional[ResourceLimits] = None
-    optimize: int = 0
-    slice_targets: Optional[Tuple[str, ...]] = None
-
-    def open(self) -> "AnalysisSession":
-        """Build the session this spec describes (in the calling process)."""
-        return AnalysisSession(
-            self.program,
-            default_algorithm=self.default_algorithm,
-            validate=self.validate,
-            max_iterations=self.max_iterations,
-            limits=self.limits,
-            optimize=self.optimize,
-            slice_targets=self.slice_targets,
-        )
-
-    def is_picklable(self) -> bool:
-        """Whether this spec can cross a process boundary."""
-        try:
-            pickle.dumps(self)
-            return True
-        except Exception:
-            return False
 
 
 @dataclass
@@ -316,17 +275,15 @@ class AnalysisSession:
         The algorithm used when ``solve``/``check`` are called without one.
     validate:
         Run ``check_program`` once, at construction (never again per query).
-    max_iterations:
-        Outer-iteration budget passed to the fixed-point evaluators.
     limits:
         Optional :class:`~repro.limits.ResourceLimits` envelope.  The node
         budget is installed on every compiled algorithm's private manager;
-        the wall-clock deadline is armed per query; ``max_iterations``
-        (when set in the limits) overrides the parameter of the same name.
+        the wall-clock deadline and the iteration budget govern each query.
         A query that exhausts the envelope raises the typed
-        :class:`~repro.errors.ResourceExhausted` subclass and leaves the
-        session usable: compiled artifacts and retained interpretations
-        survive, and later queries (or :meth:`set_limits`) proceed normally.
+        :class:`~repro.errors.ResourceExhausted` subclass (or degrades; see
+        :meth:`check`) and leaves the session usable: compiled artifacts
+        and retained interpretations survive, and later queries (or
+        :meth:`set_limits`) proceed normally.
     optimize:
         Static pre-analysis level (0, 1 or 2; see
         :func:`repro.analysis.optimize`).  The pass pipeline runs ONCE, at
@@ -354,7 +311,6 @@ class AnalysisSession:
         *,
         default_algorithm: str = "ef-opt",
         validate: bool = True,
-        max_iterations: int = 100_000,
         limits: Optional[ResourceLimits] = None,
         optimize: int = 0,
         slice_targets: Optional[Sequence[str]] = None,
@@ -367,10 +323,6 @@ class AnalysisSession:
         self.program = program if isinstance(program, Program) else parse_program(program)
         self.default_algorithm = default_algorithm
         self.limits = limits
-        self._default_max_iterations = max_iterations
-        if limits is not None and limits.max_iterations is not None:
-            max_iterations = limits.max_iterations
-        self.max_iterations = max_iterations
         self.validations = 0
         if validate:
             check_program(self.program)
@@ -546,11 +498,20 @@ class AnalysisSession:
             warm_started=seed is not None,
         )
 
+    def solved(self, algorithm: Optional[str] = None) -> bool:
+        """Whether ``algorithm``'s summary fixed point is retained.
+
+        A query on a solved algorithm is a post-pass (a *warm* hit).
+        """
+        state = self._states.get(algorithm or self.default_algorithm)
+        return state is not None and state.solved is not None
+
     def check(
         self,
         target: TargetSpec,
         algorithm: Optional[str] = None,
         early_stop: bool = True,
+        witness: bool = False,
     ):
         """Answer one reachability query against the compiled artifacts.
 
@@ -562,8 +523,40 @@ class AnalysisSession:
         retained.  Returns a
         :class:`~repro.algorithms.ReachabilityResult` whose ``details``
         carry the session reuse flags (``reused_solve``, ``warm_start``).
+
+        Every entry point answers through here, so the post-answer policy
+        lives here too.  When the query exhausts its envelope and
+        ``limits.degrade`` is set, it is retried once in this session on
+        the :data:`~repro.limits.DEGRADATION_LADDER` fallback and the
+        result records ``degraded_from``.  With ``witness``, a reachable
+        verdict carries the :meth:`explain` trace in ``result.witness``; a
+        trace that fails extraction or replay is recorded as
+        ``details["witness_error"]`` instead and never changes the verdict.
         """
         started = time.perf_counter()
+        answered = algorithm or self.default_algorithm
+        try:
+            result = self._query(answered, target, early_stop, started)
+        except ResourceExhausted:
+            fallback = DEGRADATION_LADDER.get(answered)
+            if fallback is None or self.limits is None or not self.limits.degrade:
+                raise
+            result = self._query(fallback, target, early_stop, started)
+            result.degraded_from, answered = answered, fallback
+        if witness and result.reachable:
+            from ..witness import WitnessError
+
+            try:
+                trace = self.explain(target, algorithm=answered)
+            except WitnessError as exc:
+                result.details["witness_error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                result.witness = trace.to_dict() if trace is not None else None
+        return result
+
+    def _query(
+        self, algorithm: str, target: TargetSpec, early_stop: bool, started: float
+    ) -> ReachabilityResult:
         state = self._state(algorithm)
         faults.on_query(state.algorithm)
         with self._governed(state):
@@ -698,20 +691,19 @@ class AnalysisSession:
         targets: Sequence[TargetSpec],
         algorithm: Optional[str] = None,
         early_stop: bool = True,
-        solve_first: bool = True,
     ) -> List:
         """Answer a batch of queries, amortising one solve across them.
 
-        With ``solve_first`` (the default) and more than one target, the
-        summary fixed point is solved once up front and every query is a
-        post-pass — the compile-once/query-many fast path.  Verdicts are
+        With more than one target, the summary fixed point is solved once
+        up front and every query is a post-pass — the
+        compile-once/query-many fast path.  Verdicts are
         identical to fresh per-target runs; iteration counts equal those of
         a fresh full (``early_stop=False``) evaluation, which is
         target-independent for target-free systems.
         """
         targets = list(targets)
         state = self._state(algorithm)
-        if solve_first and state.target_free and len(targets) > 1 and state.solved is None:
+        if state.target_free and len(targets) > 1 and state.solved is None:
             self.solve(state.algorithm)
         return [
             self.check(target, algorithm=state.algorithm, early_stop=early_stop)
@@ -808,7 +800,6 @@ class AnalysisSession:
         snapshot: SessionSnapshot,
         *,
         limits: Optional[ResourceLimits] = None,
-        max_iterations: int = 100_000,
     ) -> "AnalysisSession":
         """Attach to a frozen solved table and serve query post-passes.
 
@@ -832,7 +823,6 @@ class AnalysisSession:
                 snapshot.program,
                 default_algorithm=snapshot.algorithm,
                 validate=False,
-                max_iterations=max_iterations,
                 limits=limits,
             )
             state = _AlgorithmState(session, snapshot.algorithm, manager=overlay)
@@ -895,10 +885,6 @@ class AnalysisSession:
         session whose envelope proved too tight without recompiling.
         """
         self.limits = limits
-        if limits is not None and limits.max_iterations is not None:
-            self.max_iterations = limits.max_iterations
-        else:
-            self.max_iterations = self._default_max_iterations
         for state in self._states.values():
             state.backend.manager.set_node_budget(
                 limits.node_budget if limits is not None else None
@@ -950,7 +936,7 @@ class AnalysisSession:
             state.spec.target_relation,
             state.backend,
             inputs,
-            max_iterations=self.max_iterations,
+            max_iterations=(self.limits and self.limits.max_iterations) or MAX_ITERATIONS,
             stop=stop,
             seed=seed,
         )

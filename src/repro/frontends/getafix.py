@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..algorithms import ReachabilityResult, run_concurrent, run_sequential
-from ..algorithms.engine import SEQUENTIAL_ALGORITHMS
+from ..algorithms import ReachabilityResult, run_concurrent
 from ..analysis.passes import normalise_slice_targets
 from ..limits import ResourceLimits
 from ..boolprog import (
@@ -24,7 +23,6 @@ from ..boolprog import (
     Program,
     build_cfg,
     parse_concurrent_program,
-    parse_program,
 )
 from ..encode.concurrent import ConcurrentEncoder
 
@@ -36,12 +34,6 @@ __all__ = [
 ]
 
 TargetSpec = Union[str, Sequence[Tuple[int, int]], Sequence[str]]
-
-
-def _as_program(program: Union[str, Program]) -> Program:
-    if isinstance(program, Program):
-        return program
-    return parse_program(program)
 
 
 def _as_concurrent(program: Union[str, ConcurrentProgram]) -> ConcurrentProgram:
@@ -123,14 +115,17 @@ def check_reachability(
 
     ``algorithm`` is one of ``"summary"``, ``"ef"`` or ``"ef-opt"`` (the three
     fixed-point formulations of Section 4, in increasing order of efficiency).
-    ``limits`` is an optional :class:`~repro.limits.ResourceLimits` envelope;
-    see :func:`repro.algorithms.run_sequential` for its exhaustion and
-    degradation semantics.  ``optimize`` runs the static pre-analysis
+    The query runs in a one-shot :class:`repro.api.AnalysisSession`, so
+    ``limits`` (an optional :class:`~repro.limits.ResourceLimits` envelope)
+    and ``witness`` behave exactly as in
+    :meth:`~repro.api.AnalysisSession.check`: exhaustion raises the typed
+    error or, with ``limits.degrade``, retries on the cheaper algorithm and
+    records ``degraded_from``.  ``optimize`` runs the static pre-analysis
     pipeline (:mod:`repro.analysis`) before encoding: level 1 is pc-stable,
-    level 2 additionally prunes/slices — with a string target spec the
-    query is routed through a session that resolves the spec against the
-    *optimized* CFG (and slices towards it); an explicit ``(module, pc)``
-    list pins the raw numbering, capping the level at 1.
+    level 2 additionally prunes/slices — a string target spec is resolved
+    against the *optimized* CFG (and the program sliced towards it); an
+    explicit ``(module, pc)`` list pins the raw numbering, capping the
+    level at 1.
 
     With ``witness`` a reachable verdict additionally carries a
     replay-validated counterexample trace in ``result.witness`` (the
@@ -140,44 +135,21 @@ def check_reachability(
     error is recorded under ``details["witness_error"]`` and ``witness``
     stays None.
     """
-    if algorithm not in SEQUENTIAL_ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose one of {sorted(SEQUENTIAL_ALGORITHMS)}"
-        )
-    parsed = _as_program(program)
+    # Imported lazily: repro.api builds on this front end's resolvers.
+    from ..api.session import AnalysisSession
+
     optimize = int(optimize)
-    if optimize > 0 or witness:
-        # Imported lazily: repro.api builds on this front end's resolvers.
-        from ..api.session import AnalysisSession
-
-        specs = normalise_slice_targets(target)
-        if specs is None:
-            optimize = min(optimize, 1)
-        session = AnalysisSession(
-            parsed,
-            default_algorithm=algorithm,
-            limits=limits,
-            optimize=optimize,
-            slice_targets=specs if optimize >= 2 else None,
-        )
-        try:
-            result = session.check(target, algorithm=algorithm, early_stop=early_stop)
-            if witness and result.reachable:
-                from ..witness import WitnessError
-
-                try:
-                    trace = session.explain(target, algorithm=algorithm)
-                except WitnessError as exc:
-                    result.details["witness_error"] = f"{type(exc).__name__}: {exc}"
-                else:
-                    result.witness = trace.to_dict() if trace is not None else None
-            return result
-        finally:
-            session.close()
-    locations = resolve_target(parsed, target)
-    return run_sequential(
-        parsed, locations, algorithm=algorithm, early_stop=early_stop, limits=limits
-    )
+    specs = normalise_slice_targets(target)
+    if specs is None:
+        optimize = min(optimize, 1)
+    with AnalysisSession(
+        program,
+        default_algorithm=algorithm,
+        limits=limits,
+        optimize=optimize,
+        slice_targets=specs if optimize >= 2 else None,
+    ) as session:
+        return session.check(target, early_stop=early_stop, witness=witness)
 
 
 def check_concurrent_reachability(

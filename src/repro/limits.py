@@ -17,7 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ResourceLimits", "DEGRADATION_LADDER"]
+__all__ = ["ResourceLimits", "DEGRADATION_LADDER", "MAX_ITERATIONS"]
+
+#: Outer fixed-point iteration budget of a query whose limits set none.
+MAX_ITERATIONS = 100_000
 
 #: Cheaper-algorithm fallback used when ``ResourceLimits.degrade`` is set:
 #: the entry/forward variants retry as the plain summary algorithm (smaller
@@ -47,15 +50,17 @@ class ResourceLimits:
         reclaim before the hard bound; crossing it raises
         :class:`repro.errors.NodeBudgetExceeded`.
     max_iterations:
-        Outer fixed-point iteration budget.  Overrides the engine default
-        when set; exhaustion raises
+        Outer fixed-point iteration budget; unset means
+        :data:`MAX_ITERATIONS`.  Exhaustion raises
         :class:`repro.fixedpoint.evaluator.EvaluationError` (a
         ``ResourceExhausted`` subclass).
     degrade:
-        When True, a query that exhausts its envelope is retried once with
-        the cheaper algorithm from :data:`DEGRADATION_LADDER` (same limits);
-        a successful retry records the original algorithm in
-        ``ReachabilityResult.degraded_from``.
+        When True, a sequential query that exhausts its envelope is retried
+        once, in the same session, with the cheaper algorithm from
+        :data:`DEGRADATION_LADDER` (same limits); a successful retry records
+        the original algorithm in ``ReachabilityResult.degraded_from``.
+        The retry is :meth:`repro.api.AnalysisSession.check` behaviour, so
+        every sequential entry point shares it.
     """
 
     deadline_seconds: Optional[float] = None

@@ -55,9 +55,6 @@ class _CacheEntry:
 
     def __init__(self, session: AnalysisSession, from_snapshot: bool = False) -> None:
         self.session = session
-        #: Algorithms whose summary fixed point this session has solved; a
-        #: repeat query on one of them is a *warm* hit (post-pass, no solve).
-        self.solved: set = set()
         #: The session was attached from a daemon-catalog snapshot (the
         #: solve was skipped); the first query on it reports the attach.
         self.from_snapshot = from_snapshot
@@ -111,8 +108,6 @@ class SessionCache:
                     slice_targets=job.slice_targets,
                 )
             entry = _CacheEntry(session, from_snapshot=from_snapshot)
-            if from_snapshot:
-                entry.solved.add(job.snapshot.algorithm)
             self._entries[job.program_hash] = entry
         return entry
 
@@ -144,7 +139,8 @@ def _session_outcome(cache: SessionCache, job: QueryJob) -> QueryOutcome:
     # The envelope is per request, but the session is shared across requests
     # (and budgets): re-arm before every query.
     session.set_limits(job.limits)
-    warm = job.algorithm in entry.solved
+    # A repeat query on a solved algorithm is a *warm* hit (post-pass).
+    warm = session.solved(job.algorithm)
     if not warm and not job.close_session:
         # Solve the target-independent summary up front so every later
         # query on this (program, algorithm) is a post-pass — the warm-hit
@@ -154,29 +150,18 @@ def _session_outcome(cache: SessionCache, job: QueryJob) -> QueryOutcome:
             session.solve(job.algorithm)
         except (ResourceExhausted, ValueError):
             pass
-    target = list(job.target) if isinstance(job.target, tuple) else job.target
-    algorithm = job.algorithm
-    try:
-        result = session.check(target, algorithm=algorithm, early_stop=job.early_stop)
-    except ResourceExhausted:
-        fallback = (
-            DEGRADATION_LADDER.get(algorithm)
-            if job.limits is not None and job.limits.degrade
-            else None
-        )
-        if fallback is None:
-            raise
-        result = session.check(target, algorithm=fallback, early_stop=job.early_stop)
-        result.degraded_from = algorithm
-        algorithm = fallback
-    # A query answered from (or promoted to) the retained summary leaves
-    # the session solved for this algorithm: the next query is a warm hit.
-    if result.details.get("reused_solve") or not result.stopped_early:
-        entry.solved.add(algorithm)
+    result = session.check(
+        list(job.target) if isinstance(job.target, tuple) else job.target,
+        algorithm=job.algorithm,
+        early_stop=job.early_stop,
+        witness=job.witness,
+    )
+    # The session answered on the ladder's fallback if the query degraded.
+    algorithm = DEGRADATION_LADDER[job.algorithm] if result.degraded_from else job.algorithm
     snapshot = None
     if (
         job.publish_snapshot
-        and algorithm in entry.solved
+        and session.solved(algorithm)
         and algorithm not in entry.published
         and not entry.from_snapshot
     ):
@@ -189,20 +174,6 @@ def _session_outcome(cache: SessionCache, job: QueryJob) -> QueryOutcome:
             entry.published.add(algorithm)
         except Exception:  # noqa: BLE001 — snapshots are an optimisation
             snapshot = None
-    if job.witness and result.reachable:
-        # Witness extraction is a post-pass on the session's retained
-        # summary; a typed failure is recorded next to the (authoritative)
-        # verdict, never instead of it.
-        from ..witness import WitnessError
-
-        try:
-            trace = session.explain(target, algorithm=algorithm)
-        except WitnessError as exc:
-            result.details["witness_error"] = f"{type(exc).__name__}: {exc}"
-        else:
-            result.witness = trace.to_dict() if trace is not None else None
-        # explain() solves when needed, so the session is warm afterwards.
-        entry.solved.add(algorithm)
     attached = entry.from_snapshot and not entry.attach_reported
     entry.attach_reported = True
     return QueryOutcome(

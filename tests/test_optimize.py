@@ -33,7 +33,6 @@ from repro.analysis import (
     slice_to_targets,
 )
 from repro.api import AnalysisSession
-from repro.api.session import SessionSpec
 from repro.baselines import run_bebop
 from repro.benchgen import DriverSpec, make_driver, random_program
 from repro.boolprog import (
@@ -302,17 +301,6 @@ class TestSessionIntegration:
     def test_numeric_slice_targets_rejected_up_front(self):
         with pytest.raises(ValueError):
             AnalysisSession(DEAD_CODE, optimize=2, slice_targets=[(0, 3)])
-
-    def test_session_spec_round_trip(self):
-        spec = SessionSpec(
-            program=DEAD_CODE, optimize=2, slice_targets=("main:target",)
-        )
-        session = spec.open()
-        try:
-            assert session.optimize_level == 2
-            assert session.check("main:target").reachable is True
-        finally:
-            session.close()
 
     def test_failed_pipeline_degrades_to_raw(self, monkeypatch):
         import repro.api.session as session_mod

@@ -12,6 +12,7 @@ layer classifies it as ``resource``/``timeout`` rather than ``crashed``.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import json
 import pickle
@@ -31,6 +32,7 @@ from repro.fixedpoint.evaluator import EvaluationError
 from repro.frontends import check_reachability, main
 from repro.limits import DEGRADATION_LADDER, ResourceLimits
 from repro.parallel import BatchQuery, run_shards
+from repro.service import AnalysisDaemon, DaemonConfig
 from repro.testing import FaultPlan, faults
 
 VAR_NAMES = ["a", "b", "c", "d"]
@@ -262,6 +264,34 @@ class TestSessionGovernance:
         assert result.degraded_from == "ef-opt"
         assert result.algorithm == "getafix-summary"
 
+    @pytest.mark.parametrize(
+        "optimize,witness", [(0, True), (1, False), (1, True), (2, False), (2, True)]
+    )
+    def test_degradation_ladder_at_every_level(self, optimize, witness):
+        # The ladder is session behaviour: it holds whatever pre-analysis
+        # level or witness flag routes the query.  The (0, False) case is
+        # test_degradation_ladder_records_origin.
+        faults.install(FaultPlan(exhaust_algorithms=("ef-opt",)))
+        try:
+            result = check_reachability(
+                POSITIVE,
+                target="main:target",
+                algorithm="ef-opt",
+                limits=ResourceLimits(node_budget=10_000, degrade=True),
+                optimize=optimize,
+                witness=witness,
+            )
+        finally:
+            faults.clear()
+        assert result.reachable
+        assert result.degraded_from == "ef-opt"
+        assert result.algorithm == "getafix-summary"
+        if witness:
+            assert result.witness["validated"] is True
+            assert result.witness["algorithm"] == "summary"
+        else:
+            assert result.witness is None
+
     def test_exhaustion_without_degrade_reraises(self):
         faults.install(FaultPlan(exhaust_algorithms=("ef-opt",)))
         try:
@@ -376,6 +406,52 @@ class TestBatchClassification:
         assert all(row["error_detail"]["resource"] == "wall-clock" for row in rows)
         table = report.format_table()
         assert "ERROR[timeout]" in table and "statuses: timeout=2" in table
+
+    def test_degrade_on_the_job_path(self):
+        report = run_batch(
+            [
+                BatchQuery(
+                    name="p",
+                    program=POSITIVE,
+                    target="main:target",
+                    limits=ResourceLimits(node_budget=10_000, degrade=True),
+                    witness=True,
+                )
+            ],
+            fault_plan=FaultPlan(exhaust_algorithms=("ef-opt",)),
+        )
+        (shard,) = report.shards
+        assert shard.status == "ok"
+        assert shard.result.degraded_from == "ef-opt"
+        assert shard.result.witness["validated"] is True
+        assert report.rows()[0]["degraded_from"] == "ef-opt"
+
+    def test_degrade_on_the_daemon_path(self):
+        async def scenario():
+            daemon = AnalysisDaemon(
+                DaemonConfig(workers=0, fault_plan=FaultPlan(exhaust_algorithms=("ef-opt",)))
+            )
+            await daemon.start()
+            try:
+                return await daemon.handle_request(
+                    {
+                        "op": "query",
+                        "program": POSITIVE,
+                        "target": "main:target",
+                        "node_budget": 10_000,
+                        "degrade": True,
+                    }
+                )
+            finally:
+                await daemon.shutdown(drain=False)
+
+        try:
+            response = asyncio.run(scenario())
+        finally:
+            faults.clear()
+        assert response["ok"] and response["reachable"] is True
+        assert response["degraded_from"] == "ef-opt"
+        assert response["algorithm"] == "getafix-summary"
 
     def test_per_query_limits_shard_grouping(self):
         # Queries with different envelopes must not share a session group.
@@ -588,3 +664,19 @@ class TestCliExitCodes:
         assert status == 1
         out = capsys.readouterr().out
         assert "summary fallback" in out
+
+    @pytest.mark.parametrize(
+        "extra", [["-O", "1"], ["-O", "2"], ["--witness"]], ids=["O1", "O2", "witness"]
+    )
+    def test_degrade_flag_reports_fallback_on_every_path(self, tmp_path, capsys, extra):
+        path = self._write(tmp_path, "pos.bp", POSITIVE)
+        faults.install(FaultPlan(exhaust_algorithms=("ef-opt",)))
+        try:
+            status = main(
+                [str(path), "--target", "main:target", "--node-budget", "100000", "--degrade"]
+                + extra
+            )
+        finally:
+            faults.clear()
+        assert status == 1
+        assert "summary fallback" in capsys.readouterr().out

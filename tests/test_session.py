@@ -10,18 +10,15 @@ The load-bearing properties:
   cached by signature; monotone algorithms warm-start from early-stopped
   iterates and resume the exact Kleene sequence.
 * **Lifecycle** — validation happens once at construction (never per
-  query), `SessionSpec` round-trips through pickle into a worker process,
-  and `close()` releases every retained edge.
+  query), and `close()` releases every retained edge.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.algorithms import SEQUENTIAL_ALGORITHMS, run_batch, run_sequential
-from repro.api import AnalysisSession, SessionSpec
+from repro.api import AnalysisSession
 from repro.boolprog import parse_program
 from repro.frontends import resolve_target
 from repro.parallel import BatchQuery, group_queries, run_shard
@@ -231,37 +228,6 @@ class TestLifecycle:
         with AnalysisSession(PROGRAM) as session:
             with pytest.raises(ValueError, match="unknown algorithm"):
                 session.check("main:yes", algorithm="made-up")
-
-
-def _worker_roundtrip(payload: bytes) -> bool:
-    """Module-level worker: unpickle a SessionSpec and answer a query."""
-    spec = pickle.loads(payload)
-    with spec.open() as session:
-        return session.check("main:yes").reachable
-
-
-class TestSessionSpec:
-    def test_pickle_roundtrip(self):
-        spec = SessionSpec(program=PROGRAM, default_algorithm="summary")
-        assert spec.is_picklable()
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
-        with clone.open() as session:
-            assert session.default_algorithm == "summary"
-            assert session.check("main:yes").reachable
-
-    def test_parsed_program_spec_roundtrips(self):
-        spec = SessionSpec(program=parse_program(PROGRAM))
-        clone = pickle.loads(pickle.dumps(spec))
-        with clone.open() as session:
-            assert not session.check("main:never").reachable
-
-    def test_spec_round_trips_into_a_worker_process(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        payload = pickle.dumps(SessionSpec(program=PROGRAM))
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(_worker_roundtrip, payload).result() is True
 
 
 class TestBatchGrouping:

@@ -23,7 +23,7 @@ import json
 import pytest
 
 from repro.api import AnalysisSession
-from repro.algorithms import SEQUENTIAL_ALGORITHMS
+from repro.algorithms import SEQUENTIAL_ALGORITHMS, run_batch
 from repro.frontends import check_reachability, main
 from repro.parallel import BatchQuery, run_shards
 from repro.service import AnalysisDaemon, DaemonConfig, ProtocolError, parse_request
@@ -171,6 +171,26 @@ class TestFrontendWitness:
     def test_witness_off_leaves_field_none(self):
         result = check_reachability(PROGRAM, target="main:reach")
         assert result.witness is None
+
+    def test_failed_replay_is_recorded_beside_the_verdict(self, monkeypatch):
+        # Both callers of the witness post-pass record a typed replay failure
+        # next to the authoritative verdict instead of failing the query.
+        import repro.witness
+
+        def reject(cfg, trace, locations):
+            raise WitnessValidationError("injected replay failure")
+
+        monkeypatch.setattr(repro.witness, "validate_trace", reject)
+        direct = check_reachability(PROGRAM, target="main:reach", witness=True)
+        report = run_batch(
+            [BatchQuery(name="hit", program=PROGRAM, target="main:reach", witness=True)]
+        )
+        (shard,) = report.shards
+        assert shard.status == "ok"
+        for result in (direct, shard.result):
+            assert result.reachable is True
+            assert result.witness is None
+            assert result.details["witness_error"].startswith("WitnessValidationError:")
 
     def test_shard_path_carries_witness(self):
         queries = [
