@@ -805,13 +805,15 @@ def witness_smoke(jobs: int = 2) -> None:
     * every **unreachable** query yields no trace at all;
     * the sharded path (``run_shards`` at ``--jobs 2`` with
       ``BatchQuery.witness``) reproduces the same contract through pooled
-      group sessions.
+      group sessions, and each sharded trace has exactly the steps of the
+      direct-path trace of the same query under the same algorithm.
     """
     from repro.frontends.getafix import check_reachability
     from repro.parallel import BatchQuery, run_shards
 
     algorithms = ("summary", "ef", "ef-opt")
     corpus = _optimize_corpus()
+    direct_steps = {}
     traced = 0
     for name, program, target, expected in corpus:
         for algorithm in algorithms:
@@ -828,6 +830,7 @@ def witness_smoke(jobs: int = 2) -> None:
                 assert result.witness is not None, f"{name}: {algorithm} missing trace"
                 assert result.witness["validated"], f"{name}: {algorithm} not replayed"
                 assert result.witness["length"] == len(result.witness["steps"])
+                direct_steps[name, algorithm] = result.witness["steps"]
                 traced += 1
             else:
                 assert result.witness is None, f"{name}: trace for unreachable target"
@@ -843,7 +846,7 @@ def witness_smoke(jobs: int = 2) -> None:
     shards, _, _ = run_shards(queries, jobs=jobs)
     assert all(shard.ok for shard in shards), [s.error for s in shards]
     traced = 0
-    for shard, (name, _, _, expected) in zip(shards, corpus):
+    for shard, query, (name, _, _, expected) in zip(shards, queries, corpus):
         result = shard.result
         assert result.reachable == expected, (
             f"{name}: sharded witness verdict {result.reachable} != {expected}"
@@ -854,12 +857,15 @@ def witness_smoke(jobs: int = 2) -> None:
             assert result.witness is not None and result.witness["validated"], (
                 f"{name}: sharded query missing a validated trace"
             )
+            assert result.witness["steps"] == direct_steps[name, query.algorithm], (
+                f"{name}: sharded {query.algorithm} trace differs from the direct path"
+            )
             traced += 1
         else:
             assert result.witness is None, f"{name}: sharded trace for unreachable"
     print(
         f"witness smoke OK: sharded path at jobs={jobs}, "
-        f"{traced} replay-validated traces, verdicts identical"
+        f"{traced} replay-validated traces, verdicts and steps identical"
     )
 
 

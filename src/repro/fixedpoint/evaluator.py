@@ -204,7 +204,13 @@ def evaluate_nested(
         return current
 
     fixed_inputs = dict(inputs)
-    value = evaluate(target, fixed_inputs, 0)
+    try:
+        value = evaluate(target, fixed_inputs, 0)
+    finally:
+        # ``evaluate`` is recursive, so its closure cell refers to itself;
+        # clearing the cell breaks that cycle, which otherwise keeps the
+        # backend and its BDD manager alive until a full cyclic collection.
+        del evaluate
     iterations = interpretations.pop("__iterations__", 0)
     interpretations[target] = value
     return EvaluationResult(

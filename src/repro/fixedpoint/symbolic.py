@@ -527,7 +527,7 @@ class SymbolicBackend:
                 # A caller handed us a rebuilt Equation for the same
                 # relation: release the superseded plan tree so its memos
                 # and protected skeletons do not accumulate forever.
-                self._release_plan(entry[1])
+                self.release_plan(entry[1])
             plan = self.compile_formula(equation.body)
             self._equation_plans[name] = (equation, plan)
         else:
@@ -618,8 +618,11 @@ class SymbolicBackend:
         self._protected[node] = self._protected.get(node, 0) + 1
         return node
 
-    def _release_plan(self, plan: _Plan) -> None:
-        """Undo registration/protection for a superseded plan tree.
+    def release_plan(self, plan: _Plan) -> None:
+        """Undo registration/protection for a plan tree its owner dropped.
+
+        Owners are :meth:`eval_equation` (a superseded equation body) and
+        the witness extractor (its compiled clause bodies, on close).
 
         Releasing is guarded twice: each plan node releases at most once
         (``released`` flag), and each deref is conditional on the tracked
@@ -676,7 +679,7 @@ class SymbolicBackend:
     def release(self, edge: int) -> None:
         """Undo one :meth:`retain` of ``edge`` (no-op when not retained).
 
-        The count guard mirrors :meth:`_release_plan`: releasing an edge this
+        The count guard mirrors :meth:`release_plan`: releasing an edge this
         backend no longer tracks must not deref a reference that by now
         belongs to another owner.
         """

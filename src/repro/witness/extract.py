@@ -11,6 +11,19 @@ deterministic :meth:`~repro.bdd.BddManager.pick_cube` kernel primitive picks
 one witness.  Ranks strictly decrease along the walk, so it terminates, and
 every picked state satisfies the domain constraints of its sort.
 
+The operator body, the initial-state formula and the three open clause
+bodies are compiled once with
+:meth:`~repro.fixedpoint.SymbolicBackend.compile_formula`, so every layer
+and clause evaluation reuses the hoisted static skeleton and the plans'
+interpretation-keyed memos; BDDs are canonical, so each result is the same
+edge a direct formula evaluation would build.
+
+``F`` is monotone and the iteration starts from FALSE, so the layers ascend:
+``L[k]`` is a subset of ``L[k+1]``.  Hence "layer ``k`` holds the pair" and
+"the entry clause over layer ``k``, restricted to a pinned entry, is
+satisfiable" are both monotone in ``k``, and the first such layer is found
+exactly by bisection with ``O(log K)`` tests instead of a scan.
+
 All three sequential algorithms feed the same extractor: their solved
 relations select a reachable ``(entry, target)`` pair (Theorems 2 and 3
 relate ``Summary``/``ReachEntry`` and ``SummaryEFopt`` to the entry-forward
@@ -19,7 +32,7 @@ relation), and the layer walk itself only uses the base program templates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..boolprog.cfg import ProgramCfg
 from ..fixedpoint import And, BOOL, Eq, Exists, Or, RelationDecl, Var
@@ -27,12 +40,14 @@ from .trace import WitnessExtractionError, WitnessStep, WitnessTrace
 
 __all__ = ["WitnessExtractor"]
 
-# The moves of the entry-forward fixed point, keyed by the clause that
-# produced the new pair.  ``picks`` names the existential variables whose
-# witnesses the backward walk recovers from the clause body.
+# Keys of the extractor's formulas: the three moves of the entry-forward
+# fixed point (named for the clause that produced the new pair), the
+# operator itself and its initial states.
 _INTERNAL = "internal"
 _CALL = "call"
 _ENTRY = "entry"
+_OPERATOR = "operator"
+_INITIAL = "initial"
 
 
 class WitnessExtractor:
@@ -41,7 +56,8 @@ class WitnessExtractor:
     The extractor allocates in the session's own BDD manager (so the solved
     interpretations stay valid handles) and GC-pins everything it keeps
     across calls — the Kleene layers and the per-layer clause bodies — via
-    the backend's retain counts.  :meth:`close` releases them all.
+    the backend's retain counts.  :meth:`close` releases them all, and the
+    compiled plans with them.
     """
 
     def __init__(self, backend, templates, cfg: ProgramCfg) -> None:
@@ -70,27 +86,34 @@ class WitnessExtractor:
         Init = self.decls["Init"]
         S = RelationDecl("SummaryEF", [("u", state), ("v", state)])
 
-        # The entry-forward operator (mirrors algorithms/entry_forward.py).
-        self._ef_body = Or(
-            And(Entry(u.mod, u.pc), Eq(u, v), Init(u)),
-            Exists(x, And(S(u, x), ProgramInt(x, v))),
-            Exists([x, y], And(S(x, y), IntoCall(y, u), Eq(u, v))),
-            Exists(
-                [x, y, z],
-                And(S(u, x), IntoCall(x, y), S(y, z), Exit(z.mod, z.pc), Return(x, z, v)),
+        call_body = And(S(u, x), IntoCall(x, y), S(y, z), Exit(z.mod, z.pc), Return(x, z, v))
+        self._formulas = {
+            # The entry-forward operator (mirrors algorithms/entry_forward.py).
+            _OPERATOR: Or(
+                And(Entry(u.mod, u.pc), Eq(u, v), Init(u)),
+                Exists(x, And(S(u, x), ProgramInt(x, v))),
+                Exists([x, y], And(S(x, y), IntoCall(y, u), Eq(u, v))),
+                Exists([x, y, z], call_body),
             ),
-        )
-        # Open clause bodies for the backward walk (no existentials: the
-        # walk needs the intermediate-state witnesses, not their projection).
-        self._clauses = {
-            _INTERNAL: (And(S(u, x), ProgramInt(x, v)), (x,)),
-            _CALL: (
-                And(S(u, x), IntoCall(x, y), S(y, z), Exit(z.mod, z.pc), Return(x, z, v)),
-                (x, y, z),
-            ),
-            _ENTRY: (And(S(x, y), IntoCall(y, u)), (x, y)),
+            _INITIAL: And(Entry(u.mod, u.pc), Init(u)),
+            # Open clause bodies for the backward walk (no existentials: the
+            # walk needs the intermediate-state witnesses, not their
+            # projection).
+            _INTERNAL: And(S(u, x), ProgramInt(x, v)),
+            _CALL: call_body,
+            _ENTRY: And(S(x, y), IntoCall(y, u)),
         }
-        self._initial = And(Entry(u.mod, u.pc), Init(u))
+        # The existential variables whose witnesses each clause yields.
+        self._picks = {_INTERNAL: (x,), _CALL: (x, y, z), _ENTRY: (x, y)}
+        self._plans = {
+            key: backend.compile_formula(formula) for key, formula in self._formulas.items()
+        }
+        # Bit levels of each state variable, keyed by its name: Var hashes
+        # its sort recursively, so it is a slow dictionary key.
+        self._levels: Dict[str, List[int]] = {
+            var.name: [self.manager.var_index(bit) for bit in var.bit_names()]
+            for var in (u, v, x, y, z)
+        }
 
         self._module_name = {index: name for name, index in templates.module_index.items()}
         self._layers: List[int] = []
@@ -106,6 +129,8 @@ class WitnessExtractor:
         if self._closed:
             return
         self._closed = True
+        for plan in self._plans.values():
+            self.backend.release_plan(plan)
         for node in self._clause_cache.values():
             self.backend.release(node)
         self._clause_cache.clear()
@@ -187,14 +212,14 @@ class WitnessExtractor:
         interps = dict(self.base_interps)
         while True:
             interps["SummaryEF"] = layers[-1]
-            node = self.backend.eval_formula(self._ef_body, interps)
+            node = self._plans[_OPERATOR].eval(self.backend, interps)
             if node == layers[-1]:
                 break
             self.backend.retain(node)
             layers.append(node)
         self._layers = layers
         self._init_node = self.backend.retain(
-            self.backend.eval_formula(self._initial, self.base_interps)
+            self._plans[_INITIAL].eval(self.backend, self.base_interps)
         )
         return layers
 
@@ -203,13 +228,12 @@ class WitnessExtractor:
         key = (kind, k)
         node = self._clause_cache.get(key)
         if node is None:
-            formula, picks = self._clauses[kind]
             interps = dict(self.base_interps)
             # The entry clause asks for callers *in* layer k; the step
             # clauses ask how a layer-k pair arose from layer k - 1.
             interps["SummaryEF"] = self._layers[k if kind == _ENTRY else k - 1]
-            node = self.backend.eval_formula(formula, interps)
-            for var in picks:
+            node = self._plans[kind].eval(self.backend, interps)
+            for var in self._picks[kind]:
                 node = self.manager.and_(node, self.context.domain_constraint(var))
             self.backend.retain(node)
             self._clause_cache[key] = node
@@ -218,33 +242,52 @@ class WitnessExtractor:
     # ------------------------------------------------------------------
     # Cube picking and state plumbing
     # ------------------------------------------------------------------
-    def _bits(self, var: Var, value) -> Dict[str, bool]:
-        return dict(zip(var.bit_names(), self.state_sort.encode(value)))
+    def _bits(self, var: Var, value) -> Dict[int, bool]:
+        """The level-keyed assignment of ``var``'s bits to ``value``."""
+        return dict(zip(self._levels[var.name], self.state_sort.encode(value)))
 
     def _same(self, a, b) -> bool:
         return self.state_sort.canonical(a) == self.state_sort.canonical(b)
 
-    def _pick(self, node: int, pins: Dict[str, bool], picks: Sequence[Var]):
+    def _pick(self, node: int, pins: Dict[int, bool], picks: Sequence[Var]):
         mgr = self.manager
         restricted = mgr.restrict(node, pins) if pins else node
         if restricted == mgr.FALSE:
             return None
-        names: List[str] = []
-        for var in picks:
-            names.extend(var.bit_names())
-        cube = mgr.pick_cube(restricted, names)
-        named = {mgr.var_name(index): value for index, value in cube.items()}
-        return tuple(self.context.decode_assignment(var, named) for var in picks)
+        levels = [self._levels[var.name] for var in picks]
+        cube = mgr.pick_cube(restricted, [level for group in levels for level in group])
+        decode = self.state_sort.decode
+        return tuple(decode([cube[level] for level in group]) for group in levels)
 
-    def _rank(self, u_val, v_val) -> int:
-        bits = {**self._bits(self.u, u_val), **self._bits(self.v, v_val)}
-        mgr = self.manager
-        for k, layer in enumerate(self._layers):
-            if layer != mgr.FALSE and mgr.eval(layer, bits):
-                return k
-        raise WitnessExtractionError(
-            "selected summary pair is outside the entry-forward fixed point"
-        )
+    def _first_layer(self, holds: Callable[[int], bool]) -> Optional[int]:
+        """The least ``k >= 1`` with ``holds(k)``, or ``None``.
+
+        ``holds`` must be monotone in ``k`` — true on every layer above one
+        where it holds — which ascending layers give for membership and
+        for satisfiability of a clause body.  ``L[0]`` is FALSE, so no
+        search starts there.
+        """
+        lo, hi = 1, len(self._layers) - 1
+        if hi < lo or not holds(hi):
+            return None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if holds(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def _rank(self, pair_bits: Dict[int, bool]) -> int:
+        """The first layer holding the pair that ``pair_bits`` assigns."""
+        evaluate = self.manager.eval
+        layers = self._layers
+        k = self._first_layer(lambda j: evaluate(layers[j], pair_bits))
+        if k is None:
+            raise WitnessExtractionError(
+                "selected summary pair is outside the entry-forward fixed point"
+            )
+        return k
 
     def _is_initial(self, u_val) -> bool:
         assert self._init_node is not None
@@ -290,8 +333,8 @@ class WitnessExtractor:
             _, a, b = item
             if self._same(a, b):
                 continue
-            k = self._rank(a, b)
             pins = {**self._bits(self.u, a), **self._bits(self.v, b)}
+            k = self._rank(pins)
             picked = self._pick(self._clause_node(_INTERNAL, k), pins, (self.x,))
             if picked is not None:
                 (x_val,) = picked
@@ -316,18 +359,17 @@ class WitnessExtractor:
         (included), following the call chain that made the entry reachable."""
         segments: List[Tuple] = []
         current = entry_val
+        mgr = self.manager
         while not self._is_initial(current):
-            picked = None
             pins = self._bits(self.u, current)
-            for j in range(len(self._layers)):
-                picked = self._pick(self._clause_node(_ENTRY, j), pins, (self.x, self.y))
-                if picked is not None:
-                    break
-            if picked is None:
+            j = self._first_layer(
+                lambda k: mgr.restrict(self._clause_node(_ENTRY, k), pins) != mgr.FALSE
+            )
+            if j is None:
                 raise WitnessExtractionError(
                     "no caller found for a non-initial reachable entry"
                 )
-            x_val, y_val = picked
+            x_val, y_val = self._pick(self._clause_node(_ENTRY, j), pins, (self.x, self.y))
             segments.append((x_val, y_val, current))
             current = x_val
         steps = [self._step("start", current)]

@@ -379,8 +379,8 @@ class TestSymbolicBackendGc:
         # Another owner now holds the only external reference to the edge.
         mgr.ref(edge)
         refs_before = mgr.external_references()
-        backend._release_plan(plan)
-        backend._release_plan(plan)
+        backend.release_plan(plan)
+        backend.release_plan(plan)
         assert mgr.external_references() == refs_before
         # The other owner's reference still protects the edge across sweeps.
         mgr.collect_garbage()
@@ -404,8 +404,8 @@ class TestSymbolicBackendGc:
         (edge,) = plan_a.protected_edges()
         assert plan_b.protected_edges() == (edge,)  # canonical: same static edge
         assert backend._protected[edge] == 2
-        backend._release_plan(plan_a)
-        backend._release_plan(plan_a)  # second release must be a no-op
+        backend.release_plan(plan_a)
+        backend.release_plan(plan_a)  # second release must be a no-op
         assert backend._protected[edge] == 1
         backend.manager.collect_garbage()
         # plan_b still evaluates against the protected skeleton.

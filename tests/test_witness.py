@@ -9,6 +9,9 @@ The contract under test, end to end:
   is deterministic.
 * Extraction is a post-pass: it never changes a verdict, and an
   unreachable target yields no trace (``None``), never a fabricated one.
+* The compiled, bisecting extractor walks exactly the traces of the
+  straightforward algorithm it replaced (kept below as an oracle), and it
+  releases everything it compiled or pinned when it closes.
 * The front ends agree: ``check_reachability(witness=True)``, the CLI
   ``--witness`` flag, the shard path's ``BatchQuery.witness`` and the
   daemon's ``witness`` op all carry the same JSON trace shape, and all
@@ -18,16 +21,21 @@ The contract under test, end to end:
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import weakref
 
 import pytest
 
 from repro.api import AnalysisSession
 from repro.algorithms import SEQUENTIAL_ALGORITHMS, run_batch
+from repro.benchgen import DriverSpec, TerminatorSpec, make_driver, make_terminator
 from repro.frontends import check_reachability, main
 from repro.parallel import BatchQuery, run_shards
 from repro.service import AnalysisDaemon, DaemonConfig, ProtocolError, parse_request
 from repro.witness import (
+    WitnessExtractionError,
+    WitnessExtractor,
     WitnessTrace,
     WitnessValidationError,
     validate_trace,
@@ -68,6 +76,110 @@ rec(n) begin
   fi
 end
 """
+
+
+class ReferenceExtractor(WitnessExtractor):
+    """The extraction algorithm before plan compilation, kept as an oracle.
+
+    Every layer and clause body is a direct ``eval_formula`` call, ranks
+    come from a linear scan of the layers, and the entry walk tries one
+    clause node per layer until a caller appears.
+    """
+
+    def _ensure_layers(self):
+        if self._layers:
+            return self._layers
+        mgr = self.manager
+        layers = [mgr.FALSE]
+        interps = dict(self.base_interps)
+        while True:
+            interps["SummaryEF"] = layers[-1]
+            node = self.backend.eval_formula(self._formulas["operator"], interps)
+            if node == layers[-1]:
+                break
+            self.backend.retain(node)
+            layers.append(node)
+        self._layers = layers
+        self._init_node = self.backend.retain(
+            self.backend.eval_formula(self._formulas["initial"], self.base_interps)
+        )
+        return layers
+
+    def _clause_node(self, kind, k):
+        key = (kind, k)
+        node = self._clause_cache.get(key)
+        if node is None:
+            interps = dict(self.base_interps)
+            interps["SummaryEF"] = self._layers[k if kind == "entry" else k - 1]
+            node = self.backend.eval_formula(self._formulas[kind], interps)
+            for var in self._picks[kind]:
+                node = self.manager.and_(node, self.context.domain_constraint(var))
+            self.backend.retain(node)
+            self._clause_cache[key] = node
+        return node
+
+    def _rank(self, pair_bits):
+        mgr = self.manager
+        for k, layer in enumerate(self._layers):
+            if layer != mgr.FALSE and mgr.eval(layer, pair_bits):
+                return k
+        raise WitnessExtractionError(
+            "selected summary pair is outside the entry-forward fixed point"
+        )
+
+    def _entry_steps(self, entry_val):
+        segments = []
+        current = entry_val
+        while not self._is_initial(current):
+            picked = None
+            pins = self._bits(self.u, current)
+            for j in range(len(self._layers)):
+                picked = self._pick(self._clause_node("entry", j), pins, (self.x, self.y))
+                if picked is not None:
+                    break
+            if picked is None:
+                raise WitnessExtractionError(
+                    "no caller found for a non-initial reachable entry"
+                )
+            x_val, y_val = picked
+            segments.append((x_val, y_val, current))
+            current = x_val
+        steps = [self._step("start", current)]
+        for x_val, y_val, entry in reversed(segments):
+            steps.extend(self._path_steps(x_val, y_val))
+            steps.append(self._step("call", entry))
+        return steps
+
+
+#: (name, program factory) of the oracle corpus: the two small programs
+#: above plus the two programs of the session-witness benchmark workload.
+ORACLE_PROGRAMS = [
+    ("program", lambda: PROGRAM),
+    ("recursive", lambda: RECURSIVE),
+    (
+        "driver-3-pos",
+        lambda: make_driver(
+            DriverSpec(name="driver-3-pos", handlers=3, flags=3, helpers=1, positive=True)
+        ),
+    ),
+    (
+        "terminator-schoose-3b-neg",
+        lambda: make_terminator(
+            TerminatorSpec(
+                name="terminator-schoose-3b-neg", counter_bits=3, variant="schoose",
+                positive=False,
+            )
+        ),
+    ),
+]
+
+
+def _exit_and_label_targets(session):
+    targets = []
+    for procedure, proc_cfg in session.cfg.procedures.items():
+        targets.extend(f"{procedure}:{label}" for label in sorted(proc_cfg.labels))
+        targets.append([(session.cfg.module_of(procedure), proc_cfg.exit)])
+    return targets
 
 
 def _assert_well_formed(trace, session, spec):
@@ -292,3 +404,80 @@ class TestDaemonWitness:
             return await scenario(daemon)
         finally:
             await daemon.shutdown(drain=False)
+
+
+class TestCompiledExtraction:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "make", [make for _, make in ORACLE_PROGRAMS], ids=[name for name, _ in ORACLE_PROGRAMS]
+    )
+    def test_matches_reference_algorithm(self, make, algorithm):
+        session = AnalysisSession(make(), default_algorithm=algorithm)
+        try:
+            session.solve()
+            targets = [
+                target
+                for target in _exit_and_label_targets(session)
+                if session.check(target).reachable
+            ]
+            assert targets
+            compiled = [session.explain(target).to_dict() for target in targets]
+            state = session._state(algorithm)
+            extractor = state.witness_extractor
+            # The session closes whichever extractor it holds.
+            state.witness_extractor = ReferenceExtractor(
+                extractor.backend, extractor.templates, extractor.cfg
+            )
+            try:
+                assert [session.explain(target).to_dict() for target in targets] == compiled
+                reference = state.witness_extractor
+                layers = reference._layers
+                assert layers == extractor._layers
+                for kind in ("internal", "call", "entry"):
+                    for k in range(0 if kind == "entry" else 1, len(layers)):
+                        assert extractor._clause_node(kind, k) == reference._clause_node(kind, k)
+            finally:
+                extractor.close()
+        finally:
+            session.close()
+
+    def test_gc_between_explains_and_close_restore_the_backend(self):
+        session = AnalysisSession(RECURSIVE)
+        try:
+            session.solve()
+            assert session.check("main:deep").reachable is True
+            state = session._state(None)
+            manager = state.backend.manager
+            before = state.backend.stats_snapshot()
+            first = session.explain("main:deep").to_dict()
+            assert manager.collect_garbage() > 0
+            assert session.explain("main:deep").to_dict() == first
+            state.witness_extractor.close()
+            state.witness_extractor = None
+            after = state.backend.stats_snapshot()
+            for key in ("compiled_plans", "protected_nodes", "retained_edges"):
+                assert after[key] == before[key], key
+            # A fresh extractor compiles its plans again after a sweep.
+            manager.collect_garbage()
+            assert session.explain("main:deep").to_dict() == first
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_closed_session_frees_its_manager_without_cyclic_gc(self, algorithm):
+        # Reference cycles through a solved session would keep its whole
+        # node table alive until a full collection: peak memory would then
+        # follow the collector's timing instead of the live sessions.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = AnalysisSession(RECURSIVE, default_algorithm=algorithm)
+            session.solve()
+            assert session.explain("main:deep") is not None
+            manager = weakref.ref(session._state(algorithm).backend.manager)
+            session.close()
+            del session
+            assert manager() is None
+        finally:
+            if enabled:
+                gc.enable()
