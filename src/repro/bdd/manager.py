@@ -370,6 +370,22 @@ class BddManager:
         except KeyError:
             raise BddError(f"unknown variable {name!r}") from None
 
+    def has_var(self, name: str) -> bool:
+        """True iff a variable of that name is declared."""
+        return name in self._name_to_var
+
+    def _level_index(self, var: int | str) -> int:
+        """The level of a variable given by name or index, range-checked."""
+        index = self.var_index(var) if isinstance(var, str) else var
+        if not 0 <= index < len(self._var_names):
+            raise BddError(f"variable index {index} out of range")
+        return index
+
+    def _check_range(self, low: int, high: int) -> None:
+        """Raise unless the levels ``low`` and ``high`` (and all between) exist."""
+        if low < 0 or high >= len(self._var_names):
+            raise BddError(f"variable index {low if low < 0 else high} out of range")
+
     def var_name(self, index: int) -> str:
         """Return the name of the variable at ``index``."""
         return self._var_names[index]
@@ -386,10 +402,7 @@ class BddManager:
 
     def var(self, var: int | str) -> int:
         """Return the BDD edge for a single variable (``x``)."""
-        index = self.var_index(var) if isinstance(var, str) else var
-        if not 0 <= index < len(self._var_names):
-            raise BddError(f"variable index {index} out of range")
-        return self._mk(index, self.FALSE, self.TRUE)
+        return self._mk(self._level_index(var), self.FALSE, self.TRUE)
 
     def nvar(self, var: int | str) -> int:
         """Return the BDD edge for a negated variable (``not x``)."""
@@ -823,7 +836,39 @@ class BddManager:
     # ------------------------------------------------------------------
     # Substitution / renaming / restriction
     # ------------------------------------------------------------------
-    def rename(self, f: int, mapping: Dict[int | str, int | str]) -> int:
+    def rename_map(self, mapping: Dict[int | str, int | str]) -> Optional["_RenameMap"]:
+        """Intern a rename mapping (var -> var) for :meth:`rename`.
+
+        Returns None when the mapping moves no variable, and raises
+        :class:`BddError` when it is not injective on the variables it
+        moves.  Callers that apply the same renaming repeatedly (the
+        symbolic backend's compiled relation plans) intern it once and pass
+        the map to :meth:`rename`, as :meth:`exists` accepts a
+        :class:`QuantCube`.
+        """
+        normalised: Dict[int, int] = {}
+        for src, dst in mapping.items():
+            if isinstance(src, str):
+                src = self.var_index(src)
+            if isinstance(dst, str):
+                dst = self.var_index(dst)
+            if src != dst:
+                normalised[src] = dst
+        if not normalised:
+            return None
+        indices = normalised.keys() | normalised.values()
+        self._check_range(min(indices), max(indices))
+        key = tuple(sorted(normalised.items()))
+        rmap = self._rename_table.get(key)
+        if rmap is None:
+            if len(set(normalised.values())) != len(normalised):
+                raise BddError("rename mapping must be injective")
+            rmap = _RenameMap.for_rename(normalised, self._next_uid)
+            self._next_uid += 1
+            self._rename_table[key] = rmap
+        return rmap
+
+    def rename(self, f: int, mapping: Union["_RenameMap", Dict[int | str, int | str]]) -> int:
         """Rename variables of ``f`` according to ``mapping`` (var -> var).
 
         The substitution is simultaneous and order-insensitive.  The BDD is
@@ -834,7 +879,8 @@ class BddManager:
         and, on the first node that breaks it, gives up; each renamed node
         is then re-inserted with ``ite`` on the target variable instead.
         The mapping must be injective on the variables it moves (checked
-        once, when the map is interned) and no target variable may also
+        once, when the map is interned; see :meth:`rename_map`, whose
+        result ``mapping`` may also be) and no target variable may also
         appear in the support of ``f`` unless it is itself renamed away (a
         node at such a level also stops the rebuild, and the ``ite`` path
         names every clashing variable).
@@ -845,28 +891,13 @@ class BddManager:
         iteration applies the same relation arguments — are constant-time
         after the first.
         """
-        normalised: Dict[int, int] = {}
-        for src, dst in mapping.items():
-            src_index = self.var_index(src) if isinstance(src, str) else src
-            dst_index = self.var_index(dst) if isinstance(dst, str) else dst
-            if src_index != dst_index:
-                normalised[src_index] = dst_index
-        if not normalised:
-            return f
-        intern_key = tuple(sorted(normalised.items()))
-        rmap = self._rename_table.get(intern_key)
+        rmap = mapping if isinstance(mapping, _RenameMap) else self.rename_map(mapping)
         if rmap is None:
-            targets = set(normalised.values())
-            if len(targets) != len(normalised):
-                raise BddError("rename mapping must be injective")
-            rmap = _RenameMap.for_rename(normalised, self._next_uid)
-            self._next_uid += 1
-            self._rename_table[intern_key] = rmap
-        else:
-            cached = self._rename_cache.get((rmap.uid << EDGE_BITS) | (f & ~1))
-            if cached is not None:
-                self._hits["rename"] += 1
-                return cached ^ (f & 1)
+            return f
+        cached = self._rename_cache.get((rmap.uid << EDGE_BITS) | (f & ~1))
+        if cached is not None:
+            self._hits["rename"] += 1
+            return cached ^ (f & 1)
         if self._native is not None:
             result = self._native.rename_shift(self, f, rmap)
         else:
@@ -934,27 +965,41 @@ class BddManager:
         self._rename_cache[key] = result
         return result ^ sign
 
-    def restrict(self, f: int, assignment: Dict[int | str, bool]) -> int:
-        """Cofactor ``f`` by fixing the given variables to constants.
+    def restrict_map(self, assignment: Dict[int | str, bool]) -> Optional["_RenameMap"]:
+        """Intern a restrict assignment (var -> constant) for :meth:`restrict`.
 
-        Like :meth:`rename`, restriction commutes with complementation and
-        the assignment maps are interned, so results live in a cross-call
-        cache keyed (regular edge, interned map) — the compiled relation
-        plans restrict the same interpretations with the same constant
-        arguments on every fixed-point iteration.
+        Returns None for the empty assignment.  Like :meth:`rename_map`, it
+        lets a caller that restricts by the same constants repeatedly intern
+        them once.
         """
         fixed = {
             (self.var_index(var) if isinstance(var, str) else var): bool(value)
             for var, value in assignment.items()
         }
         if not fixed:
-            return f
+            return None
         key = tuple(sorted(fixed.items()))
+        self._check_range(key[0][0], key[-1][0])
         fmap = self._restrict_table.get(key)
         if fmap is None:
             fmap = _RenameMap.for_restrict(fixed, self._next_uid)
             self._next_uid += 1
             self._restrict_table[key] = fmap
+        return fmap
+
+    def restrict(self, f: int, assignment: Union["_RenameMap", Dict[int | str, bool]]) -> int:
+        """Cofactor ``f`` by fixing the given variables to constants.
+
+        Like :meth:`rename`, restriction commutes with complementation and
+        the assignment maps are interned (``assignment`` may be a map from
+        :meth:`restrict_map`), so results live in a cross-call cache keyed
+        (regular edge, interned map) — the compiled relation plans restrict
+        the same interpretations with the same constant arguments on every
+        fixed-point iteration.
+        """
+        fmap = assignment if isinstance(assignment, _RenameMap) else self.restrict_map(assignment)
+        if fmap is None:
+            return f
         if self._native is not None:
             return self._native.restrict(self, f, fmap)
         return self._restrict(f, fmap)
@@ -1103,7 +1148,13 @@ class BddManager:
             below_cache[key] = result
             return result
 
-        return count_below(f, 0)
+        try:
+            return count_below(f, 0)
+        finally:
+            # The recursive closure refers to itself through its cell; drop
+            # it so the cycle (and this manager) does not wait for the
+            # cyclic collector.
+            del count_below
 
     def sat_one(self, f: int) -> Optional[Dict[int, bool]]:
         """One satisfying assignment (over the support only), or None if UNSAT."""
@@ -1196,12 +1247,86 @@ class BddManager:
         yield from recurse(f, 0, {})
 
     def cube(self, assignment: Dict[int | str, bool]) -> int:
-        """The conjunction of literals described by ``assignment``."""
-        result = self.TRUE
+        """The conjunction of literals described by ``assignment``.
+
+        Keys are variable names or indices; a variable given twice with
+        opposite values makes the cube FALSE.  The cube is a single path,
+        so it is built bottom-up in level order with one :meth:`_mk` per
+        literal and no apply call.
+        """
+        literals: Dict[int, bool] = {}
+        conflict = False
         for var, value in assignment.items():
-            literal = self.var(var) if value else self.nvar(var)
-            result = self.and_(result, literal)
-        return result
+            if isinstance(var, str):
+                var = self.var_index(var)
+            value = bool(value)
+            conflict |= literals.setdefault(var, value) != value
+        levels = sorted(literals, reverse=True)
+        if levels:
+            self._check_range(levels[-1], levels[0])
+        if conflict:
+            return self.FALSE
+        node = self.TRUE
+        for level in levels:
+            if literals[level]:
+                node = self._mk(level, self.FALSE, node)
+            else:
+                node = self._mk(level, node, self.FALSE)
+        return node
+
+    def at_most(self, variables: Sequence[int | str], bound: int) -> int:
+        """The unsigned number with bit ``i`` at ``variables[i]`` is ``<= bound``.
+
+        Built bottom-up with :meth:`_mk`, whatever the levels of the bits.
+        The comparison is decided by the most significant bit where the
+        number and ``bound`` differ, so the function below a level depends
+        only on how many of the bits still to come are more significant
+        than the highest difference seen above, and on that difference's
+        verdict: at most ``width * (width + 1)`` nodes, and ``2 * width``
+        when the bits run least significant first, as in the default order.
+        """
+        levels = [self._level_index(var) for var in variables]
+        if len(set(levels)) != len(levels):
+            raise BddError("at_most needs distinct variables")
+        if bound < 0:
+            return self.FALSE
+        if bound >= (1 << len(levels)) - 1:
+            return self.TRUE
+        # Bit significances in level order, and for each position how many
+        # of the later positions hold a more significant bit.
+        order = sorted(range(len(levels)), key=levels.__getitem__)
+        above = [
+            sum(1 for later in order[k + 1 :] if later > sig)
+            for k, sig in enumerate(order)
+        ]
+        memo: Dict[Tuple[int, int, bool], int] = {}
+
+        def below(k: int, relevant: int, verdict: bool) -> int:
+            # Bits at positions >= k; only the `relevant` most significant of
+            # them can still overturn `verdict`.
+            if relevant == 0:
+                return self.TRUE if verdict else self.FALSE
+            key = (k, relevant, verdict)
+            node = memo.get(key)
+            if node is None:
+                if above[k] >= relevant:
+                    node = below(k + 1, relevant, verdict)
+                else:
+                    sig = order[k]
+                    bit = (bound >> sig) & 1
+                    same = below(k + 1, relevant - 1, verdict)
+                    differs = below(k + 1, above[k], bool(bit))
+                    if bit:
+                        node = self._mk(levels[sig], differs, same)
+                    else:
+                        node = self._mk(levels[sig], same, differs)
+                memo[key] = node
+            return node
+
+        try:
+            return below(0, len(levels), True)
+        finally:
+            del below  # the recursive closure's self-reference, as in count_sat
 
     def eval(self, f: int, assignment: Dict[int | str, bool]) -> bool:
         """Evaluate ``f`` under a total assignment of its support."""

@@ -35,7 +35,7 @@ class ChoicePool:
         index = len(self._active)
         if index == len(self._allocated):
             name = f"{self.PREFIX}{index}"
-            if name not in self._manager.var_names:
+            if not self._manager.has_var(name):
                 self._manager.add_var(name)
             self._allocated.append(name)
         name = self._allocated[index]

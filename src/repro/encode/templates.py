@@ -136,6 +136,7 @@ class SequentialEncoder:
         self._manager = backend.manager
         self._context = backend.context
         self._choices = ChoicePool(self._manager)
+        self._location_levels: Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Canonical state variables
@@ -153,13 +154,32 @@ class SequentialEncoder:
     # ------------------------------------------------------------------
     # Building blocks
     # ------------------------------------------------------------------
-    def _field_cube(self, state: Var, field_name: str, value: int) -> int:
-        return self._context.encode_cube(Field(state, field_name), value)
+    def _location(self, holder: str, module: int, pc: int) -> Dict[int, bool]:
+        """The literals, by level, of ``holder.mod = module ∧ holder.pc = pc``.
 
-    def _at(self, state: Var, module: int, pc: int) -> int:
-        return self._manager.and_(
-            self._field_cube(state, "mod", module), self._field_cube(state, "pc", pc)
-        )
+        ``holder`` names a state copy, or is ``""`` for the ``mod``/``pc``
+        parameters of the location relations.  Each holder's level lists
+        are computed once per bind.
+        """
+        levels = self._location_levels.get(holder)
+        if levels is None:
+            if holder:
+                state = self.state_var(holder)
+                terms = (Field(state, "mod"), Field(state, "pc"))
+            else:
+                terms = (Var("mod", self.space.module_sort), Var("pc", self.space.pc_sort))
+            levels = tuple(self._context.levels(term) for term in terms)
+            self._location_levels[holder] = levels
+        literals = dict(zip(levels[0], self.space.module_sort.encode(module)))
+        literals.update(zip(levels[1], self.space.pc_sort.encode(pc)))
+        return literals
+
+    def _at(self, *locations: Tuple[Var, int, int]) -> int:
+        """The cube putting each ``(state, module, pc)`` state at its location."""
+        literals: Dict[int, bool] = {}
+        for state, module, pc in locations:
+            literals.update(self._location(state.__dict__["name"], module, pc))
+        return self._manager.cube(literals)
 
     def _globals_equal(self, left: Var, right: Var, except_fields: Iterable[str] = ()) -> int:
         mgr = self._manager
@@ -225,7 +245,7 @@ class SequentialEncoder:
             resolver = self._resolver(procedure)
             for edge in procedure.internal_edges:
                 self._choices.reset()
-                node = mgr.and_(self._at(x, module, edge.source), self._at(v, module, edge.target))
+                node = self._at((x, module, edge.source), (v, module, edge.target))
                 if edge.guard is not None:
                     node = mgr.and_(node, compile_expr(edge.guard, x, resolver, mgr, self._choices))
                 node = mgr.and_(node, self._assign_constraint(x, v, resolver, edge.assigns))
@@ -245,9 +265,7 @@ class SequentialEncoder:
                 callee_cfg = self.cfg.procedure_cfg(edge.callee)
                 callee_module = self.cfg.module_of(edge.callee)
                 callee = self.cfg.program.procedure(edge.callee)
-                node = mgr.and_(
-                    self._at(x, module, edge.source), self._at(y, callee_module, callee_cfg.entry)
-                )
+                node = self._at((x, module, edge.source), (y, callee_module, callee_cfg.entry))
                 node = mgr.and_(node, self._globals_equal(x, y))
                 param_fields = set()
                 for param_name, argument in zip(callee.params, edge.args):
@@ -279,12 +297,10 @@ class SequentialEncoder:
             for edge in procedure.call_edges:
                 callee_cfg = self.cfg.procedure_cfg(edge.callee)
                 callee_module = self.cfg.module_of(edge.callee)
-                node = mgr.conjoin(
-                    [
-                        self._at(x, module, edge.source),
-                        self._at(z, callee_module, callee_cfg.exit),
-                        self._at(w, module, edge.return_pc),
-                    ]
+                node = self._at(
+                    (x, module, edge.source),
+                    (z, callee_module, callee_cfg.exit),
+                    (w, module, edge.return_pc),
                 )
                 assigned_local_fields = set()
                 assigned_global_fields = set()
@@ -309,38 +325,30 @@ class SequentialEncoder:
         return self._location_relation(lambda cfg: cfg.exit)
 
     def _location_relation(self, pick) -> int:
-        mgr = self._manager
-        mod = Var("mod", self.space.module_sort)
-        pc = Var("pc", self.space.pc_sort)
-        disjuncts = []
-        for name, procedure in self.cfg.procedures.items():
-            module = self.cfg.module_of(name)
-            disjuncts.append(
-                mgr.and_(
-                    self._context.encode_cube(mod, module),
-                    self._context.encode_cube(pc, pick(procedure)),
-                )
-            )
-        return mgr.disjoin(disjuncts)
+        return self._encode_target(
+            [
+                (self.cfg.module_of(name), pick(procedure))
+                for name, procedure in self.cfg.procedures.items()
+            ]
+        )
 
     def _encode_init(self) -> int:
         mgr = self._manager
         u = self.state_var("u")
         main_cfg = self.cfg.procedure_cfg(self.cfg.program.main)
-        node = self._at(u, self.cfg.module_of(self.cfg.program.main), main_cfg.entry)
+        literals = self._location("u", self.cfg.module_of(self.cfg.program.main), main_cfg.entry)
         # Deterministic initialisation: every variable starts False (programs
         # introduce nondeterminism explicitly with `x := *`).
         for field_name in self.space.locals_sort.field_names():
-            node = mgr.and_(node, mgr.nvar(f"u.L.{field_name}"))
+            literals[mgr.var_index(f"u.L.{field_name}")] = False
         for field_name in self.space.globals_sort.field_names():
-            node = mgr.and_(node, mgr.nvar(f"u.G.{field_name}"))
-        return node
+            literals[mgr.var_index(f"u.G.{field_name}")] = False
+        return mgr.cube(literals)
 
     def _encode_target(self, locations: Sequence[Tuple[int, int]]) -> int:
+        """The relation over the ``mod``/``pc`` parameters holding exactly
+        at ``locations``."""
         mgr = self._manager
-        mod = Var("mod", self.space.module_sort)
-        pc = Var("pc", self.space.pc_sort)
         return mgr.disjoin(
-            mgr.and_(self._context.encode_cube(mod, module), self._context.encode_cube(pc, pc_value))
-            for module, pc_value in locations
+            mgr.cube(self._location("", module, pc)) for module, pc in locations
         )

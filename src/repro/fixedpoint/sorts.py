@@ -28,19 +28,22 @@ class Sort:
     """Base class of all sorts."""
 
     name: str
+    #: The bit paths, fixed when the sort is built (sorts are immutable).
+    _paths: Tuple[str, ...]
 
-    def bit_paths(self) -> List[str]:
+    def bit_paths(self) -> Tuple[str, ...]:
         """The dotted paths of the bits of this sort, in encoding order.
 
         A scalar sort has the single path ``""``; a struct sort returns paths
-        like ``"pc.0"`` or ``"L.x"``.
+        like ``"pc.0"`` or ``"L.x"``.  The tuple is computed once, when the
+        sort is built, and shared by every caller.
         """
-        raise NotImplementedError
+        return self._paths
 
     @property
     def width(self) -> int:
         """Number of bits in the encoding."""
-        return len(self.bit_paths())
+        return len(self._paths)
 
     def encode(self, value: Any) -> List[bool]:
         """Encode a value of this sort as a list of bits (in bit-path order)."""
@@ -75,9 +78,7 @@ class BoolSort(Sort):
 
     def __init__(self) -> None:
         self.name = "bool"
-
-    def bit_paths(self) -> List[str]:
-        return [""]
+        self._paths = ("",)
 
     def encode(self, value: Any) -> List[bool]:
         return [bool(value)]
@@ -120,9 +121,7 @@ class EnumSort(Sort):
         self.name = name
         self._size = size
         self._width = max(1, (size - 1).bit_length())
-
-    def bit_paths(self) -> List[str]:
-        return [str(i) for i in range(self._width)]
+        self._paths = tuple(str(i) for i in range(self._width))
 
     def encode(self, value: Any) -> List[bool]:
         value = int(value)
@@ -177,6 +176,12 @@ class StructSort(Sort):
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names in struct {name!r}")
         self._field_index: Dict[str, int] = {field: i for i, (field, _) in enumerate(self.fields)}
+        self._paths = tuple(
+            field if sub == "" else f"{field}.{sub}"
+            for field, sort in self.fields
+            for sub in sort.bit_paths()
+        )
+        self._hash = hash(("StructSort", self.name, self.fields))
 
     def field_sort(self, field: str) -> Sort:
         """Return the sort of a field."""
@@ -192,13 +197,6 @@ class StructSort(Sort):
     def field_names(self) -> List[str]:
         """Field names in declaration order."""
         return [field for field, _ in self.fields]
-
-    def bit_paths(self) -> List[str]:
-        paths: List[str] = []
-        for field, sort in self.fields:
-            for sub in sort.bit_paths():
-                paths.append(field if sub == "" else f"{field}.{sub}")
-        return paths
 
     def encode(self, value: Any) -> List[bool]:
         bits: List[bool] = []
@@ -272,7 +270,7 @@ class StructSort(Sort):
         )
 
     def __hash__(self) -> int:
-        return hash(("StructSort", self.name, self.fields))
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StructSort({self.name!r}, fields={[f for f, _ in self.fields]})"

@@ -44,7 +44,20 @@ caches, statistics and GC bookkeeping are reset together between runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..bdd import BddError, BddManager
 from ..testing import faults
@@ -66,7 +79,6 @@ from .formulas import (
     Succ,
     Top,
     all_vars,
-    relations_of,
 )
 from .relations import Equation, EquationSystem, RelationDecl
 from .sorts import BoolSort, EnumSort, Sort, StructSort
@@ -78,20 +90,28 @@ __all__ = ["SymbolicContext", "SymbolicBackend", "default_bit_order"]
 def default_bit_order(variables: Sequence[Var]) -> List[str]:
     """Interleaved default ordering of the bits of a set of typed variables.
 
-    Bits are grouped by their *path* (the part after the variable prefix), so
-    that the corresponding components of different state copies sit next to
-    each other — the standard good ordering for symbolic transition relations
-    and the analogue of the "allocation constraints" Getafix hands to MUCKE.
+    The bits of a struct-sorted variable are grouped by their *path* (the
+    part after the variable prefix), so that the corresponding components of
+    different state copies sit next to each other — the standard good
+    ordering for symbolic transition relations and the analogue of the
+    "allocation constraints" Getafix hands to MUCKE.  The bits of any other
+    variable are grouped by their full name: the ``mod``/``pc`` parameters
+    of the location relations then join the ``mod.*``/``pc.*`` groups of
+    the state copies, in the same relative order, so projecting them onto a
+    state copy is a monotone shift.
     """
     path_rank: Dict[str, int] = {}
     var_rank: Dict[str, int] = {}
-    bits: List[Tuple[str, str]] = []  # (path, full bit name)
+    bits: List[Tuple[str, str]] = []  # (group path, full bit name)
     for var in variables:
         name = var.__dict__["name"]
         if name in var_rank:
             continue
         var_rank[name] = len(var_rank)
+        struct = isinstance(var.sort, StructSort)
         for path, bit in zip(var.sort.bit_paths(), var.bit_names()):
+            if not struct:
+                path = bit
             if path not in path_rank:
                 path_rank[path] = len(path_rank)
             bits.append((path, bit))
@@ -103,21 +123,23 @@ class _Plan:
     """A compiled formula node: static skeleton plus dynamic residue.
 
     ``rel_names`` is the sorted tuple of relation names this subformula
-    depends on; ``memo`` caches results keyed by the tuple of those
-    relations' interpretations (BDD nodes are canonical, so equal nodes mean
-    equal interpretations).
+    depends on; ``memo`` caches results keyed by those relations'
+    interpretations (BDD nodes are canonical, so equal nodes mean equal
+    interpretations): the one edge for a single relation, else their tuple,
+    as ``operator.itemgetter`` returns them.
     """
 
-    __slots__ = ("rel_names", "memo", "released")
+    __slots__ = ("rel_names", "memo", "released", "_key")
 
     def __init__(self, rel_names: Tuple[str, ...]) -> None:
         self.rel_names = rel_names
-        self.memo: Dict[Tuple[int, ...], int] = {}
+        self.memo: Dict[object, int] = {}
         self.released = False
+        self._key = itemgetter(*rel_names) if rel_names else None
 
     def eval(self, backend: "SymbolicBackend", interps: Mapping[str, int]) -> int:
         try:
-            key = tuple(interps[name] for name in self.rel_names)
+            key = self._key(interps)
         except KeyError as exc:
             raise KeyError(
                 f"no interpretation provided for relation {exc.args[0]!r}"
@@ -160,18 +182,17 @@ class _StaticPlan(_Plan):
 
 
 class _RelAppPlan(_Plan):
-    """A relation application with precompiled restrict/rename bit maps."""
+    """A relation application with its restrict/rename maps interned once."""
 
-    __slots__ = ("name", "restrict", "rename")
+    __slots__ = ("name", "maps")
 
-    def __init__(self, name: str, restrict: Dict[str, bool], rename: Dict[str, str]) -> None:
+    def __init__(self, name: str, maps: "_RelAppMaps") -> None:
         super().__init__((name,))
         self.name = name
-        self.restrict = restrict
-        self.rename = rename
+        self.maps = maps
 
     def _compute(self, backend: "SymbolicBackend", interps: Mapping[str, int]) -> int:
-        return backend._apply_relation(interps[self.name], self.restrict, self.rename)
+        return backend._apply_relation(interps[self.name], self.maps)
 
 
 class _NotPlan(_Plan):
@@ -311,6 +332,33 @@ class _ForallPlan(_Plan):
         return (self.neg_constraint,)
 
 
+class _RelAppMaps(NamedTuple):
+    """How a relation application moves an interpretation onto its arguments.
+
+    ``restrict`` fixes the parameter bits bound to constants (an interned
+    map, or None).  ``rename`` maps the level of every other parameter bit to
+    the level of its argument bit where the two differ; ``rename_map`` is
+    that map interned, or None when it is empty or not injective (two
+    parameters bound to one argument), which only the general fall-back of
+    :meth:`SymbolicBackend._apply_relation` handles.
+    """
+
+    restrict: Optional[object]
+    rename: Dict[int, int]
+    rename_map: Optional[object]
+
+
+def _dynamic_nodes(formula: Formula, found: Set[int]) -> bool:
+    """Add the ids of ``formula``'s subformulas that apply a relation to
+    ``found``; True iff ``formula`` itself does."""
+    dynamic = isinstance(formula, RelApp)
+    for child in formula.children():
+        dynamic = _dynamic_nodes(child, found) or dynamic
+    if dynamic:
+        found.add(id(formula))
+    return dynamic
+
+
 def _merge_rel_names(plans: Iterable[_Plan]) -> Tuple[str, ...]:
     names: Set[str] = set()
     for plan in plans:
@@ -343,9 +391,11 @@ class SymbolicContext:
         self.manager = manager if manager is not None else BddManager(full_order)
         if manager is not None:
             for bit in full_order:
-                if bit not in manager.var_names:
+                if not manager.has_var(bit):
                     manager.add_var(bit)
-        self._domain_cache: Dict[str, int] = {}
+        # Both keyed by a term's bit-name prefix and sort, which fix its bits.
+        self._levels: Dict[Tuple[str, Sort], Tuple[int, ...]] = {}
+        self._domain_cache: Dict[Tuple[str, Sort], int] = {}
 
     def _record(self, var: Var) -> None:
         name = var.__dict__["name"]
@@ -367,11 +417,21 @@ class SymbolicContext:
         """BDD node for a single bit."""
         return self.manager.var(bit_name)
 
+    def levels(self, term: Term) -> Tuple[int, ...]:
+        """The manager levels of the bits of ``term``, in encoding order.
+
+        Computed once per term layout: variables never change level.
+        """
+        key = (term.prefix, term.sort)
+        levels = self._levels.get(key)
+        if levels is None:
+            levels = tuple(map(self.manager.var_index, term.bit_names()))
+            self._levels[key] = levels
+        return levels
+
     def encode_cube(self, term: Term, value: Any) -> int:
         """The cube asserting that ``term`` equals the constant ``value``."""
-        bits = term.bit_names()
-        encoded = term.sort.encode(value)
-        return self.manager.cube(dict(zip(bits, encoded)))
+        return self.manager.cube(dict(zip(self.levels(term), term.sort.encode(value))))
 
     def domain_constraint(self, term: Term) -> int:
         """BDD constraining ``term`` to valid values of its sort.
@@ -380,31 +440,28 @@ class SymbolicContext:
         constraint; everything else is TRUE.  Cached constraints are
         GC-protected for the lifetime of the cache entry.
         """
-        key = ".".join(term.bit_names()) + ":" + term.sort.name
+        key = (term.prefix, term.sort)
         cached = self._domain_cache.get(key)
         if cached is not None:
             return cached
-        node = self._domain_constraint(term.sort, term.bit_names())
+        node = self._domain_constraint(term.sort, self.levels(term))
         self._domain_cache[key] = self.manager.ref(node)
         return node
 
-    def _domain_constraint(self, sort: Sort, bits: Sequence[str]) -> int:
+    def _domain_constraint(self, sort: Sort, levels: Sequence[int]) -> int:
         mgr = self.manager
         if isinstance(sort, BoolSort):
             return mgr.TRUE
         if isinstance(sort, EnumSort):
-            if sort.size() == (1 << sort.width):
-                return mgr.TRUE
-            return mgr.disjoin(
-                mgr.cube(dict(zip(bits, sort.encode(value)))) for value in sort.values()
-            )
+            # TRUE when the size is a power of two.
+            return mgr.at_most(levels, sort.size() - 1)
         if isinstance(sort, StructSort):
             node = mgr.TRUE
             offset = 0
             for _, field_sort in sort.fields:
                 width = field_sort.width
                 node = mgr.and_(
-                    node, self._domain_constraint(field_sort, bits[offset : offset + width])
+                    node, self._domain_constraint(field_sort, levels[offset : offset + width])
                 )
                 offset += width
             return node
@@ -539,23 +596,28 @@ class SymbolicBackend:
         """Partition ``formula`` into a static BDD skeleton + dynamic residue.
 
         Static edges baked into the returned plan are GC-protected and every
-        plan memo is registered for invalidation on collection.
+        plan memo is registered for invalidation on collection.  One walk
+        first marks the subformulas that apply a relation.
         """
-        if not relations_of(formula):
+        dynamic: Set[int] = set()
+        _dynamic_nodes(formula, dynamic)
+        return self._compile(formula, dynamic)
+
+    def _compile(self, formula: Formula, dynamic: Set[int]) -> _Plan:
+        if id(formula) not in dynamic:
             self.static_hoists += 1
             return self._register(_StaticPlan(self._protect(self.eval_formula(formula, {}))))
         mgr = self.manager
         if isinstance(formula, RelApp):
-            restrict, rename = self._rel_app_maps(formula)
-            return self._register(_RelAppPlan(formula.decl.name, restrict, rename))
+            return self._register(_RelAppPlan(formula.decl.name, self._rel_app_maps(formula)))
         if isinstance(formula, Not):
-            return self._register(_NotPlan(self.compile_formula(formula.body)))
+            return self._register(_NotPlan(self._compile(formula.body, dynamic)))
         if isinstance(formula, (And, Or)):
             is_and = isinstance(formula, And)
             static_parts: List[Formula] = []
             dynamic_parts: List[Formula] = []
             for part in formula.parts:
-                (dynamic_parts if relations_of(part) else static_parts).append(part)
+                (dynamic_parts if id(part) in dynamic else static_parts).append(part)
             if is_and:
                 static_node = mgr.conjoin(
                     self.eval_formula(part, {}) for part in static_parts
@@ -566,46 +628,46 @@ class SymbolicBackend:
                 )
             if static_parts:
                 self.static_hoists += 1
-            children = [self.compile_formula(part) for part in dynamic_parts]
+            children = [self._compile(part, dynamic) for part in dynamic_parts]
             return self._register(_NaryPlan(self._protect(static_node), children, is_and))
         if isinstance(formula, Implies):
             return self._register(
                 _ImpliesPlan(
-                    self.compile_formula(formula.antecedent),
-                    self.compile_formula(formula.consequent),
+                    self._compile(formula.antecedent, dynamic),
+                    self._compile(formula.consequent, dynamic),
                 )
             )
         if isinstance(formula, Iff):
             return self._register(
                 _IffPlan(
-                    self.compile_formula(formula.left), self.compile_formula(formula.right)
+                    self._compile(formula.left, dynamic),
+                    self._compile(formula.right, dynamic),
                 )
             )
         if isinstance(formula, Exists):
-            child = self.compile_formula(formula.body)
+            child = self._compile(formula.body, dynamic)
             constraint = mgr.conjoin(
                 self.context.domain_constraint(var) for var in formula.variables
             )
-            bits: List[str] = []
-            for var in formula.variables:
-                bits.extend(var.bit_names())
             self.static_hoists += 1
-            return self._register(
-                _ExistsPlan(child, self._protect(constraint), mgr.quant_cube(bits))
-            )
+            cube = mgr.quant_cube(self._bound_levels(formula))
+            return self._register(_ExistsPlan(child, self._protect(constraint), cube))
         if isinstance(formula, Forall):
-            child = self.compile_formula(formula.body)
+            child = self._compile(formula.body, dynamic)
             constraint = mgr.conjoin(
                 self.context.domain_constraint(var) for var in formula.variables
             )
-            bits = []
-            for var in formula.variables:
-                bits.extend(var.bit_names())
             self.static_hoists += 1
-            return self._register(
-                _ForallPlan(child, self._protect(mgr.not_(constraint)), mgr.quant_cube(bits))
-            )
+            cube = mgr.quant_cube(self._bound_levels(formula))
+            return self._register(_ForallPlan(child, self._protect(mgr.not_(constraint)), cube))
         raise TypeError(f"cannot compile formula node {formula!r}")
+
+    def _bound_levels(self, formula: Formula) -> List[int]:
+        """The levels of the bits a quantifier binds."""
+        levels: List[int] = []
+        for var in formula.variables:  # type: ignore[attr-defined]
+            levels.extend(self.context.levels(var))
+        return levels
 
     def _register(self, plan: _Plan) -> _Plan:
         """Track a plan's memo so GC sweeps can invalidate it."""
@@ -810,18 +872,14 @@ class SymbolicBackend:
             )
         if isinstance(formula, Exists):
             body = self.eval_formula(formula.body, interps)
-            bits: List[str] = []
             for var in formula.variables:
                 body = mgr.and_(body, self.context.domain_constraint(var))
-                bits.extend(var.bit_names())
-            return mgr.exists(body, bits)
+            return mgr.exists(body, self._bound_levels(formula))
         if isinstance(formula, Forall):
             body = self.eval_formula(formula.body, interps)
-            bits = []
             for var in formula.variables:
                 body = mgr.or_(body, mgr.not_(self.context.domain_constraint(var)))
-                bits.extend(var.bit_names())
-            return mgr.forall(body, bits)
+            return mgr.forall(body, self._bound_levels(formula))
         raise TypeError(f"cannot compile formula node {formula!r}")
 
     # -- atoms -------------------------------------------------------------
@@ -873,43 +931,48 @@ class SymbolicBackend:
         return self.context.encode_cube(term, value)
 
     # -- relation application ------------------------------------------------
-    def _rel_app_maps(self, formula: RelApp) -> Tuple[Dict[str, bool], Dict[str, str]]:
-        """The restrict (bit -> constant) and rename (bit -> bit) maps of an
-        application of a relation to argument terms."""
-        restrict: Dict[str, bool] = {}
-        rename: Dict[str, str] = {}
+    def _rel_app_maps(self, formula: RelApp) -> _RelAppMaps:
+        """The interned restrict and rename maps of an application of a
+        relation to argument terms."""
+        mgr = self.manager
+        levels = self.context.levels
+        restrict: Dict[int, bool] = {}
+        rename: Dict[int, int] = {}
         for (param_name, sort), arg in zip(formula.decl.params, formula.args):
-            param_bits = Var(param_name, sort).bit_names()
+            param_levels = levels(Var(param_name, sort))
             if isinstance(arg, Const):
-                for bit, value in zip(param_bits, sort.encode(arg.value)):
-                    restrict[bit] = value
+                restrict.update(zip(param_levels, sort.encode(arg.value)))
             else:
-                for bit, target in zip(param_bits, arg.bit_names()):
-                    if bit != target:
-                        rename[bit] = target
-        return restrict, rename
+                for level, target in zip(param_levels, levels(arg)):
+                    if level != target:
+                        rename[level] = target
+        injective = len(set(rename.values())) == len(rename)
+        return _RelAppMaps(
+            mgr.restrict_map(restrict),
+            rename,
+            mgr.rename_map(rename) if injective else None,
+        )
 
     def _rel_app(self, formula: RelApp, interps: Mapping[str, int]) -> int:
         decl = formula.decl
         if decl.name not in interps:
             raise KeyError(f"no interpretation provided for relation {decl.name!r}")
-        restrict, rename = self._rel_app_maps(formula)
-        return self._apply_relation(interps[decl.name], restrict, rename)
+        return self._apply_relation(interps[decl.name], self._rel_app_maps(formula))
 
-    def _apply_relation(self, node: int, restrict: Dict[str, bool], rename: Dict[str, str]) -> int:
+    def _apply_relation(self, node: int, maps: _RelAppMaps) -> int:
         mgr = self.manager
-        if restrict:
-            node = mgr.restrict(node, restrict)
+        if maps.restrict is not None:
+            node = mgr.restrict(node, maps.restrict)
+        rename = maps.rename
         if not rename:
             return node
-        targets = list(rename.values())
-        if len(set(targets)) == len(targets):
+        if maps.rename_map is not None:
             # The manager validates the clash condition itself (and its
             # cross-call cache makes repeated renames O(1) without any
             # support walk); only genuinely clashing applications fall
             # through to the general path.
             try:
-                return mgr.rename(node, rename)
+                return mgr.rename(node, maps.rename_map)
             except BddError:
                 pass
         # General (and always correct) fall-back: conjoin bit equalities and
@@ -918,14 +981,14 @@ class SymbolicBackend:
         # its own parameters in a non-injective way), first move those source
         # bits to dedicated temporary bits so the quantification cannot
         # capture the targets.
-        overlap = set(rename) & set(targets)
+        overlap = rename.keys() & set(rename.values())
         if overlap:
-            stage_one: Dict[str, str] = {}
-            for bit in overlap:
-                temp = f"__tmp.{bit}"
-                if temp not in mgr.var_names:
-                    mgr.add_var(temp)
-                stage_one[bit] = temp
+            stage_one: Dict[int, int] = {}
+            for level in overlap:
+                temp = f"__tmp.{mgr.var_name(level)}"
+                stage_one[level] = (
+                    mgr.var_index(temp) if mgr.has_var(temp) else mgr.add_var(temp)
+                )
             node = mgr.rename(node, stage_one)
             rename = {stage_one.get(src, src): dst for src, dst in rename.items()}
         equalities = mgr.conjoin(

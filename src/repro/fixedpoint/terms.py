@@ -20,9 +20,15 @@ class Term:
 
     sort: Sort
 
+    @property
+    def prefix(self) -> str:
+        """The bit-name prefix of this term: ``u`` for ``u``, ``u.pc`` for ``u.pc``."""
+        raise NotImplementedError
+
     def bit_names(self) -> List[str]:
         """The fully qualified BDD bit names of this term, in encoding order."""
-        raise NotImplementedError
+        prefix = self.prefix
+        return [prefix if path == "" else f"{prefix}.{path}" for path in self.sort.bit_paths()]
 
     def root_var(self) -> Optional["Var"]:
         """The variable at the root of this term, or None for constants."""
@@ -54,9 +60,9 @@ class Var(Term):
         self.__dict__["name"] = name
         self.__dict__["sort"] = sort
 
-    def bit_names(self) -> List[str]:
-        name = self.__dict__["name"]
-        return [name if path == "" else f"{name}.{path}" for path in self.sort.bit_paths()]
+    @property
+    def prefix(self) -> str:
+        return self.__dict__["name"]
 
     def root_var(self) -> "Var":
         return self
@@ -91,18 +97,9 @@ class Field(Term):
         self.__dict__["field_name"] = field
         self.__dict__["sort"] = base_sort.field_sort(field)
 
-    def bit_names(self) -> List[str]:
-        base: Term = self.__dict__["base"]
-        field: str = self.__dict__["field_name"]
-        root = base.root_var()
-        assert root is not None
-        prefix = root.__dict__["name"]
-        base_path = base.path
-        full = field if base_path == "" else f"{base_path}.{field}"
-        return [
-            f"{prefix}.{full}" if path == "" else f"{prefix}.{full}.{path}"
-            for path in self.sort.bit_paths()
-        ]
+    @property
+    def prefix(self) -> str:
+        return f"{self.__dict__['base'].prefix}.{self.__dict__['field_name']}"
 
     def root_var(self) -> Optional[Var]:
         return self.__dict__["base"].root_var()
@@ -143,7 +140,8 @@ class Const(Term):
     def value(self) -> Any:
         return self.__dict__["value"]
 
-    def bit_names(self) -> List[str]:
+    @property
+    def prefix(self) -> str:
         raise TypeError("constants have no bit names")
 
     def root_var(self) -> Optional[Var]:

@@ -1,8 +1,13 @@
 """Tests for the three sequential Getafix algorithms and the engine wiring."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.algorithms import SEQUENTIAL_ALGORITHMS, run_sequential
+from repro.bdd import BddManager
+from repro.benchgen import DriverSpec, make_driver
 from repro.boolprog import parse_program
 from repro.frontends import check_reachability, resolve_target
 
@@ -181,3 +186,44 @@ class TestStatistics:
         for algorithm in ALGORITHMS:
             result = check_reachability(source, target="helper:deep", algorithm=algorithm)
             assert result.reachable, algorithm
+
+
+class TestKernelFootprint:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_location_projections_rename_by_shift(self, algorithm):
+        # The ``mod``/``pc`` parameters of Entry/Exit/Target share the bit
+        # groups of the state copies' ``mod``/``pc`` fields, so projecting
+        # them onto ``u``/``v``/``z`` is a monotone shift.  What still falls
+        # back to ``ite`` is IntoCall's (x,y)->(y,u) and Return's w->v, once
+        # each per sweep of the rename cache (5 and 10 fallbacks here when
+        # the parameters sat in their own groups).
+        spec = DriverSpec(name="d3", handlers=3, flags=2, helpers=1, positive=False)
+        program = make_driver(spec)
+        result = run_sequential(program, resolve_target(program, spec.target), algorithm=algorithm)
+        assert not result.reachable
+        manager = result.stats["manager"]
+        assert manager["rename_fallback"] <= 2 * (1 + manager["gc"]["collections"])
+
+    def test_run_frees_its_manager_without_cyclic_gc(self, monkeypatch):
+        # A reference cycle through the manager (a recursive closure that
+        # captures it, say) would keep its whole node table alive until a
+        # full collection.
+        managers = []
+        init = BddManager.__init__
+
+        def tracked(self, *args, **kwargs):
+            managers.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BddManager, "__init__", tracked)
+        spec = DriverSpec(name="d2", handlers=2, flags=2, helpers=1, positive=True)
+        program = make_driver(spec)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_sequential(program, resolve_target(program, spec.target))
+            assert result.reachable
+            assert managers and all(manager() is None for manager in managers)
+        finally:
+            if enabled:
+                gc.enable()

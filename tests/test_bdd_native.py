@@ -11,7 +11,9 @@ they agree on
 * every ``stats()`` counter (only the ``kernel`` field may differ),
 
 including the typed errors raised under a node budget, a deadline and a
-full node table, and the clash/injectivity errors of ``rename``.  The
+full node table, and the clash/injectivity errors of ``rename``.  The op
+mix also covers the constructions built directly with ``_mk`` (``cube``,
+``at_most``) and ``rename``/``restrict`` through interned maps.  The
 Python manager is selected by patching the module's ``_native`` attribute
 while it is constructed.
 """
@@ -62,9 +64,24 @@ OPS = st.one_of(
     ),
     st.tuples(st.just("rename"), INDEX, st.integers(0, len(RENAMES) - 1)),
     st.tuples(
-        st.just("restrict"),
+        st.sampled_from(["restrict", "restrict_map"]),
         INDEX,
         st.dictionaries(st.sampled_from(VARS), st.booleans(), min_size=1, max_size=3),
+    ),
+    st.tuples(st.just("rename_map"), INDEX, st.integers(0, len(RENAMES) - 1)),
+    # Keys are names or indices, so a variable may appear twice.
+    st.tuples(
+        st.just("cube"),
+        INDEX,
+        st.dictionaries(
+            st.sampled_from(VARS + list(range(len(VARS)))), st.booleans(), max_size=5
+        ),
+    ),
+    st.tuples(
+        st.just("at_most"),
+        INDEX,
+        st.lists(st.sampled_from(VARS), min_size=1, max_size=4, unique=True),
+        st.integers(-1, 16),
     ),
     st.tuples(st.just("gc"), st.integers(0, 127)),
 )
@@ -127,6 +144,14 @@ def apply(mgr: BddManager, pool: list, op: tuple):
             return mgr.rename(first, RENAMES[op[2]])
         if name == "restrict":
             return mgr.restrict(first, op[2])
+        if name == "rename_map":
+            return mgr.rename(first, mgr.rename_map(RENAMES[op[2]]))
+        if name == "restrict_map":
+            return mgr.restrict(first, mgr.restrict_map(op[2]))
+        if name == "cube":
+            return mgr.cube(op[2])
+        if name == "at_most":
+            return mgr.at_most(op[2], op[3])
     except (BddError, NodeBudgetExceeded, AnalysisTimeout) as error:
         return error
     raise AssertionError(f"unknown op {name}")

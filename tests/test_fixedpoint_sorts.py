@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.fixedpoint import BOOL, BoolSort, EnumSort, StructSort
+from repro.fixedpoint import BOOL, BoolSort, EnumSort, StructSort, Var
 
 
 class TestBoolSort:
     def test_width_and_paths(self):
         assert BOOL.width == 1
-        assert BOOL.bit_paths() == [""]
+        assert BOOL.bit_paths() == ("",)
 
     def test_encode_decode_roundtrip(self):
         for value in (False, True):
@@ -66,8 +66,23 @@ class TestStructSort:
         )
 
     def test_bit_paths(self, state):
-        assert state.bit_paths() == ["pc.0", "pc.1", "x", "y"]
+        assert state.bit_paths() == ("pc.0", "pc.1", "x", "y")
         assert state.width == 4
+
+    def test_bit_paths_are_computed_once_and_immutable(self, state):
+        # Every caller shares one layout per sort, so it must not be mutable.
+        for sort in (BOOL, EnumSort("PC", 5), state):
+            paths = sort.bit_paths()
+            assert isinstance(paths, tuple)
+            assert sort.bit_paths() is paths
+            with pytest.raises(AttributeError):
+                paths.append("junk")
+        u = Var("u", state)
+        names = u.bit_names()
+        names.append("junk")
+        assert u.bit_names() == ["u.pc.0", "u.pc.1", "u.x", "u.y"]
+        assert u.pc.prefix == "u.pc"
+        assert state.width == len(state.bit_paths()) == 4
 
     def test_field_access(self, state):
         assert state.field_sort("pc") == EnumSort("PC", 3)

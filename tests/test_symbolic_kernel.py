@@ -10,10 +10,14 @@ Covers the pieces the PR's kernel rework touches:
   path, unchanged errors), on both the native and the Python kernel,
 * deep variable orders past the interpreter's default recursion limit,
 * static-formula hoisting (compiled plans agree with direct evaluation),
+* the static constructions built directly in level order (cubes, enum
+  domain constraints) and relation maps interned at compile time, against
+  the apply-based constructions and the dict path, on both kernels,
 * cache clearing and statistics plumbing.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +32,9 @@ from repro.fixedpoint import (
     Exists,
     Or,
     RelationDecl,
+    StructSort,
     SymbolicBackend,
+    SymbolicContext,
     Var,
     evaluate_nested,
 )
@@ -275,6 +281,148 @@ class TestFusedRenameValidation:
         # The same map still renames a function without the clashing names.
         g = mgr.and_(mgr.var("a"), mgr.var("b"))
         assert mgr.rename(g, mapping) == mgr.and_(mgr.var("z"), mgr.var("y"))
+
+
+class TestStaticConstructions:
+    """Cubes and enum domain constraints are built directly with ``_mk``,
+    and compiled relation applications carry interned maps; each must equal
+    the construction it replaced, on both kernels."""
+
+    NAMES = list("abcdefgh")
+
+    def test_cube_matches_a_conjunction_of_literals(self, kernel_manager, monkeypatch):
+        mgr = kernel_manager(self.NAMES)
+        rng = random.Random(3)
+        cases = [{}, {"a": True, 0: True}, {"a": True, 0: False}, {7: False, "h": True}]
+        for _ in range(300):
+            # Names and indices as keys, so a variable may appear twice, with
+            # the same value or a conflicting one.
+            cases.append(
+                {
+                    rng.choice((name, index)): rng.random() < 0.5
+                    for index, name in (
+                        (i, self.NAMES[i])
+                        for i in (rng.randrange(len(self.NAMES)) for _ in range(rng.randint(1, 9)))
+                    )
+                }
+            )
+        expected = [
+            mgr.conjoin(mgr.var(key) if value else mgr.nvar(key) for key, value in case.items())
+            for case in cases
+        ]
+        assert mgr.cube(cases[2]) == mgr.cube(cases[3]) == mgr.FALSE
+        assert mgr.cube(cases[0]) == mgr.TRUE
+
+        def no_apply(*args):
+            raise AssertionError("cube ran an apply operation")
+
+        monkeypatch.setattr(BddManager, "and_", no_apply)
+        assert [mgr.cube(case) for case in cases] == expected
+        with pytest.raises(BddError):
+            mgr.cube({"nope": True})
+        with pytest.raises(BddError):
+            mgr.cube({len(self.NAMES): True})
+
+    @pytest.mark.parametrize("order", ["default", "reversed", "shuffled"])
+    def test_enum_domain_constraint_matches_the_value_cubes(self, kernel_manager, order):
+        for size in range(1, 34):
+            sort = EnumSort("E", size)
+            var = Var("e", sort)
+            bits = var.bit_names()
+            names = {
+                "default": bits,
+                "reversed": bits[::-1],
+                "shuffled": random.Random(size).sample(bits, len(bits)),
+            }[order]
+            mgr = kernel_manager(names)
+            context = SymbolicContext([var], manager=mgr)
+            expected = mgr.disjoin(
+                mgr.cube(dict(zip(bits, sort.encode(value)))) for value in sort.values()
+            )
+            assert context.domain_constraint(var) == expected, size
+
+    def test_struct_domain_constraint_conjoins_its_fields(self, kernel_manager):
+        sort = StructSort("S", [("p", EnumSort("P", 3)), ("q", EnumSort("Q", 5))])
+        var = Var("s", sort)
+        mgr = kernel_manager(var.bit_names())
+        context = SymbolicContext([var], manager=mgr)
+        expected = mgr.disjoin(
+            mgr.cube(dict(zip(var.bit_names(), sort.encode(value)))) for value in sort.values()
+        )
+        assert context.domain_constraint(var) == expected
+
+    def test_at_most_matches_the_value_cubes_in_any_order(self, kernel_manager):
+        mgr = kernel_manager(self.NAMES[:5])
+        rng = random.Random(5)
+        for width in range(1, 6):
+            for _ in range(4):
+                bits = rng.sample(self.NAMES[:5], width)
+                for bound in range(-1, (1 << width) + 1):
+                    expected = mgr.disjoin(
+                        mgr.cube({bit: bool((value >> i) & 1) for i, bit in enumerate(bits)})
+                        for value in range(min(bound + 1, 1 << width))
+                    )
+                    assert mgr.at_most(bits, bound) == expected, (bits, bound)
+        with pytest.raises(BddError, match="distinct"):
+            mgr.at_most(["a", 0], 1)
+
+    def test_interned_maps_match_the_dict_path(self, kernel_manager):
+        # Two managers, one per path, through the same operations: the same
+        # edges, the same errors and the same node tables.
+        names = ["a", "b", "c", "x", "y", "z"]
+        renames = [
+            {"a": "x", "b": "y", "c": "z"},  # shift
+            {"a": "z", "b": "y", "c": "x"},  # order-reversing: ite fall-back
+            {"a": "b", "b": "a"},  # swap
+            {"a": "b"},  # clashes when b is in the support
+        ]
+        restricts = [{"a": True}, {"b": False, "z": True}, {0: True, "c": False}]
+        by_dict, interned = kernel_manager(names), kernel_manager(names)
+        results = []
+        for mgr, intern in ((by_dict, False), (interned, True)):
+            a, b, c = (mgr.var(name) for name in "abc")
+            functions = [a, mgr.or_(mgr.and_(a, b ^ 1), mgr.and_(b, c)), mgr.xor(a, c)]
+            outcomes = []
+            for f in functions:
+                for mapping in renames:
+                    rmap = mgr.rename_map(mapping) if intern else mapping
+                    try:
+                        outcomes.append(mgr.rename(f, rmap))
+                    except BddError as error:
+                        outcomes.append(str(error))
+                for assignment in restricts:
+                    fmap = mgr.restrict_map(assignment) if intern else assignment
+                    outcomes.append(mgr.restrict(f, fmap))
+            results.append(outcomes)
+        assert results[0] == results[1]
+        assert any(isinstance(outcome, str) for outcome in results[0])
+        assert by_dict._level == interned._level
+        assert dict(by_dict._unique.items()) == dict(interned._unique.items())
+        assert by_dict.stats() == interned.stats()
+        assert interned.rename_map(renames[0]) is interned.rename_map(renames[0])
+        assert interned.rename_map({"a": "a"}) is None
+        with pytest.raises(BddError, match="injective"):
+            interned.rename_map({"a": "x", "b": "x"})
+
+    @pytest.mark.parametrize(
+        "arguments", ["xx", "ba", "bb", "bx", "1x"], ids=lambda args: f"R({','.join(args)})"
+    )
+    def test_compiled_applications_match_direct_evaluation(self, arguments):
+        # Non-injective (R(x,x)), swapped (R(b,a)) and clashing (R(b,b))
+        # applications still reach the general fall-back from a compiled
+        # plan with interned maps.
+        R = RelationDecl("R", [("a", E), ("b", E)])
+        backend = _backend(R)
+        args = [int(arg) if arg.isdigit() else Var(arg, E) for arg in arguments]
+        formula = R(*args)
+        plan = backend.compile_formula(formula)
+        if arguments == "xx":
+            assert plan.maps.rename_map is None
+        rng = random.Random(arguments)
+        for _ in range(20):
+            tuples = {(rng.choice(VALUES), rng.choice(VALUES)) for _ in range(rng.randint(0, 6))}
+            interps = {"R": _interp(backend, R, tuples)}
+            assert plan.eval(backend, interps) == backend.eval_formula(formula, interps)
 
 
 class TestDeepRecursion:
