@@ -4,10 +4,13 @@
  * _exists, _and_exists, _rename_shift and _restrict, plus the _mk they
  * allocate with -- step for step.  It works on the manager's own
  * containers (the _level/_lo/_hi arrays, _unique, the op caches, _free)
- * and counters (_hits/_misses, _live/_peak_live, the deadline countdown),
- * and it probes, caches and allocates in the same order as the Python
- * code.  A native call therefore leaves the manager in exactly the state
- * the Python kernel would: the same edges, node table and counters, so GC,
+ * and counters (_hits/_misses, _top, _live/_peak_live, the deadline
+ * countdown), and it probes, caches and allocates in the same order as the
+ * Python code.  A new node takes the last free-listed slot, or else the
+ * spare slot at _top; the loop calls back into Python to allocate only when
+ * the vectors are full, through BddManager._grow, once per growth step.
+ * A native call therefore leaves the manager in exactly the state the
+ * Python kernel would: the same edges, node table and counters, so GC,
  * snapshots, the sanitizer and stats() need not know which kernel ran.
  *
  * A manager that runs this loop keeps its unique table and its and,
@@ -482,7 +485,7 @@ static const char *const VECTOR_NAMES[3] = {"_level", "_lo", "_hi"};
 static PyObject *s_op[NOPS], *s_cache[NOPS], *s_vector[3];
 static PyObject *s_hits, *s_misses, *s_unique, *s_free, *s_live, *s_peak_live;
 static PyObject *s_node_budget, *s_deadline, *s_countdown, *s_interval;
-static PyObject *s_check_deadline, *s_append, *s_uid, *s_last, *s_mask;
+static PyObject *s_check_deadline, *s_grow, *s_top, *s_uid, *s_last, *s_mask;
 static PyObject *s_table, *s_max_index, *s_budget_error, *s_table_full;
 static PyObject *s_consumed, *s_budget;
 
@@ -504,7 +507,7 @@ typedef struct {
     int alloc;
     Table *unique;
     PyObject *free_list;
-    long long live, peak, countdown, interval, budget, max_index;
+    long long top, live, peak, countdown, interval, budget, max_index;
     int has_budget, has_deadline;
     /* The rename/restrict table of the call, when there is one. */
     Py_buffer table_view;
@@ -557,22 +560,16 @@ static int hold_vectors(Ctx *c)
     return 0;
 }
 
-/* Append one node slot.  An exported buffer pins an array's size, so the
- * views are dropped around the appends and taken again afterwards. */
-static int append_node(Ctx *c, int64_t level, int64_t lo, int64_t hi)
+/* BddManager._grow: extend the vectors by spare slots.  An exported buffer
+ * pins an array's size, so the views are dropped around the call and taken
+ * again afterwards. */
+static int grow(Ctx *c)
 {
-    int64_t values[3] = {level, lo, hi};
     release_vectors(c);
-    for (int i = 0; i < 3; i++) {
-        PyObject *value = PyLong_FromLongLong(values[i]);
-        if (value == NULL)
-            return -1;
-        PyObject *done = PyObject_CallMethodOneArg(c->vector[i], s_append, value);
-        Py_DECREF(value);
-        if (done == NULL)
-            return -1;
-        Py_DECREF(done);
-    }
+    PyObject *done = PyObject_CallMethodNoArgs(c->mgr, s_grow);
+    if (done == NULL)
+        return -1;
+    Py_DECREF(done);
     return hold_vectors(c);
 }
 
@@ -624,6 +621,7 @@ static int load_alloc(Ctx *c)
         PyErr_SetString(PyExc_TypeError, "free list must be a list");
         return -1;
     }
+    c->top = attr_ll(c->mgr, s_top);
     c->live = attr_ll(c->mgr, s_live);
     c->peak = attr_ll(c->mgr, s_peak_live);
     c->countdown = attr_ll(c->mgr, s_countdown);
@@ -706,7 +704,8 @@ static int ctx_flush(Ctx *c)
         Py_XDECREF(counters[k]);
     }
     if (c->alloc) {
-        if (set_ll(c->mgr, s_live, c->live) < 0 || set_ll(c->mgr, s_peak_live, c->peak) < 0
+        if (set_ll(c->mgr, s_top, c->top) < 0 || set_ll(c->mgr, s_live, c->live) < 0
+            || set_ll(c->mgr, s_peak_live, c->peak) < 0
             || set_ll(c->mgr, s_countdown, c->countdown) < 0)
             status = -1;
     }
@@ -829,18 +828,19 @@ static int64_t mk(Ctx *c, int64_t level, int64_t lo, int64_t hi)
         if ((index == -1 && PyErr_Occurred())
             || PyList_SetSlice(c->free_list, free_count - 1, free_count, NULL) < 0)
             return ERR;
-        c->level[index] = level;
-        c->lo[index] = lo;
-        c->hi[index] = hi;
     } else {
-        index = c->capacity;
+        index = c->top;
         if (index > c->max_index) {
             raise_table_full(index);
             return ERR;
         }
-        if (append_node(c, level, lo, hi) < 0)
+        if (index == c->capacity && grow(c) < 0)
             return ERR;
+        c->top = index + 1;
     }
+    c->level[index] = level;
+    c->lo[index] = lo;
+    c->hi[index] = hi;
     if (table_set(c->unique, key, index) < 0)
         return ERR;
     c->live++;
@@ -1232,7 +1232,8 @@ PyMODINIT_FUNC PyInit__native(void)
         || intern(&s_node_budget, "_node_budget") < 0 || intern(&s_deadline, "_deadline") < 0
         || intern(&s_countdown, "_deadline_countdown") < 0
         || intern(&s_interval, "_deadline_interval") < 0
-        || intern(&s_check_deadline, "_check_deadline") < 0 || intern(&s_append, "append") < 0
+        || intern(&s_check_deadline, "_check_deadline") < 0 || intern(&s_grow, "_grow") < 0
+        || intern(&s_top, "_top") < 0
         || intern(&s_uid, "uid") < 0 || intern(&s_last, "last") < 0
         || intern(&s_mask, "mask") < 0 || intern(&s_table, "table") < 0
         || intern(&s_max_index, "MAX_NODE_INDEX") < 0

@@ -38,6 +38,12 @@ Node store
 * The node vectors ``level``/``lo``/``hi`` are flat ``array('q')`` int64
   vectors: three contiguous machine-word tables instead of three pointer
   arrays into heap-allocated ints.
+* Slots are handed out by a bump index ``_top``: a new node takes the last
+  free-listed slot (``_free`` holds only the holes GC left), or else slot
+  ``_top``.  Slots from ``_top`` on are *spare*: never used, free-level and
+  childless.  When none is left, :meth:`BddManager._grow` extends the
+  vectors in one step — they double, by at least 1024 slots and up to the
+  packed-key bound — so both kernels allocate with no call per node.
 * The unique table and every per-op apply cache are keyed on *packed
   integer keys* (a single small int per probe instead of a tuple object);
   quantifier cubes and rename/restrict maps are interned to per-manager
@@ -65,10 +71,12 @@ drops all operation caches so no cache entry can resurrect a dead node.
 The sweep works run by run: each run of dead slots between live ones is
 cleared with one slice assignment per vector, the unique table is rebuilt
 from the live slots when at least half of it died (and has its dead keys
-deleted otherwise), and the trailing run of free slots is trimmed so
-capacity tracks the live high-water mark.  Registered GC hooks let consumers
-(the symbolic backend's plan memos) invalidate their own node-keyed caches
-in the same sweep.
+deleted otherwise), and the trailing run of free slots is trimmed back into
+the spare slots: ``_top`` drops to just past the last live slot, so
+capacity tracks the live high-water mark.  The sweep covers only the used
+slots below ``_top``; the vectors themselves never shrink.  Registered GC
+hooks let consumers (the symbolic backend's plan memos) invalidate their
+own node-keyed caches in the same sweep.
 
 Collection only runs at *safe points*: callers invoke
 :meth:`maybe_collect` (cheap check against a configurable, geometrically
@@ -282,6 +290,8 @@ class BddManager:
         self._level = array("q", [self._TERMINAL_LEVEL])
         self._lo = array("q", [0])
         self._hi = array("q", [0])
+        # Slots at or above `_top` have never held a node (see `_grow`).
+        self._top = 1
         # Unique table: packed (level, lo_edge, hi_edge) key -> node index.
         self._unique: MutableMapping[int, int] = table()
         # Operation caches, one per operation family so one workload cannot
@@ -429,16 +439,16 @@ class BddManager:
             free = self._free
             if free:
                 index = free.pop()
-                self._level[index] = level
-                self._lo[index] = lo
-                self._hi[index] = hi
             else:
-                index = len(self._level)
+                index = self._top
                 if index > MAX_NODE_INDEX:
                     raise _node_table_full(index)
-                self._level.append(level)
-                self._lo.append(lo)
-                self._hi.append(hi)
+                if index == len(self._level):
+                    self._grow()
+                self._top = index + 1
+            self._level[index] = level
+            self._lo[index] = lo
+            self._hi[index] = hi
             self._unique[key] = index
             self._live += 1
             if self._live > self._peak_live:
@@ -456,6 +466,22 @@ class BddManager:
                     self._deadline_countdown = self._deadline_interval
                     self._check_deadline()
         return (index << 1) | sign
+
+    def _grow(self) -> None:
+        """Extend the node vectors by spare slots: the store's one growth step.
+
+        The flat vectors :meth:`_collectable` returns double, by at least
+        1024 slots and up to the packed-key bound.  Spare slots are
+        free-level and childless, sit at or above ``_top`` and are never on
+        the free list.
+        """
+        base, level, lo, hi = self._collectable()
+        size = len(level)
+        extra = min(max(size, 1024), MAX_NODE_INDEX + 1 - base - size)
+        zeros = array("q", bytes(8 * extra))
+        level.extend(array("q", [self._FREE_LEVEL]) * extra)
+        lo.extend(zeros)
+        hi.extend(zeros)
 
     # ------------------------------------------------------------------
     # Structural accessors
@@ -1454,8 +1480,10 @@ class BddManager:
         """
         base, level, lo, hi = self._collectable()
         # Mark in the flat arrays' own coordinates: slot ``base + i`` is
-        # ``level[i]``.  Slots below ``base`` are never collected.
-        marked = bytearray(len(level))
+        # ``level[i]``.  Slots below ``base`` are never collected, and those
+        # from ``_top`` on are spare.
+        used = self._top - base
+        marked = bytearray(used)
         if base == 0:
             marked[0] = 1  # the terminal
         live: List[int] = []
@@ -1481,16 +1509,17 @@ class BddManager:
                     ((level[i] << LEVEL_SHIFT) | (lo[i] << EDGE_BITS) | hi[i], base + i)
                     for i in live
                 )
-            # Every run of unmarked slots is dead (or already free).  Runs
-            # below the last live slot are cleared with one slice assignment
-            # per vector and free-listed; the trailing run is trimmed.
+            # Every run of unmarked slots is dead (or already free), and is
+            # cleared with one slice assignment per vector.  Runs below the
+            # last live slot are free-listed; the trailing run is trimmed
+            # back into the spare slots.
             end = marked.rfind(1) + 1
             free: List[int] = []
             start = marked.find(0)
             while start >= 0:
                 stop = marked.find(1, start)
                 if stop < 0:
-                    stop = len(marked)
+                    stop = used
                 if not rebuild:
                     for node_level, node_lo, node_hi in zip(
                         level[start:stop], lo[start:stop], hi[start:stop]
@@ -1499,20 +1528,18 @@ class BddManager:
                             del unique[
                                 (node_level << LEVEL_SHIFT) | (node_lo << EDGE_BITS) | node_hi
                             ]
+                size = stop - start
+                zeros = array("q", bytes(8 * size))
+                level[start:stop] = array("q", [free_level]) * size
+                lo[start:stop] = zeros
+                hi[start:stop] = zeros
                 if stop < end:
-                    size = stop - start
-                    zeros = array("q", bytes(8 * size))
-                    level[start:stop] = array("q", [free_level]) * size
-                    lo[start:stop] = zeros
-                    hi[start:stop] = zeros
                     free.extend(range(base + start, base + stop))
                 start = marked.find(0, stop)
             # Descending, so `pop()` hands out the lowest slot first.
             free.reverse()
             self._free = free
-            del level[end:]
-            del lo[end:]
-            del hi[end:]
+            self._top = base + end
             self._live -= reclaimed
             self._gc_reclaimed += reclaimed
             self._drop_op_caches()
@@ -1639,27 +1666,54 @@ class BddManager:
 
         Run at GC safe points when the manager was constructed with
         ``debug_checks=True`` (or ``REPRO_DEBUG_CHECKS=1``).  Checks, in
-        order: node-vector shape, free-list purity (free-marked slots and
-        the free list are the same set, free slots carry no children),
-        the live counter against the non-free slot count, unique-table
-        completeness and key/slot agreement, per-node structural invariants
-        (regular then-edge, reduction, level order, live children),
-        external-reference validity, and operation-cache edge liveness.
+        order: node-vector shape and spare slots, free-list purity
+        (free-marked slots and the free list are the same set, free slots
+        carry no children), the live counter against the non-free slot
+        count, unique-table completeness and key/slot agreement, per-node
+        structural invariants (regular then-edge, reduction, level order,
+        live children), external-reference validity, and operation-cache
+        edge liveness.
+
+        Only the slots :meth:`_collectable` returns are walked: a snapshot
+        overlay's frozen base was validated by its freezer, and its unique
+        table may also hold cached hits on base nodes.
         """
+        # Shape and spare slots, in the flat vectors' own coordinates.
+        base, level, lo, hi = self._collectable()
+        size = len(level)
+        if not (len(lo) == size and len(hi) == size):
+            raise BddError(
+                "sanitizer: node vectors disagree on capacity "
+                f"(level={size}, lo={len(lo)}, hi={len(hi)})"
+            )
+        capacity = self._top
+        used = capacity - base
+        if not 0 <= used <= size:
+            raise BddError(
+                f"sanitizer: _top {capacity} is past the node vectors ({base + size} slots)"
+            )
+        if max(self._free, default=0) >= capacity:
+            raise BddError(f"sanitizer: a spare slot past _top {capacity} is on the free list")
+        spare = size - used
+        if (
+            level[used:] != array("q", [self._FREE_LEVEL]) * spare
+            or lo[used:].count(0) != spare
+            or hi[used:].count(0) != spare
+        ):
+            raise BddError(
+                f"sanitizer: a spare slot past _top {capacity} has a level or children"
+            )
+        # The rest by slot index, from the first slot this manager owns.
+        first = max(base, 1)
+        scope = "overlay " if base else ""
         level = self._level
         lo = self._lo
         hi = self._hi
-        capacity = len(level)
-        if not (len(lo) == capacity and len(hi) == capacity):
-            raise BddError(
-                "sanitizer: node vectors disagree on capacity "
-                f"(level={capacity}, lo={len(lo)}, hi={len(hi)})"
-            )
         if level[0] != self._TERMINAL_LEVEL or lo[0] or hi[0]:
             raise BddError("sanitizer: terminal slot 0 was overwritten")
         free_level = self._FREE_LEVEL
         free_slots = set()
-        for index in range(1, capacity):
+        for index in range(first, capacity):
             if level[index] == free_level:
                 if lo[index] or hi[index]:
                     raise BddError(
@@ -1667,22 +1721,21 @@ class BddManager:
                     )
                 free_slots.add(index)
         if len(self._free) != len(set(self._free)):
-            raise BddError("sanitizer: duplicate slots on the free list")
+            raise BddError(f"sanitizer: duplicate slots on the {scope}free list")
         if set(self._free) != free_slots:
             raise BddError(
-                "sanitizer: free list does not match the free-marked slots "
-                f"(listed={len(self._free)}, marked={len(free_slots)})"
+                f"sanitizer: {scope}free list does not match the free-marked "
+                f"slots (listed={len(self._free)}, marked={len(free_slots)})"
             )
-        live = capacity - len(free_slots)
+        # The terminal counts; an overlay's frozen base does not.
+        live = 1 + capacity - first - len(free_slots)
         if live != self._live:
             raise BddError(
                 f"sanitizer: live counter {self._live} != {live} non-free slots"
             )
-        if len(self._unique) != live - 1:
-            raise BddError(
-                f"sanitizer: unique table holds {len(self._unique)} entries "
-                f"for {live - 1} live decision nodes"
-            )
+        # Each entry's key is its node's key, so the entries are distinct
+        # nodes, and counting those at or past `first` checks completeness.
+        filed = 0
         for key, index in self._unique.items():
             if not 0 < index < capacity or level[index] == free_level:
                 raise BddError(
@@ -1692,8 +1745,14 @@ class BddManager:
                 raise BddError(
                     f"sanitizer: unique key {key!r} does not match node {index}"
                 )
+            filed += index >= first
+        if filed != live - 1:
+            raise BddError(
+                f"sanitizer: unique table holds {filed} entries "
+                f"for {live - 1} live decision nodes"
+            )
         num_levels = len(self._var_names)
-        for index in range(1, capacity):
+        for index in range(first, capacity):
             node_level = level[index]
             if node_level == free_level:
                 continue
@@ -1767,7 +1826,8 @@ class BddManager:
 
         ``nodes`` is the current *live* node count, ``peak_nodes`` the
         watermark since construction or the last :meth:`clear_caches`, and
-        ``capacity`` the allocated slot count (live + free-listed).
+        ``capacity`` the used slot count ``_top`` (live + free-listed; the
+        spare slots past it are not counted).
         """
         ops: Dict[str, Dict[str, float]] = {}
         for op in self._hits:
@@ -1793,7 +1853,7 @@ class BddManager:
             "kernel": "python" if self._native is None else "native",
             "nodes": self._live,
             "peak_nodes": self._peak_live,
-            "capacity": len(self._level),
+            "capacity": self._top,
             "vars": len(self._var_names),
             "quant_cubes": len(self._cube_table),
             "rename_maps": len(self._rename_table),

@@ -1,9 +1,9 @@
 """Read-only shared-memory snapshots of solved BDD node tables.
 
 :class:`~repro.bdd.manager.BddManager` keeps its node table in three flat
-int64 vectors, which makes a *snapshot* a plain
-``memcpy``: :func:`freeze` copies the (GC-compacted) vectors plus a frozen
-open-addressing image of the unique table into a named
+int64 vectors, which makes a *snapshot* a plain ``memcpy``: :func:`freeze`
+copies the used slots below ``_top`` of the (GC-compacted) vectors plus a
+frozen open-addressing image of the unique table into a named
 :mod:`multiprocessing.shared_memory` segment.  Other processes attach
 **copy-free** — the segment is mapped, never deserialised — and run query
 post-passes (``check`` / ``check_all`` / ``count_sat``) against the solved
@@ -43,15 +43,7 @@ import secrets
 from array import array
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import NodeBudgetExceeded
-from .manager import (
-    EDGE_BITS,
-    LEVEL_SHIFT,
-    MAX_NODE_INDEX,
-    BddError,
-    BddManager,
-    _node_table_full,
-)
+from .manager import EDGE_BITS, LEVEL_SHIFT, BddError, BddManager
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -98,7 +90,7 @@ def freeze(manager: BddManager, name: Optional[str] = None) -> str:
 
     if isinstance(manager, SnapshotOverlayManager):
         raise BddError("cannot freeze a snapshot overlay manager")
-    capacity = len(manager._level)
+    capacity = manager._top
     unique = manager._unique
     table_size = 8
     while table_size < 2 * len(unique) + 1:
@@ -132,7 +124,7 @@ def freeze(manager: BddManager, name: Optional[str] = None) -> str:
         buf[_HEADER_BYTES : _HEADER_BYTES + meta_len] = meta
         off = arrays_off
         for vec in (manager._level, manager._lo, manager._hi):
-            raw = vec.tobytes()
+            raw = vec[:capacity].tobytes()
             buf[off : off + len(raw)] = raw
             off += capacity * 8
         # Frozen open-addressing unique table: parallel key/value int64
@@ -303,9 +295,6 @@ class _ChainVec:
         # this can only be a bug.
         self.tail[index - self.base_len] = value
 
-    def append(self, value: int) -> None:
-        self.tail.append(value)
-
 
 class SnapshotOverlayManager(BddManager):
     """An allocation-capable manager over a frozen base table.
@@ -313,11 +302,13 @@ class SnapshotOverlayManager(BddManager):
     Shares the base's node index space (indices below ``view.capacity`` are
     the frozen nodes; frozen signed edges stay valid verbatim) and allocates
     query-time nodes into a private tail.  ``_mk`` probes the local unique
-    dict, then the frozen open-addressing table, then allocates — so
-    canonicity spans both halves.  GC sweeps only the tail (base nodes are
-    immortal here; the owner of the segment decides its lifetime), and
-    ``_live``/``len()`` count only terminal + tail nodes: an attached
-    overlay *is* cheap, and session-pool LRU pricing must see it that way.
+    dict, then the frozen open-addressing table, then allocates with
+    :meth:`BddManager._mk` — so canonicity spans both halves.  The tail
+    grows by :meth:`BddManager._grow`'s rule.  GC sweeps only the tail
+    (base nodes are immortal here; the owner of the segment decides its
+    lifetime), and ``_live``/``len()`` count only terminal + tail nodes: an
+    attached overlay *is* cheap, and session-pool LRU pricing must see it
+    that way.
     """
 
     #: The native kernel works on flat arrays; the chained base/tail vectors
@@ -331,50 +322,21 @@ class SnapshotOverlayManager(BddManager):
         self._level = _ChainVec(view.level, array("q"))
         self._lo = _ChainVec(view.lo, array("q"))
         self._hi = _ChainVec(view.hi, array("q"))
+        self._top = view.capacity
         self._free = []
 
     # -- node creation ---------------------------------------------------
     def _mk(self, level: int, lo: int, hi: int) -> int:
-        if lo == hi:
-            return lo
-        sign = hi & 1
-        if sign:
-            lo ^= 1
-            hi ^= 1
-        key = (level << LEVEL_SHIFT) | (lo << EDGE_BITS) | hi
-        index = self._unique.get(key)
-        if index is None:
-            index = self._view.lookup(key)
-            if index is not None:
-                # A frozen node: cache the hit locally so repeat lookups
-                # skip the shared-memory probe.
-                self._unique[key] = index
-                return (index << 1) | sign
-            free = self._free
-            if free:
-                index = free.pop()
-                self._level[index] = level
-                self._lo[index] = lo
-                self._hi[index] = hi
-            else:
-                index = len(self._level)
-                if index > MAX_NODE_INDEX:
-                    raise _node_table_full(index)
-                self._level.append(level)
-                self._lo.append(lo)
-                self._hi.append(hi)
-            self._unique[key] = index
-            self._live += 1
-            if self._live > self._peak_live:
-                self._peak_live = self._live
-            if self._node_budget is not None and self._live > self._node_budget:
-                raise NodeBudgetExceeded(consumed=self._live, budget=self._node_budget)
-            if self._deadline is not None:
-                self._deadline_countdown -= 1
-                if self._deadline_countdown <= 0:
-                    self._deadline_countdown = self._deadline_interval
-                    self._check_deadline()
-        return (index << 1) | sign
+        if lo != hi:
+            sign = hi & 1
+            key = (level << LEVEL_SHIFT) | ((lo ^ sign) << EDGE_BITS) | (hi ^ sign)
+            if key not in self._unique:
+                index = self._view.lookup(key)
+                if index is not None:
+                    # A frozen node: cache the hit locally so repeat lookups
+                    # skip the shared-memory probe.
+                    self._unique[key] = index
+        return super()._mk(level, lo, hi)
 
     # -- garbage collection (tail-only) ----------------------------------
     def _collectable(self) -> Tuple[int, array, array, array]:
@@ -383,108 +345,6 @@ class SnapshotOverlayManager(BddManager):
         # Dropping cached frozen-table hits from `_unique` is harmless:
         # `_mk` probes the frozen table again.
         return self._base_len, self._level.tail, self._lo.tail, self._hi.tail
-
-    # -- kernel sanitizer (overlay-aware) --------------------------------
-    def _debug_validate(self) -> None:
-        """Overlay variant of the sanitizer (see ``BddManager._debug_validate``).
-
-        Frozen base slots are immutable and were validated by their freezer,
-        so the checks cover what this process can corrupt: the private tail
-        (structure, level order, liveness), the local unique cache — whose
-        entries may legitimately point at *either* half — the free list, the
-        external references and the operation caches.
-        """
-        level = self._level
-        lo = self._lo
-        hi = self._hi
-        base_len = self._base_len
-        capacity = len(level)
-        free_level = self._FREE_LEVEL
-        free_slots = set()
-        for index in range(base_len, capacity):
-            if level[index] == free_level:
-                if lo[index] or hi[index]:
-                    raise BddError(
-                        f"sanitizer: free tail slot {index} has dangling children"
-                    )
-                free_slots.add(index)
-        if len(self._free) != len(set(self._free)):
-            raise BddError("sanitizer: duplicate slots on the overlay free list")
-        if set(self._free) != free_slots:
-            raise BddError(
-                "sanitizer: overlay free list does not match the free-marked "
-                f"tail slots (listed={len(self._free)}, marked={len(free_slots)})"
-            )
-        # The overlay counts only terminal + tail nodes (attached bases are
-        # priced as free by the session pool).
-        live = 1 + (capacity - base_len) - len(free_slots)
-        if live != self._live:
-            raise BddError(
-                f"sanitizer: overlay live counter {self._live} != {live} "
-                "(terminal + non-free tail slots)"
-            )
-        for key, index in self._unique.items():
-            if not 0 < index < capacity or level[index] == free_level:
-                raise BddError(
-                    f"sanitizer: overlay unique cache maps {key!r} to dead "
-                    f"slot {index}"
-                )
-            if key != self._unique_key(index):
-                raise BddError(
-                    f"sanitizer: overlay unique key {key!r} does not match "
-                    f"node {index}"
-                )
-        num_levels = len(self._var_names)
-        unique = self._unique
-        for index in range(base_len, capacity):
-            node_level = level[index]
-            if node_level == free_level:
-                continue
-            if not 0 <= node_level < num_levels:
-                raise BddError(
-                    f"sanitizer: tail node {index} has out-of-range level "
-                    f"{node_level}"
-                )
-            if hi[index] & 1:
-                raise BddError(
-                    f"sanitizer: tail node {index} stores a complemented "
-                    "then-edge"
-                )
-            if lo[index] == hi[index]:
-                raise BddError(
-                    f"sanitizer: tail node {index} is unreduced (lo == hi)"
-                )
-            if unique.get(self._unique_key(index)) != index:
-                raise BddError(
-                    f"sanitizer: tail node {index} missing from the overlay "
-                    "unique cache"
-                )
-            for child in (lo[index], hi[index]):
-                child_index = child >> 1
-                if not 0 <= child_index < capacity or level[child_index] == free_level:
-                    raise BddError(
-                        f"sanitizer: tail node {index} points at dead child "
-                        f"edge {child}"
-                    )
-                if child_index and level[child_index] <= node_level:
-                    raise BddError(
-                        f"sanitizer: tail node {index} (level {node_level}) "
-                        f"violates the level order via child {child_index}"
-                    )
-        for index, count in self._extref.items():
-            if count <= 0:
-                raise BddError(
-                    f"sanitizer: non-positive external refcount {count} on "
-                    f"node {index}"
-                )
-            if not 0 < index < capacity or level[index] == free_level:
-                raise BddError(
-                    f"sanitizer: external reference to dead slot {index}"
-                )
-        for op, edge in self._debug_cache_edges():
-            index = edge >> 1
-            if not 0 <= index < capacity or level[index] == free_level:
-                raise BddError(f"sanitizer: {op} cache mentions dead edge {edge}")
 
     # -- lifecycle / stats -----------------------------------------------
     def detach(self) -> None:

@@ -92,8 +92,8 @@ def random_program_source(seed: int, num_globals: int = 2, num_helpers: int = 2)
     )
     for index, name in enumerate(helper_names):
         local_vars = global_names + ["a", "t"]
-        # Helpers may call later helpers only, so call chains are acyclic
-        # except for an optional bounded self-recursion.
+        # Helpers may call later helpers only, so call chains are acyclic:
+        # the generated programs never recurse.
         callable_helpers = helper_names[index + 1 :]
         body = _statements(rng, local_vars, callable_helpers, budget=3)
         parts.append(

@@ -11,7 +11,7 @@ purely against these relations and never look at the program again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..boolprog.ast import Expr, Nondet
 from ..boolprog.cfg import CallEdge, InternalEdge, ProcedureCfg, ProgramCfg, RETURN_SLOT_PREFIX
@@ -137,6 +137,7 @@ class SequentialEncoder:
         self._context = backend.context
         self._choices = ChoicePool(self._manager)
         self._location_levels: Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        self._frames: Dict[Tuple[str, str, str, FrozenSet[str]], int] = {}
 
     # ------------------------------------------------------------------
     # Canonical state variables
@@ -181,28 +182,28 @@ class SequentialEncoder:
             literals.update(self._location(state.__dict__["name"], module, pc))
         return self._manager.cube(literals)
 
-    def _globals_equal(self, left: Var, right: Var, except_fields: Iterable[str] = ()) -> int:
-        mgr = self._manager
-        skip = set(except_fields)
-        node = mgr.TRUE
-        for field_name in self.space.globals_sort.field_names():
-            if field_name in skip:
-                continue
-            left_bit = f"{left.__dict__['name']}.G.{field_name}"
-            right_bit = f"{right.__dict__['name']}.G.{field_name}"
-            node = mgr.and_(node, mgr.iff(mgr.var(left_bit), mgr.var(right_bit)))
-        return node
+    def _fields_equal(
+        self, part: str, left: Var, right: Var, except_fields: Iterable[str] = ()
+    ) -> int:
+        """``left`` and ``right`` agree on each ``part`` field not in ``except_fields``.
 
-    def _locals_equal(self, left: Var, right: Var, except_fields: Iterable[str] = ()) -> int:
-        mgr = self._manager
-        skip = set(except_fields)
-        node = mgr.TRUE
-        for field_name in self.space.locals_sort.field_names():
-            if field_name in skip:
-                continue
-            left_bit = f"{left.__dict__['name']}.L.{field_name}"
-            right_bit = f"{right.__dict__['name']}.L.{field_name}"
-            node = mgr.and_(node, mgr.iff(mgr.var(left_bit), mgr.var(right_bit)))
+        ``part`` is ``"G"`` (globals) or ``"L"`` (locals).  The edge is
+        memoised per bind, so no memoised edge outlives an encode pass.
+        """
+        skip = frozenset(except_fields)
+        key = (part, left.__dict__["name"], right.__dict__["name"], skip)
+        node = self._frames.get(key)
+        if node is None:
+            mgr = self._manager
+            sort = self.space.globals_sort if part == "G" else self.space.locals_sort
+            node = mgr.TRUE
+            for field_name in sort.field_names():
+                if field_name in skip:
+                    continue
+                left_bit = f"{key[1]}.{part}.{field_name}"
+                right_bit = f"{key[2]}.{part}.{field_name}"
+                node = mgr.and_(node, mgr.iff(mgr.var(left_bit), mgr.var(right_bit)))
+            self._frames[key] = node
         return node
 
     def _assign_constraint(
@@ -228,8 +229,8 @@ class SequentialEncoder:
                 continue
             value = compile_expr(expression, source, resolver, mgr, self._choices)
             node = mgr.and_(node, mgr.iff(mgr.var(target_bit), value))
-        node = mgr.and_(node, self._locals_equal(source, target, assigned_local_fields))
-        node = mgr.and_(node, self._globals_equal(source, target, assigned_global_fields))
+        node = mgr.and_(node, self._fields_equal("L", source, target, assigned_local_fields))
+        node = mgr.and_(node, self._fields_equal("G", source, target, assigned_global_fields))
         return node
 
     # ------------------------------------------------------------------
@@ -266,7 +267,7 @@ class SequentialEncoder:
                 callee_module = self.cfg.module_of(edge.callee)
                 callee = self.cfg.program.procedure(edge.callee)
                 node = self._at((x, module, edge.source), (y, callee_module, callee_cfg.entry))
-                node = mgr.and_(node, self._globals_equal(x, y))
+                node = mgr.and_(node, self._fields_equal("G", x, y))
                 param_fields = set()
                 for param_name, argument in zip(callee.params, edge.args):
                     slot = callee_cfg.slot_of[param_name]
@@ -313,8 +314,8 @@ class SequentialEncoder:
                     else:
                         assigned_local_fields.add(target_bit.rsplit(".", 1)[-1])
                     node = mgr.and_(node, mgr.iff(mgr.var(target_bit), mgr.var(ret_bit)))
-                node = mgr.and_(node, self._globals_equal(z, w, assigned_global_fields))
-                node = mgr.and_(node, self._locals_equal(x, w, assigned_local_fields))
+                node = mgr.and_(node, self._fields_equal("G", z, w, assigned_global_fields))
+                node = mgr.and_(node, self._fields_equal("L", x, w, assigned_local_fields))
                 disjuncts.append(node)
         return mgr.disjoin(disjuncts)
 

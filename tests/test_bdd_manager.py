@@ -289,3 +289,33 @@ def test_package_imports_do_not_load_numpy():
         "sys.exit('numpy' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", script], timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("kernel", ["default", "python"])
+def test_node_store_grows_logarithmically_often(kernel, monkeypatch):
+    """Allocating ~200k nodes calls `_grow` O(log n) times, under either kernel."""
+    import math
+
+    from repro.bdd import manager as bdd_manager
+
+    bits = 15
+    names = [f"x{i}" for i in range(bits)] + [f"y{i}" for i in range(bits)]
+    with monkeypatch.context() as patch:
+        if kernel == "python":
+            patch.setattr(bdd_manager, "_native", None)
+        big = BddManager(names)
+    sizes = []
+    grow = big._grow
+
+    def spy():
+        sizes.append(len(big._level))
+        grow()
+
+    big._grow = spy
+    # Equality of two words with the x bits all above the y bits: ~3 * 2**bits nodes.
+    big.conjoin(big.iff(big.var(f"x{i}"), big.var(f"y{i}")) for i in range(bits))
+    capacity = big.stats()["capacity"]
+    assert capacity >= 100_000
+    assert len(sizes) <= math.ceil(math.log2(capacity / 1024)) + 2
+    assert all(after >= 2 * before for before, after in zip(sizes, sizes[1:]))
+    assert capacity <= len(big._level) <= 2 * capacity + 1024

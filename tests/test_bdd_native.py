@@ -6,8 +6,8 @@ per kernel, through the same operations and asserts after every step that
 they agree on
 
 * the returned signed edges,
-* the node vectors ``_level``/``_lo``/``_hi``, the unique table and the
-  free list,
+* the node vectors ``_level``/``_lo``/``_hi`` (spare slots included), the
+  bump index ``_top``, the unique table and the free list,
 * every ``stats()`` counter (only the ``kernel`` field may differ),
 
 including the typed errors raised under a node budget, a deadline and a
@@ -105,6 +105,7 @@ def pair():
 
 
 def assert_same_state(native: BddManager, python: BddManager) -> None:
+    assert native._top == python._top
     assert native._level == python._level
     assert native._lo == python._lo
     assert native._hi == python._hi
@@ -221,6 +222,47 @@ def test_full_node_table_errors_match(ops, bound):
         patch.setattr(bdd_manager, "MAX_NODE_INDEX", bound)
         native, python = pair()
         run(native, python, ops)
+
+
+def spy_grow(mgr: BddManager) -> list:
+    """Record the vector length at each of the instance's `_grow` calls."""
+    sizes = []
+    grow = mgr._grow
+
+    def spy():
+        sizes.append(len(mgr._level))
+        grow()
+
+    mgr._grow = spy
+    return sizes
+
+
+def test_growth_trim_and_reuse_match_the_python_kernel():
+    # Equality of two words with one word's bits all above the other's
+    # takes ~6k nodes: several `_grow` steps.  A sweep that keeps one early
+    # node trims the tail, and a rebuild reuses its holes and then bumps.
+    names = [f"x{i}" for i in range(10)] + [f"y{i}" for i in range(10)]
+    native, python = BddManager(names), python_manager(names)
+    grown = [spy_grow(mgr) for mgr in (native, python)]
+    keep = [mgr.ref(mgr.and_(mgr.var("x0"), mgr.var("y0"))) for mgr in (native, python)]
+    assert keep[0] == keep[1]
+    for order in (range(10), reversed(range(10))):
+        edges = [BddManager.TRUE, BddManager.TRUE]
+        for i in order:
+            edges = [
+                mgr.and_(edge, mgr.iff(mgr.var(f"x{i}"), mgr.var(f"y{i}")))
+                for mgr, edge in zip((native, python), edges)
+            ]
+            assert edges[0] == edges[1]
+            assert_same_state(native, python)
+        top = native._top
+        assert native.collect_garbage() == python.collect_garbage()
+        assert_same_state(native, python)
+        assert native._top < top
+        assert native._top < len(native._level)
+        assert native._free
+    assert grown[0] == grown[1]
+    assert len(grown[0]) >= 3
 
 
 def test_every_map_and_cube_on_small_functions():

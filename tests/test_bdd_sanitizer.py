@@ -7,10 +7,10 @@ Two directions:
   pass validation at every GC safe point; verdict-bearing workloads behave
   identically with the sanitizer armed.
 * **Corruption is caught** — each invariant the sanitizer guards (live
-  counter, free-list purity, unique-table/node-vector agreement, the
-  regular then-edge canonical form, external-reference liveness, op-cache
-  edge liveness) has a test that injects exactly that corruption and
-  asserts :class:`BddError` names it.
+  counter, free-list purity, spare slots past ``_top``, unique-table/
+  node-vector agreement, the regular then-edge canonical form,
+  external-reference liveness, op-cache edge liveness) has a test that
+  injects exactly that corruption and asserts :class:`BddError` names it.
 """
 
 from __future__ import annotations
@@ -106,6 +106,32 @@ def test_detects_complemented_then_edge():
     node = mgr.and_(mgr.var(0), mgr.var(1))
     mgr._hi[node >> 1] ^= 1  # break the attributed-edge canonical form
     with pytest.raises(BddError):
+        mgr._debug_validate()
+
+
+def test_detects_spare_slot_with_a_level_or_children():
+    for vector, value in (("_level", 0), ("_lo", 2), ("_hi", 2)):
+        mgr = make_manager()
+        mgr.and_(mgr.var(0), mgr.var(1))
+        assert mgr._top < len(mgr._level)
+        getattr(mgr, vector)[mgr._top] = value
+        with pytest.raises(BddError, match="spare slot .* has a level or children"):
+            mgr._debug_validate()
+
+
+def test_detects_spare_slot_on_the_free_list():
+    mgr = make_manager()
+    mgr.and_(mgr.var(0), mgr.var(1))
+    mgr._free.append(len(mgr._level) - 1)
+    with pytest.raises(BddError, match="spare slot .* is on the free list"):
+        mgr._debug_validate()
+
+
+def test_detects_top_past_the_vectors():
+    mgr = make_manager()
+    mgr.and_(mgr.var(0), mgr.var(1))
+    mgr._top = len(mgr._level) + 1
+    with pytest.raises(BddError, match="_top .* is past the node vectors"):
         mgr._debug_validate()
 
 

@@ -160,6 +160,59 @@ class TestKernelSnapshot:
         finally:
             bdd_snapshot.unlink(name)
 
+    def test_freeze_copies_only_used_slots(self):
+        # A swept manager keeps the spare slots past `_top`; the image holds
+        # exactly the used ones and every frozen edge resolves through it.
+        mgr, f, expected_count, name = self._frozen()
+        try:
+            capacity = mgr.stats()["capacity"]
+            assert capacity == mgr._top < len(mgr._level)
+            with SnapshotView(name) as view:
+                assert view.capacity == capacity
+                assert len(view.level) == len(view.lo) == len(view.hi) == capacity
+                assert view.level.tolist() == mgr._level[:capacity].tolist()
+                overlay = SnapshotOverlayManager(view, debug_checks=True)
+                for index in range(1, capacity):
+                    level = mgr._level[index]
+                    if level == mgr._FREE_LEVEL:
+                        continue
+                    edge = overlay._mk(level, mgr._lo[index], mgr._hi[index])
+                    assert edge == index << 1
+                assert overlay.stats()["capacity"] == capacity
+                assert overlay.count_sat(f) == expected_count
+                overlay.collect_garbage([])
+        finally:
+            bdd_snapshot.unlink(name)
+
+    def test_overlay_tail_grows_by_the_shared_rule(self):
+        _, _, _, name = self._frozen()
+        try:
+            with SnapshotView(name) as view:
+                overlay = SnapshotOverlayManager(view, debug_checks=True)
+                sizes = []
+                grow = overlay._grow
+
+                def spy():
+                    sizes.append(len(overlay._level.tail))
+                    grow()
+
+                overlay._grow = spy
+                junk = overlay.ref(
+                    overlay.conjoin(
+                        overlay.xor(overlay.var(f"a{i}"), overlay.var(f"b{5 - i}"))
+                        for i in range(6)
+                    )
+                )
+                # The first tail node grows the empty tail once, by 1024.
+                assert sizes == [0]
+                assert len(overlay._level.tail) == 1024
+                assert overlay._top == view.capacity + overlay._live - 1
+                overlay.deref(junk)
+                overlay.collect_garbage([])
+                assert overlay._top == view.capacity
+        finally:
+            bdd_snapshot.unlink(name)
+
     def test_freeze_rejects_overlays(self):
         _, f, _, name = self._frozen()
         try:
