@@ -22,6 +22,8 @@ Usage::
     python benchmarks/report.py snapshot-smoke     # CI: copy-free attach, no leaked segments
     python benchmarks/report.py optimize           # -O0 vs -O2 pre-analysis table
     python benchmarks/report.py optimize-smoke     # CI: -O2 differential gate
+    python benchmarks/report.py witness-smoke      # CI: replay-validated witness traces
+    python benchmarks/report.py scaling-smoke      # CI: scaling rows vs polarity and Bebop
     python benchmarks/report.py all
 """
 
@@ -869,6 +871,72 @@ def witness_smoke(jobs: int = 2) -> None:
     )
 
 
+def scaling_smoke() -> None:
+    """CI smoke for the scaling rows, where the kernel's tables grow and GC runs.
+
+    Drivers with 4 and 5 handlers, schoose terminators of 4 to 6 bits and
+    iterative terminators of 4 and 5 bits, positive and negative, each under
+    ``summary``, ``ef`` and ``ef-opt`` at ``-O0``.  Every verdict must equal
+    the generator's polarity and the explicit Bebop answer.  Each row prints
+    its seconds and a kernel line: peak nodes, GC collections and rename
+    fallbacks.
+    """
+    from repro.frontends.getafix import check_reachability
+
+    specs = [
+        DriverSpec(
+            name=f"driver-{handlers}-{'pos' if positive else 'neg'}",
+            handlers=handlers,
+            flags=min(4, handlers),
+            helpers=max(1, handlers // 2),
+            positive=positive,
+        )
+        for handlers in (4, 5)
+        for positive in (True, False)
+    ]
+    specs += [
+        TerminatorSpec(
+            name=f"terminator-{variant}-{bits}b-{'pos' if positive else 'neg'}",
+            counter_bits=bits,
+            variant=variant,
+            positive=positive,
+        )
+        for variant, sizes in (("schoose", (4, 5, 6)), ("iterative", (4, 5)))
+        for bits in sizes
+        for positive in (True, False)
+    ]
+    algorithms = ("summary", "ef", "ef-opt")
+    print("== Scaling smoke: verdicts vs polarity and Bebop (-O0, seconds) ==")
+    total = 0.0
+    for spec in specs:
+        make = make_driver if isinstance(spec, DriverSpec) else make_terminator
+        program = make(spec)
+        bebop = run_bebop(program, resolve_target(program, spec.target)).reachable
+        assert bebop == spec.positive, f"{spec.name}: Bebop returned {bebop}"
+        for algorithm in algorithms:
+            started = time.perf_counter()
+            result = check_reachability(
+                program, target=spec.target, algorithm=algorithm, optimize=0
+            )
+            elapsed = time.perf_counter() - started
+            total += elapsed
+            assert result.reachable == spec.positive, (
+                f"{spec.name}: {algorithm} returned {result.reachable}, "
+                f"expected {spec.positive}"
+            )
+            manager = (result.stats or {}).get("manager", {})
+            print(
+                f"{spec.name:28s}  {algorithm:8s}  {elapsed:6.2f}  kernel: "
+                f"peak_nodes={manager.get('peak_nodes', 0)} "
+                f"gc_collections={manager.get('gc', {}).get('collections', 0)} "
+                f"rename_fallbacks={manager.get('rename_fallback', 0)}"
+            )
+    print(
+        f"scaling smoke OK: {len(specs)} programs x {len(algorithms)} algorithms "
+        f"agree with polarity and Bebop in {total:.2f} s"
+    )
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -889,6 +957,7 @@ def main(argv: List[str] | None = None) -> int:
             "optimize",
             "optimize-smoke",
             "witness-smoke",
+            "scaling-smoke",
             "all",
         ],
         help="which table to regenerate",
@@ -943,6 +1012,8 @@ def main(argv: List[str] | None = None) -> int:
         optimize_smoke(jobs=min(args.jobs, 2), random_count=args.random)
     if args.what == "witness-smoke":
         witness_smoke(jobs=min(args.jobs, 2))
+    if args.what == "scaling-smoke":
+        scaling_smoke()
     if args.what == "parallel-smoke":
         parallel_smoke()
     if args.what == "session-smoke":

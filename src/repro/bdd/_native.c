@@ -19,6 +19,15 @@
  * directly; Python code sees a mapping with the dict operations the
  * manager uses.
  *
+ * Every table access in the loop walks its key's probe run once.  A lookup
+ * that misses remembers the free slot where its walk ended and the table
+ * size (Miss); mk writes a new node's key there, and each recursion stores
+ * its result there once it is computed.  During a native call a table only
+ * receives inserts -- GC and deletion run at safe points -- so the insert
+ * rechecks just that the size is unchanged and the slot still free, and
+ * otherwise looks the key up again.  Every table therefore holds exactly
+ * the slots, entries and counts that a fresh insert of each key would give.
+ *
  * manager.py compiles this file at first import and falls back to the
  * Python methods, which stay the oracle, when it cannot (see _load_native
  * there).  Every entry point takes the manager as its first argument.
@@ -96,15 +105,27 @@ static inline Slot *find(const Table *t, Key key)
     }
 }
 
-static inline int table_get(const Table *t, Key key, int64_t *value)
+/* Where a lookup that missed ended: the index of the free slot that closes
+ * the key's probe run, and the slot count it was found at (0 for a table
+ * without storage). */
+typedef struct {
+    size_t index, size;
+} Miss;
+
+/* 1 with *value set when the key is present; 0 with *miss set when not. */
+static inline int table_probe(const Table *t, Key key, int64_t *value, Miss *miss)
 {
+    miss->size = 0;
     if (t->slots == NULL)
         return 0;
     const Slot *s = find(t, key);
-    if (s->high == EMPTY)
-        return 0;
-    *value = s->value;
-    return 1;
+    if (s->high != EMPTY) {
+        *value = s->value;
+        return 1;
+    }
+    miss->index = (size_t)(s - t->slots);
+    miss->size = t->mask + 1;
+    return 0;
 }
 
 static int table_resize(Table *t, size_t size)
@@ -129,18 +150,28 @@ static int table_resize(Table *t, size_t size)
     return 0;
 }
 
-/* Insert or overwrite; the load stays at most 2/3. */
-static int table_set(Table *t, Key key, int64_t value)
+/* Insert or overwrite, after a table_probe of the key that ended in *miss
+ * (a Miss of size 0 when there was no probe).  Between the two the table
+ * only receives inserts -- GC and deletion run at safe points, never inside
+ * a native call -- so a remembered slot that is still free at an unchanged
+ * size is still the first free slot on the key's probe run, and the key is
+ * written there without a second walk: the layout is the one a fresh
+ * insert would give.  Otherwise (the table was resized, or the key itself
+ * was inserted meanwhile) the key is looked up again.  The load stays at
+ * most 2/3. */
+static int table_insert(Table *t, Key key, int64_t value, const Miss *miss)
 {
+    size_t size = t->slots == NULL ? 0 : t->mask + 1;
     Slot *s = NULL;
-    if (t->slots != NULL) {
+    if (size && miss->size == size && t->slots[miss->index].high == EMPTY) {
+        s = &t->slots[miss->index];
+    } else if (size) {
         s = find(t, key);
         if (s->high != EMPTY) {
             s->value = value;
             return 0;
         }
     }
-    size_t size = t->slots == NULL ? 0 : t->mask + 1;
     if ((size_t)(t->used + 1) * 3 > size * 2) {
         if (table_resize(t, size ? 2 * size : MIN_SLOTS) < 0)
             return -1;
@@ -249,7 +280,8 @@ static int table_set_object(Table *t, PyObject *k, PyObject *v)
     int64_t value = PyLong_AsLongLong(v);
     if (value == -1 && PyErr_Occurred())
         return -1;
-    return table_set(t, key, value);
+    const Miss none = {0, 0}; /* no probe to start from */
+    return table_insert(t, key, value, &none);
 }
 
 /* Table(items=()): from an iterable of (key, value) pairs. */
@@ -298,8 +330,9 @@ static Py_ssize_t Table_len(Table *t)
 static int lookup_object(Table *t, PyObject *k, int64_t *value)
 {
     Key key;
+    Miss miss;
     int status = split_key(k, &key);
-    return status <= 0 ? status : table_get(t, key, value);
+    return status <= 0 ? status : table_probe(t, key, value, &miss);
 }
 
 static PyObject *Table_subscript(Table *t, PyObject *k)
@@ -440,6 +473,45 @@ static PyObject *Table_repr(Table *t)
     return repr;
 }
 
+/* validate(): raise ValueError unless every entry is reached from its home
+ * slot without crossing a free slot -- an entry past a free slot on its
+ * key's probe run can never be found again -- and used counts the occupied
+ * slots.  Each run of occupied slots is walked once, from a free slot. */
+static PyObject *Table_validate(Table *t, PyObject *unused)
+{
+    size_t size = t->slots == NULL ? 0 : t->mask + 1, start = 0, occupied = 0;
+    while (start < size && t->slots[start].high != EMPTY)
+        start++;
+    if (size && start == size) {
+        PyErr_SetString(PyExc_ValueError, "Table has no free slot");
+        return NULL;
+    }
+    size_t run = 0; /* occupied slots since the last free one */
+    for (size_t step = 1; step <= size; step++) {
+        size_t i = (start + step) & t->mask;
+        const Slot *s = &t->slots[i];
+        if (s->high == EMPTY) {
+            run = 0;
+            continue;
+        }
+        occupied++;
+        run++;
+        size_t distance = (i - slot_index(t, s->high, s->low)) & t->mask;
+        if (distance >= run) {
+            PyErr_Format(PyExc_ValueError,
+                         "Table entry in slot %zu lies %zu slots from its home, past a free slot",
+                         i, distance);
+            return NULL;
+        }
+    }
+    if ((size_t)t->used != occupied) {
+        PyErr_Format(PyExc_ValueError, "Table counts %zd entries in %zu occupied slots", t->used,
+                     occupied);
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
 static PyMappingMethods Table_mapping = {
     (lenfunc)Table_len, (binaryfunc)Table_subscript, (objobjargproc)Table_ass_subscript};
 
@@ -451,6 +523,9 @@ static PyMethodDef Table_methods[] = {
     {"items", (PyCFunction)Table_items, METH_NOARGS, "items(): a list of (key, value) pairs"},
     {"clear", (PyCFunction)Table_clear, METH_NOARGS, "clear(): drop every entry and the slot array"},
     {"__sizeof__", (PyCFunction)Table_sizeof, METH_NOARGS, "size of the table in bytes"},
+    {"validate", (PyCFunction)Table_validate, METH_NOARGS,
+     "validate(): raise ValueError unless every entry is reachable on its probe run and\n"
+     "the entry count matches the occupied slots"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -739,13 +814,13 @@ static PyObject *ctx_close(Ctx *c, long long result)
 
 /* -- op caches --------------------------------------------------------- */
 
-/* 1 with *out set on a hit, 0 on a miss, -1 on error; counts like the
- * Python kernel's probes. */
-static int probe(Ctx *c, int op, Key key, int64_t *out)
+/* 1 with *out set on a hit; 0 on a miss, with *miss set for cache_store;
+ * -1 on error.  Counts like the Python kernel's probes. */
+static int cache_probe(Ctx *c, int op, Key key, int64_t *out, Miss *miss)
 {
     if (c->cache[op] == NULL && (c->cache[op] = table_attr(c->mgr, s_cache[op])) == NULL)
         return -1;
-    if (table_get(c->cache[op], key, out)) {
+    if (table_probe(c->cache[op], key, out, miss)) {
         c->hits[op]++;
         return 1;
     }
@@ -753,10 +828,11 @@ static int probe(Ctx *c, int op, Key key, int64_t *out)
     return 0;
 }
 
-/* Cache a computed result after a miss; the result, or a negative one as is. */
-static int64_t store(Ctx *c, int op, Key key, int64_t result)
+/* Cache a result computed after cache_probe missed with *miss; the result,
+ * or a negative one as is. */
+static int64_t cache_store(Ctx *c, int op, Key key, const Miss *miss, int64_t result)
 {
-    if (result >= 0 && table_set(c->cache[op], key, result) < 0)
+    if (result >= 0 && table_insert(c->cache[op], key, result, miss) < 0)
         return ERR;
     return result;
 }
@@ -820,7 +896,8 @@ static int64_t mk(Ctx *c, int64_t level, int64_t lo, int64_t hi)
         return ERR;
     Key key = pack(level, lo, hi);
     int64_t index;
-    if (table_get(c->unique, key, &index))
+    Miss miss;
+    if (table_probe(c->unique, key, &index, &miss))
         return (index << 1) | sign;
     Py_ssize_t free_count = PyList_GET_SIZE(c->free_list);
     if (free_count) {
@@ -841,7 +918,7 @@ static int64_t mk(Ctx *c, int64_t level, int64_t lo, int64_t hi)
     c->level[index] = level;
     c->lo[index] = lo;
     c->hi[index] = hi;
-    if (table_set(c->unique, key, index) < 0)
+    if (table_insert(c->unique, key, index, &miss) < 0)
         return ERR;
     c->live++;
     if (c->live > c->peak)
@@ -897,7 +974,8 @@ static int64_t and_rec(Ctx *c, int64_t f, int64_t g)
     }
     Key key = pack(0, f, g);
     int64_t result;
-    int hit = probe(c, AND, key, &result);
+    Miss miss;
+    int hit = cache_probe(c, AND, key, &result, &miss);
     if (hit)
         return hit < 0 ? ERR : result;
     int64_t level_f = c->level[f >> 1], level_g = c->level[g >> 1];
@@ -911,7 +989,7 @@ static int64_t and_rec(Ctx *c, int64_t f, int64_t g)
     int64_t hi = and_rec(c, f_hi, g_hi);
     if (hi < 0)
         return hi;
-    return store(c, AND, key, lo == hi ? lo : mk(c, level, lo, hi));
+    return cache_store(c, AND, key, &miss, lo == hi ? lo : mk(c, level, lo, hi));
 }
 
 static int64_t or_rec(Ctx *c, int64_t f, int64_t g)
@@ -930,7 +1008,8 @@ static int64_t exists_rec(Ctx *c, int64_t f, const Cube *q)
         return f;
     Key key = pack(0, q->uid, f);
     int64_t result;
-    int hit = probe(c, EXISTS, key, &result);
+    Miss miss;
+    int hit = cache_probe(c, EXISTS, key, &result, &miss);
     if (hit)
         return hit < 0 ? ERR : result;
     int64_t sign = f & 1;
@@ -938,11 +1017,12 @@ static int64_t exists_rec(Ctx *c, int64_t f, const Cube *q)
     if (lo < 0)
         return lo;
     if (q->mask[level] && lo == 1)
-        return store(c, EXISTS, key, 1);
+        return cache_store(c, EXISTS, key, &miss, 1);
     int64_t hi = exists_rec(c, c->hi[index] ^ sign, q);
     if (hi < 0)
         return hi;
-    return store(c, EXISTS, key, q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi));
+    return cache_store(c, EXISTS, key, &miss,
+                       q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi));
 }
 
 static int64_t and_exists_rec(Ctx *c, int64_t f, int64_t g, const Cube *q)
@@ -966,7 +1046,8 @@ static int64_t and_exists_rec(Ctx *c, int64_t f, int64_t g, const Cube *q)
         return and_rec(c, f, g);
     Key key = pack(q->uid, f, g);
     int64_t result;
-    int hit = probe(c, AND_EXISTS, key, &result);
+    Miss miss;
+    int hit = cache_probe(c, AND_EXISTS, key, &result, &miss);
     if (hit)
         return hit < 0 ? ERR : result;
     int64_t f_lo, f_hi, g_lo, g_hi;
@@ -976,11 +1057,12 @@ static int64_t and_exists_rec(Ctx *c, int64_t f, int64_t g, const Cube *q)
     if (lo < 0)
         return lo;
     if (q->mask[level] && lo == 1)
-        return store(c, AND_EXISTS, key, 1);
+        return cache_store(c, AND_EXISTS, key, &miss, 1);
     int64_t hi = and_exists_rec(c, f_hi, g_hi, q);
     if (hi < 0)
         return hi;
-    return store(c, AND_EXISTS, key, q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi));
+    return cache_store(c, AND_EXISTS, key, &miss,
+                       q->mask[level] ? or_rec(c, lo, hi) : mk(c, level, lo, hi));
 }
 
 /* BddManager._rename_shift: the structural rebuild; ABORT when a node sits
@@ -993,7 +1075,8 @@ static int64_t rename_rec(Ctx *c, int64_t f, const Map *m)
     f ^= sign;
     Key key = pack(0, m->uid, f);
     int64_t result;
-    int hit = probe(c, RENAME, key, &result);
+    Miss miss;
+    int hit = cache_probe(c, RENAME, key, &result, &miss);
     if (hit)
         return hit < 0 ? ERR : result ^ sign;
     int64_t index = f >> 1;
@@ -1009,7 +1092,7 @@ static int64_t rename_rec(Ctx *c, int64_t f, const Map *m)
         return hi;
     if (target >= c->level[lo >> 1] || target >= c->level[hi >> 1])
         return ABORT;
-    result = store(c, RENAME, key, mk(c, target, lo, hi));
+    result = cache_store(c, RENAME, key, &miss, mk(c, target, lo, hi));
     return result < 0 ? result : result ^ sign;
 }
 
@@ -1021,7 +1104,8 @@ static int64_t restrict_rec(Ctx *c, int64_t f, const Map *m)
     f ^= sign;
     Key key = pack(0, m->uid, f);
     int64_t result;
-    int hit = probe(c, RESTRICT, key, &result);
+    Miss miss;
+    int hit = cache_probe(c, RESTRICT, key, &result, &miss);
     if (hit)
         return hit < 0 ? ERR : result ^ sign;
     int64_t index = f >> 1;
@@ -1038,7 +1122,7 @@ static int64_t restrict_rec(Ctx *c, int64_t f, const Map *m)
             return hi;
         result = mk(c, level, lo, hi);
     }
-    result = store(c, RESTRICT, key, result);
+    result = cache_store(c, RESTRICT, key, &miss, result);
     return result < 0 ? result : result ^ sign;
 }
 

@@ -101,8 +101,16 @@ A manager that runs the native loop keeps its unique table and its
 writes without a ``PyLong`` or a dict probe per step.  To Python it is a
 mapping with the dict operations GC, :mod:`~repro.bdd.snapshot` and the
 sanitizer use, equal to a dict with the same entries, and its ``clear()``
-frees its slots as ``dict.clear()`` does.  The Python kernel keeps plain
-dicts, as do the ``xor``/``ite`` caches and the snapshot overlay.
+frees its slots as ``dict.clear()`` does.  The loop walks a key's probe
+run once per access: a missed lookup remembers the free slot that ended
+its walk, and the insert after it (a new node in ``_mk``, a result after
+the recursion) writes there if the table kept its size and the slot is
+still free, and looks the key up again otherwise.  That is sound because a
+table only receives inserts during a native call (GC and deletion run at
+safe points), so every table's layout equals a fresh insert's; its
+``validate()`` checks the probe runs for the sanitizer.  The Python kernel
+keeps plain dicts, as do the ``xor``/``ite`` caches and the snapshot
+overlay.
 The module is compiled at first import (:func:`_load_native`) and cached
 in ``__pycache__/``; when it cannot be built or loaded the Python methods
 run instead, and they stay the oracle the native loop is tested against
@@ -1355,21 +1363,28 @@ class BddManager:
             del below  # the recursive closure's self-reference, as in count_sat
 
     def eval(self, f: int, assignment: Dict[int | str, bool]) -> bool:
-        """Evaluate ``f`` under a total assignment of its support."""
-        fixed = {
-            (self.var_index(var) if isinstance(var, str) else var): bool(value)
-            for var, value in assignment.items()
-        }
+        """Evaluate ``f`` under a total assignment of its support.
+
+        Keys are variable names or levels.  An assignment keyed by levels
+        only is read as it is, so callers that evaluate many functions under
+        one level-keyed assignment pay for no normalised copy per call.
+        """
+        fixed = assignment
+        if not {int}.issuperset(map(type, assignment)):
+            fixed = {
+                (self.var_index(var) if isinstance(var, str) else var): bool(value)
+                for var, value in assignment.items()
+            }
+        level, lo, hi = self._level, self._lo, self._hi
         edge = f
-        while edge > 1:
-            index = edge >> 1
-            level = self._level[index]
-            if level not in fixed:
-                raise BddError(
-                    f"assignment does not cover variable {self._var_names[level]!r}"
-                )
-            sign = edge & 1
-            edge = (self._hi[index] if fixed[level] else self._lo[index]) ^ sign
+        try:
+            while edge > 1:
+                index = edge >> 1
+                edge = (hi[index] if fixed[level[index]] else lo[index]) ^ (edge & 1)
+        except KeyError:
+            raise BddError(
+                f"assignment does not cover variable {self._var_names[level[index]]!r}"
+            ) from None
         return edge == self.TRUE
 
     # ------------------------------------------------------------------
@@ -1669,10 +1684,11 @@ class BddManager:
         order: node-vector shape and spare slots, free-list purity
         (free-marked slots and the free list are the same set, free slots
         carry no children), the live counter against the non-free slot
-        count, unique-table completeness and key/slot agreement, per-node
-        structural invariants (regular then-edge, reduction, level order,
-        live children), external-reference validity, and operation-cache
-        edge liveness.
+        count, unique-table completeness and key/slot agreement, the probe
+        runs of the native kernel's tables (``_native.Table.validate``),
+        per-node structural invariants (regular then-edge, reduction, level
+        order, live children), external-reference validity, and
+        operation-cache edge liveness.
 
         Only the slots :meth:`_collectable` returns are walked: a snapshot
         overlay's frozen base was validated by its freezer, and its unique
@@ -1751,6 +1767,19 @@ class BddManager:
                 f"sanitizer: unique table holds {filed} entries "
                 f"for {live - 1} live decision nodes"
             )
+        if self._native is not None:
+            for name, table in (
+                ("unique", self._unique),
+                ("and", self._and_cache),
+                ("exists", self._exists_cache),
+                ("and_exists", self._and_exists_cache),
+                ("rename", self._rename_cache),
+                ("restrict", self._restrict_cache),
+            ):
+                try:
+                    table.validate()
+                except ValueError as error:
+                    raise BddError(f"sanitizer: {name} table: {error}") from None
         num_levels = len(self._var_names)
         for index in range(first, capacity):
             node_level = level[index]

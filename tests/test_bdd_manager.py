@@ -256,6 +256,12 @@ class TestInspection:
         f = mgr.ite(mgr.var("a"), mgr.var("b"), mgr.var("c"))
         assert mgr.eval(f, {"a": True, "b": True, "c": False})
         assert not mgr.eval(f, {"a": False, "b": True, "c": False})
+        # Level keys, alone (read as they are) or mixed with names.
+        a, b, c = (mgr.var_index(name) for name in "abc")
+        assert mgr.eval(f, {a: 1, b: 1, c: 0})
+        assert not mgr.eval(f, {a: 0, "b": True, c: 0})
+        with pytest.raises(BddError, match="does not cover variable 'b'"):
+            mgr.eval(f, {a: True, c: False})
 
     def test_cube(self, mgr):
         f = mgr.cube({"a": True, "b": False})

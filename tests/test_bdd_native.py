@@ -14,8 +14,11 @@ including the typed errors raised under a node budget, a deadline and a
 full node table, and the clash/injectivity errors of ``rename``.  The op
 mix also covers the constructions built directly with ``_mk`` (``cube``,
 ``at_most``) and ``rename``/``restrict`` through interned maps.  The
-Python manager is selected by patching the module's ``_native`` attribute
-while it is constructed.
+single-probe inserts get their own cases: top-level calls whose recursion
+grows their cache between the probe and the store, and ``mk`` inserts that
+land on the unique table's resize threshold.  The Python manager is
+selected by patching the module's ``_native`` attribute while it is
+constructed.
 """
 
 import itertools
@@ -389,3 +392,95 @@ def test_wide_cache_keys_match_the_python_kernel():
     assert max(python._and_exists_cache) >= 1 << 63
     assert native._and_exists_cache == python._and_exists_cache
     assert native._exists_cache == python._exists_cache
+
+
+#: A native ``Table`` slot holds a key's two words and its value.
+SLOT_BYTES = 24
+
+
+def slot_count(table) -> int:
+    """The length of a native ``Table``'s slot array (0 without storage)."""
+    return (table.__sizeof__() - type(table)().__sizeof__()) // SLOT_BYTES
+
+
+def growth_steps(table) -> int:
+    """How many times a native ``Table`` doubled past its first slot array
+    (-1 while it holds no storage)."""
+    return (slot_count(table) // slot_count(type(table)([(0, 0)]))).bit_length() - 1
+
+
+def word_pair():
+    """Managers holding ``f``, the equality of two 10-bit words with one
+    word's bits all above the other's (~2k nodes), over variables ``x`` and
+    ``y``, and ``g = x1 | y8``; rename targets ``z``/``w`` lie below."""
+    names = [f"{word}{i}" for word in "xyzw" for i in range(10)]
+    native, python = BddManager(names), python_manager(names)
+    for mgr in (native, python):
+        f = BddManager.TRUE
+        for i in range(10):
+            f = mgr.and_(f, mgr.iff(mgr.var(f"x{i}"), mgr.var(f"y{i}")))
+        g = mgr.or_(mgr.var("x1"), mgr.var("y8"))
+    assert_same_state(native, python)
+    return native, python, f, g
+
+
+SOME_Y = [f"y{i}" for i in range(0, 10, 3)]
+SHIFT = {**{f"x{i}": f"z{i}" for i in range(10)}, **{f"y{i}": f"w{i}" for i in range(10)}}
+
+SINGLE_PROBE_CALLS = {
+    "and": lambda mgr, f, g: mgr.and_(f, g),
+    "exists": lambda mgr, f, g: mgr.exists(f, SOME_Y),
+    "and_exists": lambda mgr, f, g: mgr.and_exists(f, g, SOME_Y),
+    "rename": lambda mgr, f, g: mgr.rename(f, SHIFT),
+    "restrict": lambda mgr, f, g: mgr.restrict(f, {"x3": True, "y5": False}),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SINGLE_PROBE_CALLS))
+def test_single_probe_store_after_the_call_grew_its_cache(op):
+    # The top-level probe misses on a cache without storage, and the call's
+    # own recursion then grows that cache at least twice, so its store
+    # cannot use the remembered slot and must insert afresh.
+    native, python, f, g = word_pair()
+    cache = f"_{op}_cache"
+    for mgr in (native, python):
+        mgr.clear_caches()
+    assert slot_count(getattr(native, cache)) == 0
+    results = [SINGLE_PROBE_CALLS[op](mgr, f, g) for mgr in (native, python)]
+    assert results[0] == results[1]
+    assert growth_steps(getattr(native, cache)) >= 2
+    assert getattr(native, cache) == getattr(python, cache)
+    assert_same_state(native, python)
+    if op == "rename":
+        assert native.stats()["rename_fast_path"] == 1
+    for table in (native._unique, getattr(native, cache)):
+        table.validate()
+
+
+def test_mk_inserts_on_the_unique_table_resize_threshold():
+    # One-node conjunctions and disjunctions of variable pairs, each a
+    # native call that makes a single node, until the unique table's load
+    # sits one below the resize threshold: the next node's insert is the one
+    # with (used + 1) * 3 > slots * 2, so it resizes and must look up its slot
+    # again.  Do this for two successive thresholds.
+    names = [f"v{i}" for i in range(24)]
+    native, python = BddManager(names), python_manager(names)
+    for mgr in (native, python):
+        for name in names:
+            mgr.var(name)
+    thresholds = 0
+    for left, right in itertools.combinations(names, 2):
+        for op in ("and_", "or_"):
+            slots = slot_count(native._unique)
+            on_threshold = (len(native._unique) + 1) * 3 > slots * 2
+            edges = [
+                getattr(mgr, op)(mgr.var(left), mgr.var(right)) for mgr in (native, python)
+            ]
+            assert edges[0] == edges[1]
+            assert_same_state(native, python)
+            native._unique.validate()
+            assert slot_count(native._unique) == (2 * slots if on_threshold else slots)
+            thresholds += on_threshold
+        if thresholds >= 2:
+            break
+    assert thresholds >= 2

@@ -8,7 +8,8 @@ Two directions:
   identically with the sanitizer armed.
 * **Corruption is caught** — each invariant the sanitizer guards (live
   counter, free-list purity, spare slots past ``_top``, unique-table/
-  node-vector agreement, the regular then-edge canonical form,
+  node-vector agreement, the native tables' probe runs, the regular
+  then-edge canonical form,
   external-reference liveness, op-cache edge liveness) has a test that
   injects exactly that corruption and asserts :class:`BddError` names it.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bdd import BddManager, SnapshotOverlayManager, SnapshotView
+from repro.bdd import manager as bdd_manager
 from repro.bdd import snapshot as bdd_snapshot
 from repro.bdd.manager import EDGE_BITS, BddError
 
@@ -150,6 +152,27 @@ def test_detects_stale_cache_edge():
     mgr._and_cache[(dead << EDGE_BITS) | keep] = keep
     mgr._debug_checks = True
     with pytest.raises(BddError, match="cache mentions dead edge"):
+        mgr._debug_validate()
+
+
+@pytest.mark.skipif(bdd_manager._native is None, reason="no native kernel")
+@pytest.mark.parametrize(
+    "attr", ["_unique", "_and_cache", "_exists_cache", "_and_exists_cache",
+             "_rename_cache", "_restrict_cache"]
+)
+def test_detects_a_native_table_entry_past_a_free_slot(attr):
+    # The dict API cannot misplace an entry in a Table, so a dict copy whose
+    # validate() fails as Table.validate() would stands in for a broken one.
+    class Misplaced(dict):
+        def validate(self):
+            raise ValueError("Table entry in slot 3 lies 5 slots from its home, past a free slot")
+
+    mgr = make_manager()
+    kept = mgr.ref(mgr.and_exists(mgr.var(0), mgr.var(1), [0]))
+    mgr.rename(mgr.restrict(kept, {2: True}), {"v1": "v7"})
+    setattr(mgr, attr, Misplaced(getattr(mgr, attr).items()))
+    name = attr.strip("_").removesuffix("_cache")
+    with pytest.raises(BddError, match=f"{name} table: .* past a free slot"):
         mgr._debug_validate()
 
 

@@ -4,7 +4,8 @@
 caches of a manager that runs the native kernel, and GC, snapshots and the
 sanitizer read it through the dict operations the manager uses.  Each test
 drives a ``Table`` and a dict through the same operations and asserts that
-they agree after every step.  Keys come from a small pool, so most of them
+they agree after every step, and that the table's probe runs stay sound
+(``validate()``).  Keys come from a small pool, so most of them
 share a probe run in a small table and deletions shift runs back, and the
 pool reaches past 2**63 (wide ``and_exists`` keys) up to the 2**111 bound.
 """
@@ -88,6 +89,7 @@ def test_op_sequences_match_a_dict(ops):
         assert table == model and not table != model
         assert len(table) == len(model)
         assert all(table[key] == value for key, value in model.items())
+        table.validate()
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,6 +116,7 @@ def test_long_probe_runs_survive_deletion():
         if index % 250 == 0:
             assert table == model
             assert all(key in table for key in model)
+            table.validate()
     assert len(table) == 0 and table == {}
 
 
