@@ -172,10 +172,6 @@ def _key(program: Program, proc: Procedure, name: str) -> VarKey:
     return ("", name)
 
 
-def _var_label(key: VarKey) -> str:
-    return key[1] if key[0] == "" else f"{key[0]}:{key[1]}"
-
-
 def _ret_key(proc_name: str, index: int) -> VarKey:
     return (proc_name, f"{RETURN_SLOT_PREFIX}{index}")
 
@@ -312,14 +308,6 @@ def _eval3(
             return None
         return _apply_op(op, left, right)
     raise ValueError(f"cannot evaluate {expression!r}")
-
-
-def call_sites(program: Program) -> Iterable[Tuple[Procedure, Stmt]]:
-    """All (caller, call statement) pairs of a program."""
-    for proc in program.procedures.values():
-        for statement in _walk_statements(proc.body):
-            if isinstance(statement, (Call, CallAssign)):
-                yield proc, statement
 
 
 def call_closure(program: Program, roots: Optional[Iterable[str]] = None) -> Set[str]:

@@ -1,6 +1,6 @@
 """Comparison engines: BEBOP-style, MOPED-style and explicit concurrent solvers."""
 
-from .semantics import ExplicitContext, eval_expr, eval_exprs
+from .semantics import ExplicitContext, eval_expr
 from .bebop import BebopSolver, run_bebop
 from .moped import MopedSolver, run_moped
 from .concurrent_explicit import ConcurrentExplicitSolver, run_concurrent_explicit
@@ -8,7 +8,6 @@ from .concurrent_explicit import ConcurrentExplicitSolver, run_concurrent_explic
 __all__ = [
     "ExplicitContext",
     "eval_expr",
-    "eval_exprs",
     "BebopSolver",
     "run_bebop",
     "MopedSolver",

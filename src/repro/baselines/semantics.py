@@ -17,7 +17,7 @@ successor valuations.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from ..boolprog.ast import BinOp, Expr, Lit, Nondet, NotE, Procedure, Program, VarRef
 from ..boolprog.cfg import CallEdge, InternalEdge, ProcedureCfg, ProgramCfg
@@ -27,7 +27,6 @@ __all__ = [
     "LocalVal",
     "ExplicitContext",
     "eval_expr",
-    "eval_exprs",
 ]
 
 GlobalVal = Tuple[bool, ...]
@@ -175,18 +174,3 @@ def eval_expr(
                     raise ValueError(f"unknown operator {expression.op!r}")
         return results
     raise TypeError(f"cannot evaluate expression {expression!r}")
-
-
-def eval_exprs(
-    expressions: Sequence[Expr],
-    context: ExplicitContext,
-    procedure: str,
-    locals_: LocalVal,
-    globals_: GlobalVal,
-) -> Iterator[Tuple[bool, ...]]:
-    """Cartesian product of the possible values of several expressions."""
-    value_sets = [
-        eval_expr(expression, context, procedure, locals_, globals_) for expression in expressions
-    ]
-    for combo in product(*value_sets):
-        yield tuple(combo)

@@ -14,34 +14,21 @@ Public API
     / ``maybe_collect`` and GC hooks.  Its one node store is a
     struct-of-arrays layout: flat int64 node vectors, packed integer cache
     keys and vectorised GC/counting.
-:class:`Function` (alias :class:`BddFunction`)
-    Ergonomic wrapper with operator overloading for user code; wrappers are
-    the collector's external references (ref on construction, deref on
-    release/finalisation, context-manager scoped).
 :mod:`repro.bdd.snapshot`
     Read-only shared-memory snapshots of solved node tables:
     :func:`freeze` publishes a segment, :class:`SnapshotView` attaches
     copy-free, :class:`SnapshotOverlayManager` runs query post-passes over
     the frozen image.
-:func:`interleave`, :func:`order_from_affinity`
-    Static variable-ordering heuristics ("allocation constraints").
 """
 
 from .manager import BddError, BddManager, QuantCube
-from .function import BddFunction, Function
-from .ordering import interleave, order_from_affinity, validate_order
 from .snapshot import SnapshotOverlayManager, SnapshotView, freeze
 
 __all__ = [
     "BddError",
     "BddManager",
     "QuantCube",
-    "BddFunction",
-    "Function",
     "SnapshotOverlayManager",
     "SnapshotView",
     "freeze",
-    "interleave",
-    "order_from_affinity",
-    "validate_order",
 ]

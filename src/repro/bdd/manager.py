@@ -62,9 +62,8 @@ path as an exhausted node budget; one variable too many raises
 Garbage collection
 ------------------
 Nodes are reclaimed by an explicit mark-and-sweep collector.  External roots
-are tracked by reference counts (:meth:`ref` / :meth:`deref` — the
-:class:`~repro.bdd.function.Function` wrapper refs its node for its
-lifetime); :meth:`collect_garbage` marks from those roots plus any *extra
+are tracked by reference counts (:meth:`ref` / :meth:`deref`);
+:meth:`collect_garbage` marks from those roots plus any *extra
 roots* the caller passes (e.g. the fixed-point evaluator's current
 interpretations), frees every unmarked node into a free list for reuse, and
 drops all operation caches so no cache entry can resurrect a dead node.
@@ -115,7 +114,7 @@ The module is compiled at first import (:func:`_load_native`) and cached
 in ``__pycache__/``; when it cannot be built or loaded the Python methods
 run instead, and they stay the oracle the native loop is tested against
 (``tests/test_bdd_native.py``).  ``stats()["kernel"]`` says which kernel a
-manager uses.  ``ite``, ``xor``, ``compose``, counting, cube picking and GC
+manager uses.  ``ite``, ``xor``, counting, cube picking and GC
 are Python only, as is the snapshot overlay.
 
 Recursion depth
@@ -490,33 +489,6 @@ class BddManager:
         level.extend(array("q", [self._FREE_LEVEL]) * extra)
         lo.extend(zeros)
         hi.extend(zeros)
-
-    # ------------------------------------------------------------------
-    # Structural accessors
-    # ------------------------------------------------------------------
-    def level_of(self, edge: int) -> int:
-        """Return the level of an edge (terminals have a large sentinel level)."""
-        return self._level[edge >> 1]
-
-    def low(self, edge: int) -> int:
-        """Return the low (else) cofactor edge, complement applied."""
-        return self._lo[edge >> 1] ^ (edge & 1)
-
-    def high(self, edge: int) -> int:
-        """Return the high (then) cofactor edge, complement applied."""
-        return self._hi[edge >> 1] ^ (edge & 1)
-
-    def is_terminal(self, edge: int) -> bool:
-        """True iff the edge denotes one of the two constants."""
-        return edge <= 1
-
-    def is_complemented(self, edge: int) -> bool:
-        """True iff the edge carries the complement attribute."""
-        return bool(edge & 1)
-
-    def regular(self, edge: int) -> int:
-        """The regular (sign-stripped) version of an edge."""
-        return edge & ~1
 
     def __len__(self) -> int:
         """Number of *live* nodes owned by this manager (incl. the terminal)."""
@@ -1063,32 +1035,6 @@ class BddManager:
         self._restrict_cache[key] = result
         return result ^ sign
 
-    def compose(self, f: int, var: int | str, g: int) -> int:
-        """Substitute the function ``g`` for the variable ``var`` in ``f``."""
-        index = self.var_index(var) if isinstance(var, str) else var
-        return self._compose(f, index, g, {})
-
-    def _compose(self, f: int, index: int, g: int, cache: Dict[int, int]) -> int:
-        if f <= 1:
-            return f
-        if self._level[f >> 1] > index:
-            return f
-        sign = f & 1
-        f ^= sign
-        cached = cache.get(f)
-        if cached is not None:
-            return cached ^ sign
-        node = f >> 1
-        level = self._level[node]
-        if level == index:
-            result = self.ite(g, self._hi[node], self._lo[node])
-        else:
-            lo = self._compose(self._lo[node], index, g, cache)
-            hi = self._compose(self._hi[node], index, g, cache)
-            result = self.ite(self.var(level), hi, lo)
-        cache[f] = result
-        return result ^ sign
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -1394,8 +1340,7 @@ class BddManager:
         """Register an external reference to ``edge``; returns the edge.
 
         Referenced nodes (and everything below them) survive
-        :meth:`collect_garbage`.  The :class:`~repro.bdd.function.Function`
-        wrapper refs its node on construction and derefs it on release.
+        :meth:`collect_garbage` until a matching :meth:`deref`.
         """
         index = edge >> 1
         if index:
@@ -1904,18 +1849,6 @@ class BddManager:
             },
             "debug_checks": self._debug_checks,
         }
-
-    def to_expr(self, f: int) -> str:
-        """A (dense) textual if-then-else rendering, for debugging small BDDs."""
-        if f == self.FALSE:
-            return "FALSE"
-        if f == self.TRUE:
-            return "TRUE"
-        if f & 1:
-            return f"not({self.to_expr(f ^ 1)})"
-        index = f >> 1
-        name = self._var_names[self._level[index]]
-        return f"ite({name}, {self.to_expr(self._hi[index])}, {self.to_expr(self._lo[index])})"
 
 
 class _RenameMap:

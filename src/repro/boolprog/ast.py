@@ -259,18 +259,3 @@ class Program:
             return self.procedures[name]
         except KeyError:
             raise KeyError(f"program has no procedure {name!r}") from None
-
-    def procedure_names(self) -> List[str]:
-        """Procedure names in declaration order."""
-        return list(self.procedures)
-
-    def max_locals(self) -> int:
-        """Largest number of local slots needed by any procedure.
-
-        Slots cover formal parameters, declared locals and return-value
-        registers (``__ret_i``).
-        """
-        best = 0
-        for proc in self.procedures.values():
-            best = max(best, len(proc.all_locals()) + proc.num_returns)
-        return best

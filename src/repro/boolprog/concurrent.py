@@ -57,18 +57,6 @@ class ConcurrentProgram:
                 return thread
         raise KeyError(f"no thread named {name!r}")
 
-    def all_globals(self) -> List[str]:
-        """Shared globals followed by every thread's private globals.
-
-        Thread-private global names are prefixed with the thread name to keep
-        them distinct across threads.
-        """
-        names = list(self.shared)
-        for thread in self.threads:
-            for private in thread.program.globals:
-                names.append(f"{thread.name}::{private}")
-        return names
-
     def replicate(self, template: Thread, copies: int) -> "ConcurrentProgram":
         """Return a new program with ``copies`` instances of ``template`` added.
 

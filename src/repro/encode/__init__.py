@@ -4,7 +4,6 @@ from .statespace import StateSpace
 from .expressions import ChoicePool, VariableResolver, compile_expr
 from .templates import SequentialEncoder, TemplateSet
 from .concurrent import ConcurrentEncoder, ConcurrentTemplateSet
-from .allocation import affinity_order
 
 __all__ = [
     "StateSpace",
@@ -15,5 +14,4 @@ __all__ = [
     "TemplateSet",
     "ConcurrentEncoder",
     "ConcurrentTemplateSet",
-    "affinity_order",
 ]

@@ -93,21 +93,9 @@ class VariableResolver:
             return f"{state.__dict__['name']}.G.{field}"
         raise KeyError(f"variable {name!r} is neither a local slot nor a global")
 
-    def slot_bit(self, state: Var, slot: int) -> str:
-        """The BDD bit of a local slot index in the given state copy."""
-        return f"{state.__dict__['name']}.L.{self._space.local_field(slot)}"
-
-    def global_bit(self, state: Var, field: str) -> str:
-        """The BDD bit of a globals-struct field in the given state copy."""
-        return f"{state.__dict__['name']}.G.{field}"
-
     def global_fields(self) -> List[str]:
         """All globals-struct field names."""
         return self._space.globals_sort.field_names()
-
-    def local_fields(self) -> List[str]:
-        """All locals-struct field names."""
-        return self._space.locals_sort.field_names()
 
 
 def compile_expr(

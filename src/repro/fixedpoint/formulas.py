@@ -317,11 +317,6 @@ class Forall(_Quantifier):
 # ---------------------------------------------------------------------------
 # Structural queries
 # ---------------------------------------------------------------------------
-def _term_vars(term: Term) -> Set[Var]:
-    root = term.root_var()
-    return set() if root is None else {root}
-
-
 def free_vars(formula: Formula) -> Dict[str, Var]:
     """The free typed variables of a formula, keyed by name."""
     result: Dict[str, Var] = {}

@@ -45,13 +45,6 @@ class RelationDecl:
         """The canonical parameter variables (one per declared parameter)."""
         return [Var(param, sort) for param, sort in self.params]
 
-    def param_bit_names(self) -> List[str]:
-        """BDD bit names of all canonical parameters, in declaration order."""
-        names: List[str] = []
-        for var in self.param_vars():
-            names.extend(var.bit_names())
-        return names
-
     def __call__(self, *args: Any) -> RelApp:
         return RelApp(self, args)
 

@@ -409,14 +409,6 @@ class SymbolicContext:
         self.variables[name] = var
 
     # -- term-level helpers ---------------------------------------------
-    def bits_of(self, term: Term) -> List[str]:
-        """Bit names of a variable/field term."""
-        return term.bit_names()
-
-    def var_node(self, bit_name: str) -> int:
-        """BDD node for a single bit."""
-        return self.manager.var(bit_name)
-
     def levels(self, term: Term) -> Tuple[int, ...]:
         """The manager levels of the bits of ``term``, in encoding order.
 

@@ -39,7 +39,7 @@ from typing import List, Optional
 
 from ..boolprog import BoolProgError, parse_concurrent_program, parse_program
 from ..errors import ResourceExhausted
-from ..limits import ResourceLimits
+from ..limits import ResourceLimits, limits_from_flags
 from .getafix import (
     _resolve_concurrent_target,
     check_concurrent_reachability,
@@ -182,16 +182,12 @@ def _validate_flags(args: argparse.Namespace) -> Optional[str]:
 
     Caught before any file I/O or parsing so a bad invocation fails fast
     with exit status 2 and a message naming the flag — argparse's ``type=``
-    converters accept any int/float, so range checks live here.
+    converters accept any int/float, so range checks live here.  The limit
+    flags are checked by :class:`ResourceLimits` itself, which
+    :func:`limits_from_flags` builds right after this.
     """
     if args.jobs < 1:
         return f"--jobs must be >= 1, got {args.jobs}"
-    if args.deadline is not None and args.deadline < 0:
-        return f"--deadline must be >= 0 seconds, got {args.deadline}"
-    if args.node_budget is not None and args.node_budget < 1:
-        return f"--node-budget must be >= 1, got {args.node_budget}"
-    if args.max_iterations is not None and args.max_iterations < 1:
-        return f"--max-iterations must be >= 1, got {args.max_iterations}"
     if args.shard_timeout is not None and args.shard_timeout <= 0:
         return f"--shard-timeout must be > 0 seconds, got {args.shard_timeout}"
     if args.context_switches < 0:
@@ -207,23 +203,6 @@ def _validate_flags(args: argparse.Namespace) -> Optional[str]:
             "context-switching engine has no trace extraction"
         )
     return None
-
-
-def _build_limits(args: argparse.Namespace) -> Optional[ResourceLimits]:
-    """Fold the limit flags into a :class:`ResourceLimits`, or None if unset."""
-    if (
-        args.deadline is None
-        and args.node_budget is None
-        and args.max_iterations is None
-        and not args.degrade
-    ):
-        return None
-    return ResourceLimits(
-        deadline_seconds=args.deadline,
-        node_budget=args.node_budget,
-        max_iterations=args.max_iterations,
-        degrade=args.degrade,
-    )
 
 
 def _prepare_queries(args: argparse.Namespace, sources: List[str]) -> Optional[List[tuple]]:
@@ -498,7 +477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"getafix: {flag_error}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        limits = _build_limits(args)
+        limits = limits_from_flags(args)
     except ValueError as exc:
         print(f"getafix: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -23,7 +23,7 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from ..limits import ResourceLimits
+from ..limits import limits_from_flags
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -141,7 +141,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace) -> Optional[str]:
-    """First offending flag as a message, or None when everything is sane."""
+    """First offending flag as a message, or None when everything is sane.
+
+    The limit flags are checked by :class:`~repro.limits.ResourceLimits`
+    itself, when :func:`build_config` builds them.
+    """
     if args.workers < 0:
         return f"--workers must be >= 0, got {args.workers}"
     if args.memory_budget < 0:
@@ -159,12 +163,6 @@ def _validate(args: argparse.Namespace) -> Optional[str]:
         return f"--breaker-threshold must be >= 1, got {args.breaker_threshold}"
     if args.breaker_cooldown < 0:
         return f"--breaker-cooldown must be >= 0, got {args.breaker_cooldown}"
-    if args.deadline is not None and args.deadline < 0:
-        return f"--deadline must be >= 0, got {args.deadline}"
-    if args.node_budget is not None and args.node_budget < 1:
-        return f"--node-budget must be >= 1, got {args.node_budget}"
-    if args.max_iterations is not None and args.max_iterations < 1:
-        return f"--max-iterations must be >= 1, got {args.max_iterations}"
     if args.drain_timeout < 0:
         return f"--drain-timeout must be >= 0, got {args.drain_timeout}"
     if args.port is not None and not (0 <= args.port <= 65535):
@@ -173,22 +171,12 @@ def _validate(args: argparse.Namespace) -> Optional[str]:
 
 
 def build_config(args: argparse.Namespace):
-    """A :class:`repro.service.DaemonConfig` from validated arguments."""
+    """A :class:`repro.service.DaemonConfig` from validated arguments.
+
+    Raises :class:`ValueError`, naming the flag, on an invalid limit.
+    """
     from ..service import DaemonConfig
 
-    default_limits = None
-    if (
-        args.deadline is not None
-        or args.node_budget is not None
-        or args.max_iterations is not None
-        or args.degrade
-    ):
-        default_limits = ResourceLimits(
-            deadline_seconds=args.deadline,
-            node_budget=args.node_budget,
-            max_iterations=args.max_iterations,
-            degrade=args.degrade,
-        )
     return DaemonConfig(
         workers=args.workers,
         memory_budget_nodes=args.memory_budget or None,
@@ -197,7 +185,7 @@ def build_config(args: argparse.Namespace):
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
         default_algorithm=args.algorithm,
-        default_limits=default_limits,
+        default_limits=limits_from_flags(args),
         drain_timeout=args.drain_timeout,
     )
 

@@ -14,10 +14,11 @@ and participate in shard group keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ResourceLimits", "DEGRADATION_LADDER", "MAX_ITERATIONS"]
+__all__ = ["ResourceLimits", "DEGRADATION_LADDER", "MAX_ITERATIONS", "limits_from_flags"]
 
 #: Outer fixed-point iteration budget of a query whose limits set none.
 MAX_ITERATIONS = 100_000
@@ -69,12 +70,29 @@ class ResourceLimits:
     degrade: bool = False
 
     def __post_init__(self) -> None:
-        if self.deadline_seconds is not None and self.deadline_seconds < 0:
-            raise ValueError("deadline_seconds must be >= 0")
-        if self.node_budget is not None and self.node_budget <= 0:
-            raise ValueError("node_budget must be positive")
-        if self.max_iterations is not None and self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+        """The one validation of every limit, for every front end.
+
+        The message names the field and the front ends' flag for it.  A NaN
+        or infinite deadline is rejected (``now >= nan`` never fires), and so
+        are bools, which ``isinstance(True, int)`` would let through.
+        """
+        deadline = self.deadline_seconds
+        if deadline is not None and (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float))
+            or not 0 <= deadline < math.inf
+        ):
+            raise ValueError(
+                f"deadline_seconds (--deadline) must be a finite number >= 0, "
+                f"got {deadline!r}"
+            )
+        for name in ("node_budget", "max_iterations"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int) or value < 1
+            ):
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{name} ({flag}) must be an integer >= 1, got {value!r}")
 
     @property
     def bounded(self) -> bool:
@@ -84,3 +102,21 @@ class ResourceLimits:
             or self.node_budget is not None
             or self.max_iterations is not None
         )
+
+
+def limits_from_flags(args) -> Optional[ResourceLimits]:
+    """The limits that ``--deadline``, ``--node-budget``, ``--max-iterations``
+    and ``--degrade`` set, or None when they set nothing.
+
+    ``getafix`` and ``getafix-server`` share these flags and this helper.  An
+    invalid value raises :meth:`ResourceLimits.__post_init__`'s
+    :class:`ValueError`, which names the flag; the front ends exit with
+    status 2 on it.
+    """
+    limits = ResourceLimits(
+        deadline_seconds=args.deadline,
+        node_budget=args.node_budget,
+        max_iterations=args.max_iterations,
+        degrade=args.degrade,
+    )
+    return limits if limits.bounded or limits.degrade else None

@@ -93,11 +93,6 @@ class BatchReport:
             counts[shard.status] = counts.get(shard.status, 0) + 1
         return counts
 
-    @property
-    def retried_count(self) -> int:
-        """Shards that succeeded only after their worker died and was rebuilt."""
-        return sum(1 for shard in self.shards if shard.status == "retried")
-
     def resource_failures(self) -> List[ShardResult]:
         """Failed shards that hit a resource envelope (timeout/budget)."""
         return [shard for shard in self.shards if shard.status in ("timeout", "resource")]

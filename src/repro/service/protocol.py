@@ -166,7 +166,9 @@ def _normalise_target(raw: object) -> Union[str, Tuple[object, ...]]:
             if (
                 not isinstance(item, (list, tuple))
                 or len(item) != 2
-                or not all(isinstance(part, int) for part in item)
+                or not all(
+                    isinstance(part, int) and not isinstance(part, bool) for part in item
+                )
             ):
                 raise ProtocolError(
                     "BadRequest",
@@ -232,7 +234,11 @@ def parse_request(
             f"{sorted(SEQUENTIAL_ALGORITHMS)}",
         )
     context_switches = request.get("context_switches", 2)
-    if not isinstance(context_switches, int) or context_switches < 0:
+    if (
+        isinstance(context_switches, bool)
+        or not isinstance(context_switches, int)
+        or context_switches < 0
+    ):
         raise ProtocolError(
             "BadRequest", "context_switches must be a non-negative integer"
         )

@@ -1,5 +1,5 @@
 """Deterministic test scaffolding (fault injection) for the analysis stack."""
 
-from .faults import FaultPlan, active_plan, clear, install
+from .faults import FaultPlan, clear, install
 
-__all__ = ["FaultPlan", "active_plan", "clear", "install"]
+__all__ = ["FaultPlan", "clear", "install"]

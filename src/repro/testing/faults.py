@@ -42,7 +42,6 @@ __all__ = [
     "FaultPlan",
     "install",
     "clear",
-    "active_plan",
     "on_shard",
     "on_safe_point",
     "on_query",
@@ -117,10 +116,6 @@ def install(plan: Optional[FaultPlan], worker: bool = False) -> None:
 def clear() -> None:
     """Remove any installed plan."""
     install(None)
-
-
-def active_plan() -> Optional[FaultPlan]:
-    return _ACTIVE
 
 
 def _claim_token(path: str) -> bool:

@@ -3,17 +3,15 @@
 Covers the GC contract end to end: protected roots survive collection with
 their semantics intact, dropped functions are reclaimed and their slots
 reused, operation caches can never resurrect dead nodes, the growth triggers
-fire and adapt, the :class:`Function` wrapper tracks external references
-through its lifecycle, and the symbolic backend's plan memos are invalidated
-by sweeps.
+fire and adapt, ``ref``/``deref`` track external references, and the
+symbolic backend's plan memos are invalidated by sweeps.
 """
 
-import gc as pygc
 import itertools
 
 import pytest
 
-from repro.bdd import BddFunction, BddManager, Function
+from repro.bdd import BddManager
 
 VAR_NAMES = ["a", "b", "c", "d"]
 
@@ -41,6 +39,13 @@ class TestMarkAndSweep:
         assert reclaimed > 0
         for env in all_envs():
             assert mgr.eval(f, env) == truth[tuple(env.values())]
+        # Dropping the only reference leaves no root, and the next sweep
+        # reclaims everything down to the terminal.
+        assert mgr.external_references() == 1
+        mgr.deref(f)
+        assert mgr.external_references() == 0
+        assert mgr.collect_garbage() > 0
+        assert len(mgr) == 1
         # Second input: fewer than half the nodes die, in several separate
         # runs, so the sweep deletes dead unique keys instead of rebuilding
         # the table and clears each run in place.
@@ -165,51 +170,6 @@ class TestTriggers:
         assert mgr._cache_entries() > 2
         mgr.maybe_collect()
         assert mgr._cache_entries() == 0
-
-
-class TestFunctionReferences:
-    def test_function_refs_and_derefs(self):
-        mgr = BddManager(VAR_NAMES)
-        f = Function.var(mgr, "a") & Function.var(mgr, "b")
-        assert mgr.external_references() > 0
-        node = f.node
-        truth = f.evaluate({"a": True, "b": True})
-        build_junk(mgr)
-        mgr.collect_garbage()
-        # The wrapper's nodes survived.
-        assert mgr.eval(node, {"a": True, "b": True}) == truth
-
-    def test_dropped_functions_are_reclaimed(self):
-        mgr = BddManager(VAR_NAMES)
-        f = Function.var(mgr, "a") ^ Function.var(mgr, "b")
-        g = f & Function.var(mgr, "c")
-        del f, g
-        pygc.collect()
-        assert mgr.external_references() == 0
-        live_before = len(mgr)
-        reclaimed = mgr.collect_garbage()
-        assert reclaimed > 0
-        assert len(mgr) < live_before
-
-    def test_release_is_idempotent(self):
-        mgr = BddManager(VAR_NAMES)
-        f = Function.var(mgr, "a")
-        f.release()
-        f.release()
-        assert mgr.external_references() == 0
-
-    def test_context_manager_releases(self):
-        mgr = BddManager(VAR_NAMES)
-        with Function.var(mgr, "a") & Function.var(mgr, "b") as f:
-            assert mgr.external_references() > 0
-            node = f.node
-        pygc.collect()
-        assert mgr.external_references() == 0
-        assert mgr.collect_garbage() > 0
-        assert node  # the edge value itself is just an int
-
-    def test_bddfunction_alias(self):
-        assert BddFunction is Function
 
 
 class TestClearCachesLifecycle:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.boolprog import build_cfg, parse_program
-from repro.encode import SequentialEncoder, StateSpace, affinity_order
+from repro.encode import SequentialEncoder, StateSpace
 from repro.encode.expressions import ChoicePool, VariableResolver, compile_expr
 from repro.boolprog.parser import parse_expression
 from repro.fixedpoint import Var
@@ -155,24 +155,3 @@ class TestTemplates:
         templates = encoder.encode(backend, [(1, 3), (0, 2)])
         models = set(backend.models(templates.interpretations["Target"], templates.decl("Target")))
         assert models == {(1, 3), (0, 2)}
-
-
-class TestAllocation:
-    def test_affinity_groups_related_globals(self):
-        program = parse_program(
-            """
-            decl a, b, c, d;
-            main() begin
-              a := b;
-              c := d;
-            end
-            """
-        )
-        order = affinity_order(program)
-        assert set(order) == {"a", "b", "c", "d"}
-        assert abs(order.index("a") - order.index("b")) == 1
-        assert abs(order.index("c") - order.index("d")) == 1
-
-    def test_affinity_order_handles_no_affinities(self):
-        program = parse_program("decl a, b; main() begin skip; end")
-        assert affinity_order(program) == ["a", "b"]

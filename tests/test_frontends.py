@@ -184,6 +184,7 @@ class TestCliExitCodes:
         [
             (["--jobs", "-3"], "--jobs"),
             (["--deadline", "-1"], "--deadline"),
+            (["--deadline", "nan"], "--deadline"),
             (["--node-budget", "0"], "--node-budget"),
             (["--node-budget", "-5"], "--node-budget"),
             (["--max-iterations", "0"], "--max-iterations"),

@@ -100,6 +100,19 @@ class TestResourceLimitsSpec:
             ResourceLimits(node_budget=0)
         with pytest.raises(ValueError):
             ResourceLimits(max_iterations=0)
+        # A NaN deadline never fires (``now >= nan`` is always False), and a
+        # bool is an int to isinstance; each is rejected, naming the flag.
+        for bad in (
+            {"deadline_seconds": float("nan")},
+            {"deadline_seconds": float("inf")},
+            {"deadline_seconds": True},
+            {"node_budget": True},
+            {"node_budget": 10.0},
+            {"max_iterations": 2.5},
+            {"max_iterations": False},
+        ):
+            with pytest.raises(ValueError, match=r"\(--[a-z-]+\)"):
+                ResourceLimits(**bad)
         assert not ResourceLimits().bounded
         assert not ResourceLimits(degrade=True).bounded
 

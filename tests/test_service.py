@@ -12,6 +12,7 @@ drain.  Process-pool failover is covered end to end in
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -104,9 +105,33 @@ class TestProtocol:
         assert job.limits.deadline_seconds == 0.5
         assert job.limits.node_budget == 1000  # untouched default
 
-    def test_invalid_request_limits_are_typed(self):
-        with pytest.raises(ProtocolError, match="limits"):
-            parse_request(query(node_budget=-5), job_id="q1")
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"node_budget": -5}',
+            '{"deadline_seconds": NaN}',  # json.loads parses NaN and Infinity
+            '{"deadline_seconds": Infinity}',
+            '{"node_budget": true}',
+            '{"max_iterations": 2.5}',
+        ],
+    )
+    def test_invalid_request_limits_are_typed(self, line):
+        with pytest.raises(ProtocolError, match="limits") as info:
+            parse_request(query(**json.loads(line)), job_id="q1")
+        assert info.value.payload["type"] == "BadRequest"
+
+    @pytest.mark.parametrize(
+        "fields,named",
+        [
+            ({"context_switches": True}, "context_switches"),
+            ({"target": [[True, 0]]}, "target"),
+            ({"target": [[0, False]]}, "target"),
+        ],
+    )
+    def test_bools_are_not_integers(self, fields, named):
+        with pytest.raises(ProtocolError, match=named) as info:
+            parse_request(query(**fields), job_id="q1")
+        assert info.value.payload["type"] == "BadRequest"
 
     def test_coalesce_key_separates_algorithms_and_limits(self):
         base = parse_request(query(), job_id="a")
@@ -448,6 +473,7 @@ class TestServerCliValidation:
             (["--shed-threshold", "9", "--max-pending", "3"], "--shed-threshold"),
             (["--breaker-threshold", "0"], "--breaker-threshold"),
             (["--deadline", "-1"], "--deadline"),
+            (["--deadline", "nan"], "--deadline"),
             (["--node-budget", "0"], "--node-budget"),
             (["--max-iterations", "-2"], "--max-iterations"),
             (["--drain-timeout", "-1"], "--drain-timeout"),
