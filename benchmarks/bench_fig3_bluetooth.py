@@ -112,15 +112,25 @@ def test_bluetooth_sharded(benchmark, jobs):
     benchmark.extra_info["speedup"] = round(report.speedup, 2)
 
 
-def test_bluetooth_grouping_keeps_concurrent_queries_solo(benchmark):
-    """Concurrent queries use the bounded context-switching engine, which has
-    no session support: batch grouping must leave every query its own shard
-    (one solve per query, no reuse flags)."""
+def test_bluetooth_grouping_shares_one_solve(benchmark):
+    """Concurrent queries on one program under one bound share a session:
+    the first query solves ``Reach``, the second is a post-pass over it."""
     from repro.parallel import group_queries
 
-    queries = batch_queries()
-    assert group_queries(queries) == [[index] for index in range(len(queries))]
-    report = measure(benchmark, run_batch, queries[:2], jobs=1)
+    program = make_bluetooth(1, 1)
+    queries = [
+        BatchQuery(
+            name=f"1A1S-k1-{index}",
+            program=program,
+            target="error",
+            concurrent=True,
+            context_switches=1,
+            expected=False,
+        )
+        for index in range(2)
+    ]
+    assert group_queries(queries) == [[0, 1]]
+    report = measure(benchmark, run_batch, queries, jobs=1)
     assert not report.failures() and not report.mismatches()
-    assert report.reused_count == 0
-    assert report.queries_per_solve == 1.0
+    assert report.reused_count == 1
+    assert report.queries_per_solve == 2.0

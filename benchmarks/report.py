@@ -24,6 +24,7 @@ Usage::
     python benchmarks/report.py optimize-smoke     # CI: -O2 differential gate
     python benchmarks/report.py witness-smoke      # CI: replay-validated witness traces
     python benchmarks/report.py scaling-smoke      # CI: scaling rows vs polarity and Bebop
+    python benchmarks/report.py concurrent-smoke   # CI: Bluetooth via sessions vs explicit
     python benchmarks/report.py all
 """
 
@@ -38,8 +39,10 @@ from repro.algorithms import run_batch, run_concurrent, run_sequential
 from repro.api import AnalysisSession
 from repro.baselines import run_bebop, run_concurrent_explicit, run_moped
 from repro.benchgen import (
+    BLUETOOTH_CONFIGURATIONS,
     DriverSpec,
     TerminatorSpec,
+    bluetooth_source,
     driver_suite,
     make_bluetooth,
     make_driver,
@@ -548,6 +551,60 @@ def figure3_symbolic(max_switches: int = 3) -> None:
             )
 
 
+def concurrent_smoke(jobs: int = 2, max_switches: int = 2) -> None:
+    """CI smoke: bounded context switching through the analysis session.
+
+    Every Bluetooth configuration at k = 0..``max_switches``, with the
+    ``error`` target and the stopper's labelled last statement, runs once
+    through ``run_concurrent`` and once in one grouped ``run_batch`` over a
+    ``jobs``-process pool.  Every verdict must equal the explicit engine's,
+    and the two targets of each (program, k) must share one solve.
+    """
+    from repro.boolprog import parse_concurrent_program
+    from repro.parallel import BatchQuery
+
+    targets = ("error", "stopper1:main:halt")
+    queries = []
+    started = time.perf_counter()
+    for config, (adders, stoppers) in BLUETOOTH_CONFIGURATIONS.items():
+        source = bluetooth_source(adders, stoppers).replace(
+            "    stopped := T;", "    halt: stopped := T;"
+        )
+        program = parse_concurrent_program(source)
+        for switches in range(max_switches + 1):
+            for target in targets:
+                name = f"{config}/k={switches}/{target}"
+                locations = resolve_target(program, target)
+                expected = run_concurrent_explicit(program, locations, switches).reachable
+                direct = run_concurrent(program, target, context_switches=switches)
+                assert direct.reachable == expected, f"{name}: run_concurrent disagrees"
+                queries.append(
+                    BatchQuery(
+                        name=name,
+                        program=source,
+                        target=target,
+                        concurrent=True,
+                        context_switches=switches,
+                        expected=expected,
+                    )
+                )
+    report = run_batch(queries, jobs=jobs)
+    assert report.mode == "process-pool", f"expected a process pool, ran {report.mode}"
+    assert not report.failures(), [shard.error for shard in report.failures()]
+    assert not report.mismatches(), [shard.name for shard in report.mismatches()]
+    reused = {row["name"]: row["reused_solve"] for row in report.rows()}
+    for name, flag in reused.items():
+        # The first target of each (program, k) pays the solve; the second
+        # is a post-pass over it.
+        assert flag == name.endswith(targets[1]), f"{name}: reused_solve={flag}"
+    print(report.format_table())
+    print(
+        f"concurrent smoke OK: {len(queries)} queries agree with the explicit engine "
+        f"direct and grouped at jobs={jobs}, {report.reused_count} reused solves, "
+        f"{time.perf_counter() - started:.2f} s"
+    )
+
+
 def kernel(bits: int = 14) -> None:
     """The BDD kernel micro-benchmark table (see bench_bdd_kernel.py)."""
     from bench_bdd_kernel import kernel_report
@@ -958,6 +1015,7 @@ def main(argv: List[str] | None = None) -> int:
             "optimize-smoke",
             "witness-smoke",
             "scaling-smoke",
+            "concurrent-smoke",
             "all",
         ],
         help="which table to regenerate",
@@ -1014,6 +1072,8 @@ def main(argv: List[str] | None = None) -> int:
         witness_smoke(jobs=min(args.jobs, 2))
     if args.what == "scaling-smoke":
         scaling_smoke()
+    if args.what == "concurrent-smoke":
+        concurrent_smoke(jobs=min(args.jobs, 2))
     if args.what == "parallel-smoke":
         parallel_smoke()
     if args.what == "session-smoke":

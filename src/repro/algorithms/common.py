@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import List, Optional
 
 from ..encode.templates import SequentialEncoder
 from ..fixedpoint import EquationSystem, Exists, Formula, RelationDecl, Var
@@ -12,8 +12,6 @@ __all__ = [
     "AlgorithmSpec",
     "state_vars",
     "target_query",
-    "compile_query",
-    "finish_symbolic_run",
 ]
 
 
@@ -25,7 +23,7 @@ class AlgorithmSpec:
     ----------
     name:
         Identifier of the algorithm (``"summary"``, ``"ef"``, ``"ef-opt"``,
-        ``"cbr"``).
+        ``"cbr-k<k>"``).
     system:
         The equation system (the "program" in the fixed-point calculus).
     target_relation:
@@ -37,6 +35,9 @@ class AlgorithmSpec:
         ``"nested"`` for the paper's algorithmic semantics (required for
         non-monotone systems) or ``"simultaneous"`` for plain chaotic
         iteration of monotone systems.
+    order:
+        The BDD variable order the backend is built with, or ``None`` for
+        the default interleaved order.
     """
 
     name: str
@@ -44,6 +45,7 @@ class AlgorithmSpec:
     target_relation: str
     query: Formula
     evaluation: str = "nested"
+    order: Optional[List[str]] = None
 
 
 def state_vars(encoder: SequentialEncoder, *names: str) -> List[Var]:
@@ -60,42 +62,3 @@ def target_query(encoder: SequentialEncoder, summary: RelationDecl, *prefix_args
     u, v = state_vars(encoder, "u", "v")
     target = encoder.decls["Target"]
     return Exists([u, v], summary(*prefix_args, u, v) & target(v.mod, v.pc))
-
-
-def compile_query(backend, inputs: Mapping[str, int], query: Formula) -> Callable[[Mapping[str, int]], bool]:
-    """Shared symbolic-engine prologue: protect inputs, compile the query.
-
-    The input relations are fixed for the whole run, so they are GC-protected
-    up front (the evaluator's safe-point collections must never reclaim a
-    template).  The query formula is compiled once so the early-stop
-    predicate — called after every outer iteration — reuses the hoisted
-    skeleton and the interpretation-keyed memo.  Returns the predicate.
-    """
-    manager = backend.manager
-    for node in inputs.values():
-        manager.ref(node)
-    query_plan = backend.compile_formula(query)
-
-    def query_holds(interps: Mapping[str, int]) -> bool:
-        merged = dict(inputs)
-        merged.update(interps)
-        return query_plan.eval(backend, merged) == manager.TRUE
-
-    return query_holds
-
-
-def finish_symbolic_run(backend, summary_node: int) -> Tuple[int, int, Dict[str, object]]:
-    """Shared symbolic-engine epilogue: snapshot, then release the caches.
-
-    Everything derived from the node table (the summary BDD size, the live
-    node count, the statistics snapshot) is read *before*
-    ``backend.clear_caches()`` — nothing may walk summary BDDs after a clear
-    that could ever compose with a collection.  Returns
-    ``(summary_nodes, live_nodes, stats)``.
-    """
-    manager = backend.manager
-    summary_nodes = manager.node_count(summary_node)
-    live_nodes = len(manager)
-    stats = backend.stats_snapshot()
-    backend.clear_caches()
-    return summary_nodes, live_nodes, stats

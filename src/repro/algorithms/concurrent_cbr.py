@@ -26,10 +26,9 @@ thread, which is what this implementation does.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..boolprog.concurrent import ConcurrentProgram
-from ..boolprog.typecheck import check_concurrent_program
 from ..encode.concurrent import ConcurrentEncoder
 from ..fixedpoint import (
     And,
@@ -46,15 +45,24 @@ from ..fixedpoint import (
     StructSort,
     Succ,
     Var,
-    evaluate_nested,
 )
-from ..fixedpoint.symbolic import SymbolicBackend, default_bit_order
+from ..fixedpoint.formulas import all_vars
+from ..fixedpoint.symbolic import default_bit_order
 from ..fixedpoint.terms import Field
-from ..limits import MAX_ITERATIONS, ResourceLimits
-from .common import AlgorithmSpec, compile_query, finish_symbolic_run
+from ..limits import ResourceLimits
+from .common import AlgorithmSpec
 from .result import ReachabilityResult
 
-__all__ = ["build_cbr_system", "run_concurrent"]
+__all__ = ["CBR_PREFIX", "build_cbr_system", "cbr_algorithm", "run_concurrent"]
+
+#: Name prefix of the bounded context-switching algorithm: ``cbr-k<k>``
+#: checks a concurrent program under at most ``k`` context switches.
+CBR_PREFIX = "cbr-k"
+
+
+def cbr_algorithm(context_switches: int) -> str:
+    """The algorithm name of the Section 5 system with ``context_switches``."""
+    return f"{CBR_PREFIX}{context_switches}"
 
 
 def build_cbr_system(encoder: ConcurrentEncoder, context_switches: int) -> AlgorithmSpec:
@@ -71,7 +79,7 @@ def build_cbr_system(encoder: ConcurrentEncoder, context_switches: int) -> Algor
     gvec_sort = StructSort("GVec", gvec_fields)
     tvec_sort = StructSort("TVec", [(f"t{i}", thread_sort) for i in range(0, k + 1)])
 
-    decls = encoder.base.decls
+    decls = encoder.decls
     ProgramInt = decls["ProgramInt"]
     IntoCall = decls["IntoCall"]
     Return = decls["Return"]
@@ -235,13 +243,15 @@ def build_cbr_system(encoder: ConcurrentEncoder, context_switches: int) -> Algor
         [u, v, ecs, cs, g, t],
         And(Reach(u, v, ecs, cs, g, t), Target(v.mod, v.pc)),
     )
-    return AlgorithmSpec(
-        name=f"cbr-k{k}",
+    spec = AlgorithmSpec(
+        name=cbr_algorithm(k),
         system=system,
         target_relation="Reach",
         query=query,
         evaluation="nested",
     )
+    spec.order = _cbr_bit_order(encoder, spec)
+    return spec
 
 
 #: Variable-order rank of the context-switch counters.  ``Reach`` is applied
@@ -321,89 +331,34 @@ def _cbr_bit_order(encoder: ConcurrentEncoder, spec: AlgorithmSpec) -> List[str]
 
 
 def run_concurrent(
-    program: ConcurrentProgram,
-    target_locations: Sequence[Tuple[int, int]],
+    program: Union[str, ConcurrentProgram],
+    targets: Union[str, Sequence[str], Sequence[Tuple[int, int]]],
     context_switches: int,
     early_stop: bool = True,
     validate: bool = True,
-    count_states: bool = False,
-    limits: Optional["ResourceLimits"] = None,
+    limits: Optional[ResourceLimits] = None,
 ) -> ReachabilityResult:
     """Bounded context-switching reachability check on a concurrent program.
 
-    ``target_locations`` are (module, pc) pairs in the *merged* module space —
-    obtain them from :meth:`ConcurrentEncoder.label_location` /
-    :meth:`ConcurrentEncoder.error_locations` (or via the front end, which
-    accepts thread/procedure/label names).
-
-    ``limits`` arms a :class:`~repro.limits.ResourceLimits` envelope on the
-    run's private manager (node budget, wall-clock deadline, iteration
-    budget); exhaustion raises the typed
-    :class:`~repro.errors.ResourceExhausted` subclass.  The concurrent
-    engine has no cheaper algorithm to degrade to.
+    ``targets`` is ``"error"``, ``"thread:procedure:label"`` specs, or
+    (module, pc) pairs in the *merged* module space (from
+    :meth:`ConcurrentEncoder.label_location` /
+    :meth:`ConcurrentEncoder.error_locations`).  The query runs in a
+    one-shot :class:`repro.api.AnalysisSession` on the ``cbr-k<k>``
+    algorithm, so ``limits`` governs it as it governs a sequential query;
+    exhaustion raises the typed :class:`~repro.errors.ResourceExhausted`
+    subclass (there is no cheaper algorithm to degrade to).
     """
+    # Imported lazily: repro.api builds on the algorithm registry.
+    from ..api.session import AnalysisSession
+
     started = time.perf_counter()
-    if validate:
-        check_concurrent_program(program)
-    encoder = ConcurrentEncoder(program)
-    spec = build_cbr_system(encoder, context_switches)
-    order = _cbr_bit_order(encoder, spec)
-    backend = SymbolicBackend(spec.system, order=order)
-    if limits is not None:
-        # The manager is private to this run and dropped with it, so the
-        # deadline needs no disarming on the way out.
-        backend.manager.set_node_budget(limits.node_budget)
-        if limits.deadline_seconds is not None:
-            backend.manager.set_deadline(limits.deadline_seconds)
-
-    encode_start = time.perf_counter()
-    templates = encoder.encode(backend, list(target_locations))
-    encode_seconds = time.perf_counter() - encode_start
-    inputs = templates.interps()
-    manager = backend.manager
-    query_holds = compile_query(backend, inputs, spec.query)
-    stop = query_holds if early_stop else None
-    evaluation = evaluate_nested(
-        spec.system,
-        spec.target_relation,
-        backend,
-        inputs,
-        max_iterations=(limits and limits.max_iterations) or MAX_ITERATIONS,
-        stop=stop,
-    )
-    reachable = query_holds(evaluation.interpretations)
-    reach_node = evaluation.interpretations["Reach"]
-
-    summary_states: Optional[int] = None
-    if count_states:
-        # Project the Reach relation onto the current-state component and the
-        # context counter; the count of that projection is the "reachable set
-        # size" reported for Figure 3.
-        v = Var("v", encoder.space.state_sort)
-        cs = Var("cs", EnumSort("CS", context_switches + 1))
-        keep = set(v.bit_names()) | set(cs.bit_names())
-        drop = [bit for bit in manager.support_names(reach_node) if bit not in keep]
-        projected = manager.exists(reach_node, drop)
-        summary_states = manager.count_sat(projected, sorted(keep))
-
-    total_seconds = time.perf_counter() - started
-    summary_nodes, live_nodes, stats = finish_symbolic_run(backend, reach_node)
-    return ReachabilityResult(
-        reachable=reachable,
-        algorithm=f"getafix-cbr(k={context_switches})",
-        iterations=evaluation.iterations,
-        equation_evaluations=evaluation.equation_evaluations,
-        summary_nodes=summary_nodes,
-        summary_states=summary_states,
-        elapsed_seconds=evaluation.elapsed_seconds,
-        encode_seconds=encode_seconds,
-        total_seconds=total_seconds,
-        stopped_early=evaluation.stopped_early,
-        details={
-            "bdd_variables": manager.num_vars,
-            "bdd_live_nodes": live_nodes,
-            "context_switches": context_switches,
-            "threads": program.num_threads,
-        },
-        stats=stats,
-    )
+    with AnalysisSession(
+        program,
+        default_algorithm=cbr_algorithm(context_switches),
+        validate=validate,
+        limits=limits,
+    ) as session:
+        result = session.check(targets, early_stop=early_stop)
+    result.total_seconds = time.perf_counter() - started
+    return result

@@ -1,12 +1,14 @@
-"""The GETAFIX sequential engine: program + target locations -> YES/NO.
+"""The GETAFIX engine: program + target locations -> YES/NO.
 
 This module wires the pieces together exactly as Figure 1 of the paper
 describes: the translator (:mod:`repro.encode`) produces the template
-relations and an allocation hint, the chosen reachability algorithm
-(:mod:`repro.algorithms.summary_basic`, :mod:`~repro.algorithms.entry_forward`
-or :mod:`~repro.algorithms.entry_forward_opt`) provides the fixed-point
+relations, the chosen reachability algorithm
+(:mod:`repro.algorithms.summary_basic`, :mod:`~repro.algorithms.entry_forward`,
+:mod:`~repro.algorithms.entry_forward_opt` or the bounded context-switching
+system of :mod:`~repro.algorithms.concurrent_cbr`) provides the fixed-point
 formula, and the symbolic evaluator (:mod:`repro.fixedpoint`) plays the role
-of MUCKE.
+of MUCKE.  :func:`algorithm_builder` is the one registry every session
+compiles its algorithms from.
 
 :func:`run_sequential` and :func:`run_batch` are thin wrappers over the
 session API: a `run_sequential` call opens a one-shot
@@ -21,15 +23,18 @@ encoding and the summary fixed point are paid once, not per query.
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..boolprog import Program
 from ..limits import ResourceLimits
 from . import entry_forward, entry_forward_opt, summary_basic
+from .common import AlgorithmSpec
+from .concurrent_cbr import CBR_PREFIX, build_cbr_system
 from .result import ReachabilityResult
 
-__all__ = ["SEQUENTIAL_ALGORITHMS", "run_sequential", "run_batch"]
+__all__ = ["SEQUENTIAL_ALGORITHMS", "algorithm_builder", "run_sequential", "run_batch"]
 
 #: Registry of the sequential algorithm builders by name.
 SEQUENTIAL_ALGORITHMS = {
@@ -37,6 +42,24 @@ SEQUENTIAL_ALGORITHMS = {
     "ef": entry_forward.build,
     "ef-opt": entry_forward_opt.build,
 }
+
+
+def algorithm_builder(name: str) -> Callable[..., AlgorithmSpec]:
+    """The encoder -> :class:`AlgorithmSpec` builder of algorithm ``name``.
+
+    ``name`` is a sequential algorithm or ``cbr-k<k>``, the Section 5
+    system under at most ``k`` context switches, which takes a
+    :class:`~repro.encode.concurrent.ConcurrentEncoder`.
+    """
+    if name in SEQUENTIAL_ALGORITHMS:
+        return SEQUENTIAL_ALGORITHMS[name]
+    bound = name[len(CBR_PREFIX):]
+    if name.startswith(CBR_PREFIX) and bound.isdigit():
+        return functools.partial(build_cbr_system, context_switches=int(bound))
+    raise ValueError(
+        f"unknown algorithm {name!r}; choose one of "
+        f"{sorted(SEQUENTIAL_ALGORITHMS)} or {CBR_PREFIX}<k>"
+    )
 
 
 def run_sequential(

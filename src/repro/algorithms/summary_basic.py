@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..encode.templates import SequentialEncoder
 from ..fixedpoint import And, Eq, Equation, EquationSystem, Exists, Or, RelationDecl
-from .common import AlgorithmSpec, state_vars, target_query
+from .common import AlgorithmSpec, state_vars
 
 __all__ = ["build"]
 

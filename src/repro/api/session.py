@@ -9,7 +9,11 @@ against them, in the style of incremental solver interfaces (persistent
 solver state, cheap repeated queries):
 
 * **Built once at construction** — static validation (``check_program``),
-  the CFG, the :class:`~repro.encode.templates.SequentialEncoder`.
+  the CFG, the :class:`~repro.encode.templates.SequentialEncoder`.  A
+  session whose default algorithm is ``cbr-k<k>`` (Section 5 bounded
+  context switching) parses, validates and encodes a concurrent program
+  instead (:class:`~repro.encode.concurrent.ConcurrentEncoder`, over the
+  merged program's CFG); everything after construction is shared.
 * **Built once per algorithm** (lazily) — the
   :class:`~repro.algorithms.common.AlgorithmSpec`, a private
   :class:`~repro.fixedpoint.symbolic.SymbolicBackend` (its own
@@ -28,7 +32,7 @@ solver state, cheap repeated queries):
 
 Reuse matrix (what each algorithm can share between queries)
 ------------------------------------------------------------
-All three sequential equation systems in this reproduction are
+Every equation system in this reproduction, ``cbr-k<k>`` included, is
 *target-free*: ``Target`` is an input relation of the system but no
 equation body mentions it — only the reachability query does.  The summary
 fixed point is therefore target-independent and fully reusable:
@@ -43,6 +47,8 @@ algorithm     retained summary (solve)    warm start from early-stopped run
                                           partial iterate is not a sound
                                           seed; compiled plans, templates
                                           and Target BDDs are still reused
+``cbr-k<k>``  yes — query post-pass       no (an early-stopped run is not
+                                          retained)
 ============  ==========================  =================================
 
 ``solve()`` computes the full fixed point (no early stop) and retains it;
@@ -70,13 +76,23 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..algorithms.engine import SEQUENTIAL_ALGORITHMS
+from ..algorithms.concurrent_cbr import CBR_PREFIX
+from ..algorithms.engine import algorithm_builder
 from ..algorithms.result import ReachabilityResult
 from ..analysis.passes import PassReport, normalise_slice_targets
 from ..analysis.passes import optimize as optimize_program
 from ..bdd import BddError, BddManager
 from ..bdd import snapshot as bdd_snapshot
-from ..boolprog import Program, build_cfg, check_program, parse_program
+from ..boolprog import (
+    ConcurrentProgram,
+    Program,
+    build_cfg,
+    check_concurrent_program,
+    check_program,
+    parse_concurrent_program,
+    parse_program,
+)
+from ..encode.concurrent import ConcurrentEncoder
 from ..encode.templates import SequentialEncoder, TemplateSet
 from ..errors import ResourceExhausted
 from ..fixedpoint import evaluate_nested, evaluate_simultaneous
@@ -181,8 +197,10 @@ class _AlgorithmState:
     ) -> None:
         self.algorithm = algorithm
         started = time.perf_counter()
-        self.spec = SEQUENTIAL_ALGORITHMS[algorithm](session.encoder)
-        self.backend = SymbolicBackend(self.spec.system, manager=manager)
+        self.spec = algorithm_builder(algorithm)(session.encoder)
+        self.backend = SymbolicBackend(
+            self.spec.system, order=self.spec.order, manager=manager
+        )
         if session.limits is not None:
             # The node budget is a property of the state's private manager
             # and persists across queries; the deadline is armed per query
@@ -200,7 +218,7 @@ class _AlgorithmState:
         # algorithm half of the key.
         self.target_cache: Dict[TargetSignature, int] = {}
         # A system is summary-cacheable only if no equation body mentions
-        # Target (true for all three shipped algorithms).
+        # Target (true for every shipped algorithm).
         self.target_free = not any(
             "Target" in self.spec.system.equation(name).referenced_relations()
             for name in self.spec.system.equations
@@ -269,10 +287,13 @@ class AnalysisSession:
     Parameters
     ----------
     program:
-        Source text or an already-parsed sequential
-        :class:`~repro.boolprog.Program`.
+        Source text or an already-parsed :class:`~repro.boolprog.Program`
+        (a :class:`~repro.boolprog.ConcurrentProgram` for ``cbr-k<k>``).
     default_algorithm:
         The algorithm used when ``solve``/``check`` are called without one.
+        A ``cbr-k<k>`` default makes the session concurrent: it then
+        answers only ``cbr-k<k>`` queries (any ``k``), and a sequential
+        one only the sequential algorithms.
     validate:
         Run ``check_program`` once, at construction (never again per query).
     limits:
@@ -294,7 +315,8 @@ class AnalysisSession:
         structural changes; string specs (``"error"``, ``"proc:label"``)
         resolve against the optimized CFG and stay exact.  A pipeline crash
         degrades gracefully: the session falls back to the raw program and
-        records the failure in ``optimize_report.failed``.
+        records the failure in ``optimize_report.failed``.  Concurrent
+        sessions have no pre-analysis pipeline and reject a level above 0.
     slice_targets:
         String target specs the level-2 slicer may specialise the program
         towards.  A sliced session only answers queries whose specs are a
@@ -307,7 +329,7 @@ class AnalysisSession:
 
     def __init__(
         self,
-        program: Union[str, Program],
+        program: Union[str, Program, ConcurrentProgram],
         *,
         default_algorithm: str = "ef-opt",
         validate: bool = True,
@@ -315,17 +337,23 @@ class AnalysisSession:
         optimize: int = 0,
         slice_targets: Optional[Sequence[str]] = None,
     ) -> None:
-        if default_algorithm not in SEQUENTIAL_ALGORITHMS:
+        algorithm_builder(default_algorithm)  # rejects unknown names
+        self.concurrent = default_algorithm.startswith(CBR_PREFIX)
+        if self.concurrent and optimize:
             raise ValueError(
-                f"unknown algorithm {default_algorithm!r}; "
-                f"choose one of {sorted(SEQUENTIAL_ALGORITHMS)}"
+                "optimize applies to sequential programs only; the concurrent "
+                "engine has no pre-analysis pipeline"
             )
-        self.program = program if isinstance(program, Program) else parse_program(program)
+        if isinstance(program, str):
+            program = (
+                parse_concurrent_program(program) if self.concurrent else parse_program(program)
+            )
+        self.program = program
         self.default_algorithm = default_algorithm
         self.limits = limits
         self.validations = 0
         if validate:
-            check_program(self.program)
+            (check_concurrent_program if self.concurrent else check_program)(self.program)
             self.validations = 1
         #: The program as given (pre-optimization); ``self.program`` is what
         #: the compiled artifacts are actually built from.
@@ -353,8 +381,12 @@ class AnalysisSession:
                 self.program = self.source_program
                 self.optimize_report = PassReport(level=self.optimize_level)
                 self.optimize_report.failed = repr(exc)
-        self.cfg = build_cfg(self.program)
-        self.encoder = SequentialEncoder(self.cfg)
+        self.encoder: SequentialEncoder = (
+            ConcurrentEncoder(self.program)
+            if self.concurrent
+            else SequentialEncoder(build_cfg(self.program))
+        )
+        self.cfg = self.encoder.cfg
         self._states: Dict[str, _AlgorithmState] = {}
         # Snapshot views this session attached (from_snapshot); detached —
         # never unlinked — on close.
@@ -392,12 +424,13 @@ class AnalysisSession:
         if self._closed:
             raise RuntimeError("the analysis session is closed")
         name = algorithm or self.default_algorithm
-        if name not in SEQUENTIAL_ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {name!r}; choose one of {sorted(SEQUENTIAL_ALGORITHMS)}"
-            )
         state = self._states.get(name)
         if state is None:
+            if name.startswith(CBR_PREFIX) != self.concurrent:
+                raise ValueError(
+                    f"algorithm {name!r} does not apply to this session's "
+                    f"{'concurrent' if self.concurrent else 'sequential'} program"
+                )
             state = _AlgorithmState(self, name)
             self._states[name] = state
         return state

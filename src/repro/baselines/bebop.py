@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from ..boolprog import Program, build_cfg, check_program
 from ..boolprog.cfg import ProgramCfg

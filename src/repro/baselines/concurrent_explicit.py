@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..algorithms.result import ReachabilityResult
 from ..boolprog import build_cfg, check_concurrent_program

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from ..algorithms.result import ReachabilityResult
 from ..boolprog import Program, build_cfg, check_program

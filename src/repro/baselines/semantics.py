@@ -17,10 +17,10 @@ successor valuations.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
-from ..boolprog.ast import BinOp, Expr, Lit, Nondet, NotE, Procedure, Program, VarRef
-from ..boolprog.cfg import CallEdge, InternalEdge, ProcedureCfg, ProgramCfg
+from ..boolprog.ast import BinOp, Expr, Lit, Nondet, NotE, VarRef
+from ..boolprog.cfg import CallEdge, InternalEdge, ProgramCfg
 
 __all__ = [
     "GlobalVal",

@@ -233,9 +233,6 @@ class BddManager:
         this sequence is its *level*: variables earlier in the sequence are
         tested closer to the root.  More variables can be added later with
         :meth:`add_var`, which appends them below all existing levels.
-    gc_enabled:
-        When False, :meth:`maybe_collect` never collects (explicit
-        :meth:`collect_garbage` calls still work).
     gc_threshold:
         Live-node count above which :meth:`maybe_collect` triggers a
         collection.  After each collection the trigger grows to
@@ -243,10 +240,6 @@ class BddManager:
         that is mostly live does not thrash.
     gc_growth:
         Geometric growth factor of the collection trigger.
-    cache_limit:
-        Optional cap on the summed size of the operation caches; when a
-        :meth:`maybe_collect` safe point finds the caches larger, they are
-        dropped even if no node collection runs.
     debug_checks:
         Kernel sanitizer.  When True, :meth:`_debug_validate` runs at every
         GC safe point (each :meth:`maybe_collect` call and the end of each
@@ -277,10 +270,8 @@ class BddManager:
     def __init__(
         self,
         var_names: Optional[Sequence[str]] = None,
-        gc_enabled: bool = True,
         gc_threshold: int = 65_536,
         gc_growth: float = 2.0,
-        cache_limit: Optional[int] = None,
         debug_checks: Optional[bool] = None,
     ) -> None:
         if debug_checks is None:
@@ -332,11 +323,9 @@ class BddManager:
         self._peak_live = 1
         self._extref: Dict[int, int] = {}
         self._gc_hooks: List[Callable[[], None]] = []
-        self._gc_enabled = bool(gc_enabled)
         self._gc_floor = int(gc_threshold)
         self._gc_threshold = int(gc_threshold)
         self._gc_growth = float(gc_growth)
-        self._cache_limit = cache_limit
         self._gc_collections = 0
         self._gc_reclaimed = 0
         # Cooperative resource limits (see set_node_budget / set_deadline).
@@ -1523,9 +1512,7 @@ class BddManager:
 
         The node-table trigger compares the live count against
         ``gc_threshold`` and, after a collection, grows geometrically with
-        the surviving live set so mostly-live tables do not thrash.  The
-        optional ``cache_limit`` trigger drops oversized operation caches
-        even when no collection runs.
+        the surviving live set so mostly-live tables do not thrash.
 
         Safe points also enforce the cooperative limits: an armed deadline
         is checked unconditionally, and a node budget that remains exceeded
@@ -1534,7 +1521,7 @@ class BddManager:
         """
         if self._deadline is not None:
             self._check_deadline()
-        if self._gc_enabled and self._live >= self._gc_threshold:
+        if self._live >= self._gc_threshold:
             self.collect_garbage(roots)
             self._gc_threshold = max(self._gc_floor, int(self._live * self._gc_growth))
             if self._node_budget is not None:
@@ -1546,24 +1533,11 @@ class BddManager:
                         consumed=self._live, budget=self._node_budget
                     )
             return True
-        if self._cache_limit is not None and self._cache_entries() > self._cache_limit:
-            self._drop_op_caches()
         if self._debug_checks:
             # No collection ran, but the caller still promised a safe point
             # (every live edge enumerable): the invariants must hold here.
             self._debug_validate()
         return False
-
-    def _cache_entries(self) -> int:
-        return (
-            len(self._and_cache)
-            + len(self._xor_cache)
-            + len(self._ite_cache)
-            + len(self._exists_cache)
-            + len(self._and_exists_cache)
-            + len(self._rename_cache)
-            + len(self._restrict_cache)
-        )
 
     def _drop_op_caches(self) -> None:
         self._and_cache.clear()
@@ -1836,7 +1810,6 @@ class BddManager:
             "ops": ops,
             "cache_sizes": cache_sizes,
             "gc": {
-                "enabled": self._gc_enabled,
                 "threshold": self._gc_threshold,
                 "collections": self._gc_collections,
                 "reclaimed": self._gc_reclaimed,

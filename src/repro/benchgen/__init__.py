@@ -3,7 +3,7 @@
 from .regression import RegressionCase, regression_case, regression_suite, TEMPLATE_NAMES
 from .drivers import DriverSpec, driver_suite, make_driver
 from .terminator import TerminatorSpec, make_terminator, terminator_suite
-from .bluetooth import BLUETOOTH_CONFIGURATIONS, make_bluetooth
+from .bluetooth import BLUETOOTH_CONFIGURATIONS, bluetooth_source, make_bluetooth
 from .random_programs import random_program, random_program_source
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "make_terminator",
     "terminator_suite",
     "BLUETOOTH_CONFIGURATIONS",
+    "bluetooth_source",
     "make_bluetooth",
     "random_program",
     "random_program_source",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from ..boolprog import ConcurrentProgram, parse_concurrent_program
 
-__all__ = ["make_bluetooth", "BLUETOOTH_CONFIGURATIONS"]
+__all__ = ["bluetooth_source", "make_bluetooth", "BLUETOOTH_CONFIGURATIONS"]
 
 #: The four thread configurations evaluated in Figure 3.
 BLUETOOTH_CONFIGURATIONS = {
@@ -92,8 +92,8 @@ end
 """
 
 
-def make_bluetooth(adders: int = 1, stoppers: int = 1) -> ConcurrentProgram:
-    """Build the Bluetooth model with the given number of adder/stopper threads."""
+def bluetooth_source(adders: int = 1, stoppers: int = 1) -> str:
+    """The source text of the Bluetooth model with the given threads."""
     if adders < 1 or stoppers < 1:
         raise ValueError("the Bluetooth model needs at least one adder and one stopper")
     threads = []
@@ -101,10 +101,16 @@ def make_bluetooth(adders: int = 1, stoppers: int = 1) -> ConcurrentProgram:
         threads.append(_ADDER.format(index=index + 1))
     for index in range(stoppers):
         threads.append(_STOPPER.format(index=index + 1))
-    source = (
+    return (
         "shared decl pio0, pio1, stoppingFlag, stoppingEvent, stopped;\n"
         # pendingIo starts at 1 (the driver holds one reference).
         "init pio0 := T, pio1 := F, stoppingFlag := F, stoppingEvent := F, stopped := F;\n"
         + "\n".join(threads)
     )
-    return parse_concurrent_program(source, name=f"bluetooth-{adders}A{stoppers}S")
+
+
+def make_bluetooth(adders: int = 1, stoppers: int = 1) -> ConcurrentProgram:
+    """Build the Bluetooth model with the given number of adder/stopper threads."""
+    return parse_concurrent_program(
+        bluetooth_source(adders, stoppers), name=f"bluetooth-{adders}A{stoppers}S"
+    )

@@ -10,7 +10,7 @@ MOPED-style pushdown solver all agree on reachability verdicts.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from ..boolprog import Program, check_program, parse_program
 

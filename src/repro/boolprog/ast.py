@@ -9,8 +9,8 @@ benchmark suites: labels, ``goto``, ``assert`` and ``assume``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 __all__ = [
     "Expr",

@@ -29,7 +29,6 @@ from .ast import (
     Expr,
     Goto,
     If,
-    Lit,
     NotE,
     Procedure,
     Program,

@@ -9,7 +9,7 @@ no parameters and is never called.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from .ast import (
     Assert,

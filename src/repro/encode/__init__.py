@@ -3,7 +3,7 @@
 from .statespace import StateSpace
 from .expressions import ChoicePool, VariableResolver, compile_expr
 from .templates import SequentialEncoder, TemplateSet
-from .concurrent import ConcurrentEncoder, ConcurrentTemplateSet
+from .concurrent import ConcurrentEncoder
 
 __all__ = [
     "StateSpace",
@@ -13,5 +13,4 @@ __all__ = [
     "SequentialEncoder",
     "TemplateSet",
     "ConcurrentEncoder",
-    "ConcurrentTemplateSet",
 ]

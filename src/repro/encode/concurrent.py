@@ -4,14 +4,14 @@ The bounded context-switching algorithm of Section 5 works on per-thread
 summaries, so the program encoding is almost the sequential one: the threads
 are merged into a single module space (procedure ``p`` of thread ``T`` becomes
 module ``T__p``) and the globals struct holds the shared variables plus every
-thread's private globals.  The only concurrent-specific template is
-``InitThread(t, u)``: thread ``t`` starts at the entry of its own ``main``.
+thread's private globals.  The concurrent-specific templates are
+``InitThread(t, u)`` (thread ``t`` starts at the entry of its own ``main``)
+and ``InitGlobals(u)`` (the program's ``init`` section).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..boolprog.cfg import build_cfg
 from ..boolprog.concurrent import ConcurrentProgram
@@ -21,64 +21,23 @@ from ..fixedpoint.symbolic import SymbolicBackend
 from ..fixedpoint.terms import Field
 from .templates import SequentialEncoder, TemplateSet
 
-__all__ = ["ConcurrentTemplateSet", "ConcurrentEncoder"]
+__all__ = ["ConcurrentEncoder"]
 
 
-@dataclass
-class ConcurrentTemplateSet:
-    """Sequential templates plus the thread-aware pieces."""
-
-    base: TemplateSet
-    thread_sort: EnumSort
-    thread_mains: List[str]
-
-    def decl(self, name: str) -> RelationDecl:
-        """Declaration of a template relation (sequential or thread-aware)."""
-        return self.base.decls[name]
-
-    def inputs(self) -> List[RelationDecl]:
-        """All template declarations."""
-        return list(self.base.decls.values())
-
-    def interps(self) -> Dict[str, int]:
-        """Relation name -> BDD interpretation."""
-        return dict(self.base.interpretations)
-
-    @property
-    def space(self):
-        """The state space sorts of the merged program."""
-        return self.base.space
-
-
-class ConcurrentEncoder:
-    """Builds template relations for a concurrent Boolean program."""
+class ConcurrentEncoder(SequentialEncoder):
+    """The sequential encoder of the merged program, plus ``InitThread`` and
+    ``InitGlobals``."""
 
     def __init__(self, program: ConcurrentProgram) -> None:
         self.program = program
         self.merged, self.thread_mains = merge_threads(program)
-        self.cfg = build_cfg(self.merged)
-        self.base = SequentialEncoder(self.cfg)
+        super().__init__(build_cfg(self.merged))
         self.thread_sort = EnumSort("Thread", max(1, program.num_threads))
-        self.base.decls["InitThread"] = RelationDecl(
-            "InitThread",
-            [("ti", self.thread_sort), ("u", self.base.space.state_sort)],
+        state = self.space.state_sort
+        self.decls["InitThread"] = RelationDecl(
+            "InitThread", [("ti", self.thread_sort), ("u", state)]
         )
-        self.base.decls["InitGlobals"] = RelationDecl(
-            "InitGlobals", [("u", self.base.space.state_sort)]
-        )
-
-    @property
-    def space(self):
-        """The state space of the merged program."""
-        return self.base.space
-
-    def input_decls(self) -> List[RelationDecl]:
-        """All template declarations, including ``InitThread``."""
-        return self.base.input_decls()
-
-    def module_of(self, thread_name: str, procedure: str) -> int:
-        """Module index of a procedure of a given thread."""
-        return self.cfg.module_of(f"{thread_name}__{procedure}")
+        self.decls["InitGlobals"] = RelationDecl("InitGlobals", [("u", state)])
 
     def label_location(self, thread_name: str, procedure: str, label: str) -> Tuple[int, int]:
         """(module, pc) of a labelled statement of a thread procedure."""
@@ -88,47 +47,37 @@ class ConcurrentEncoder:
         """(module, pc) pairs of assertion-failure locations across all threads."""
         return self.cfg.error_locations()
 
-    def encode(
-        self,
-        backend: SymbolicBackend,
-        target_locations: Sequence[Tuple[int, int]],
-    ) -> ConcurrentTemplateSet:
-        """Build all template BDDs, including ``InitThread``."""
-        base_templates = self.base.encode(backend, target_locations)
-        base_templates.interpretations["InitThread"] = self._encode_init_thread(backend)
-        base_templates.decls["InitThread"] = self.base.decls["InitThread"]
-        base_templates.interpretations["InitGlobals"] = self._encode_init_globals(backend)
-        base_templates.decls["InitGlobals"] = self.base.decls["InitGlobals"]
-        return ConcurrentTemplateSet(
-            base=base_templates,
-            thread_sort=self.thread_sort,
-            thread_mains=list(self.thread_mains),
-        )
+    def encode_base(self, backend: SymbolicBackend) -> TemplateSet:
+        """The sequential base templates plus ``InitThread`` and ``InitGlobals``."""
+        templates = super().encode_base(backend)
+        templates.interpretations["InitThread"] = self._encode_init_thread()
+        templates.interpretations["InitGlobals"] = self._encode_init_globals()
+        return templates
 
-    def _encode_init_globals(self, backend: SymbolicBackend) -> int:
+    def _encode_init_globals(self) -> int:
         """Initial values of the globals of the whole concurrent program.
 
         Shared globals named in the program's ``init`` section start at the
         declared value; every other global (shared or thread-private) starts
         False, in line with the deterministic-initialisation semantics.
         """
-        mgr = backend.manager
+        mgr = self._manager
         node = mgr.TRUE
-        for field_name in self.base.space.globals_sort.field_names():
+        for field_name in self.space.globals_sort.field_names():
             value = self.program.init.get(field_name, False)
             bit = f"u.G.{field_name}"
             node = mgr.and_(node, mgr.var(bit) if value else mgr.nvar(bit))
         return node
 
-    def _encode_init_thread(self, backend: SymbolicBackend) -> int:
-        mgr = backend.manager
-        context = backend.context
+    def _encode_init_thread(self) -> int:
+        mgr = self._manager
+        context = self._context
         ti = Var("ti", self.thread_sort)
-        u = Var("u", self.base.space.state_sort)
+        u = Var("u", self.space.state_sort)
         # A thread starts at the entry of its main with all locals False.
         locals_false = mgr.conjoin(
             mgr.nvar(f"u.L.{field_name}")
-            for field_name in self.base.space.locals_sort.field_names()
+            for field_name in self.space.locals_sort.field_names()
         )
         disjuncts = []
         for index, main_name in enumerate(self.thread_mains):

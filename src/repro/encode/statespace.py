@@ -15,7 +15,7 @@ A program state (the paper's ``u``, ``v``, ... in Section 4) is the struct
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..fixedpoint import BOOL, EnumSort, StructSort
 

@@ -10,11 +10,11 @@ purely against these relations and never look at the program again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..boolprog.ast import Expr, Nondet
-from ..boolprog.cfg import CallEdge, InternalEdge, ProcedureCfg, ProgramCfg, RETURN_SLOT_PREFIX
+from ..boolprog.cfg import ProcedureCfg, ProgramCfg, RETURN_SLOT_PREFIX
 from ..fixedpoint import RelationDecl, Var
 from ..fixedpoint.symbolic import SymbolicBackend
 from ..fixedpoint.terms import Field

@@ -14,10 +14,10 @@ supplied by the evaluation backends.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
-from .sorts import BOOL, BoolSort, EnumSort, Sort, StructSort
-from .terms import Const, Term, Var, as_term
+from .sorts import BoolSort, EnumSort
+from .terms import Term, Var, as_term
 
 __all__ = [
     "Formula",

@@ -9,11 +9,11 @@ template relations produced by the program encoder).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from .formulas import Formula, RelApp, coerce, free_vars, relations_of
 from .sorts import Sort
-from .terms import Term, Var
+from .terms import Var
 
 __all__ = ["RelationDecl", "Equation", "EquationSystem"]
 

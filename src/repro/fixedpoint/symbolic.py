@@ -82,7 +82,7 @@ from .formulas import (
 )
 from .relations import Equation, EquationSystem, RelationDecl
 from .sorts import BoolSort, EnumSort, Sort, StructSort
-from .terms import Const, Field, Term, Var
+from .terms import Const, Term, Var
 
 __all__ = ["SymbolicContext", "SymbolicBackend", "default_bit_order"]
 

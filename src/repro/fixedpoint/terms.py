@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from .sorts import BOOL, BoolSort, EnumSort, Sort, StructSort
+from .sorts import BOOL, EnumSort, Sort, StructSort
 
 __all__ = ["Term", "Var", "Field", "Const", "as_term"]
 

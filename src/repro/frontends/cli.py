@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -41,7 +42,6 @@ from ..boolprog import BoolProgError, parse_concurrent_program, parse_program
 from ..errors import ResourceExhausted
 from ..limits import ResourceLimits, limits_from_flags
 from .getafix import (
-    _resolve_concurrent_target,
     check_concurrent_reachability,
     check_reachability,
     resolve_target,
@@ -188,8 +188,8 @@ def _validate_flags(args: argparse.Namespace) -> Optional[str]:
     """
     if args.jobs < 1:
         return f"--jobs must be >= 1, got {args.jobs}"
-    if args.shard_timeout is not None and args.shard_timeout <= 0:
-        return f"--shard-timeout must be > 0 seconds, got {args.shard_timeout}"
+    if args.shard_timeout is not None and not 0 < args.shard_timeout < math.inf:
+        return f"--shard-timeout must be a finite number > 0 seconds, got {args.shard_timeout}"
     if args.context_switches < 0:
         return f"--context-switches must be >= 0, got {args.context_switches}"
     if args.concurrent and args.optimize:
@@ -216,17 +216,9 @@ def _prepare_queries(args: argparse.Namespace, sources: List[str]) -> Optional[L
     prepared = []
     for path, source in zip(args.files, sources):
         try:
-            if args.concurrent:
-                program = parse_concurrent_program(source)
-                resolved = {
-                    target: _resolve_concurrent_target(program, target)
-                    for target in args.targets
-                }
-            else:
-                program = parse_program(source)
-                resolved = {
-                    target: resolve_target(program, target) for target in args.targets
-                }
+            parse = parse_concurrent_program if args.concurrent else parse_program
+            program = parse(source)
+            resolved = {target: resolve_target(program, target) for target in args.targets}
         except (BoolProgError, ValueError) as exc:
             print(f"getafix: {path}: {exc}", file=sys.stderr)
             return None

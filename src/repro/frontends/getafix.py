@@ -17,14 +17,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ..algorithms import ReachabilityResult, run_concurrent
 from ..analysis.passes import normalise_slice_targets
+from ..boolprog import ConcurrentProgram, Program, build_cfg
+from ..boolprog.transform import merge_threads
 from ..limits import ResourceLimits
-from ..boolprog import (
-    ConcurrentProgram,
-    Program,
-    build_cfg,
-    parse_concurrent_program,
-)
-from ..encode.concurrent import ConcurrentEncoder
 
 __all__ = [
     "check_reachability",
@@ -36,14 +31,16 @@ __all__ = [
 TargetSpec = Union[str, Sequence[Tuple[int, int]], Sequence[str]]
 
 
-def _as_concurrent(program: Union[str, ConcurrentProgram]) -> ConcurrentProgram:
+def resolve_target(
+    program: Union[Program, ConcurrentProgram], target: TargetSpec
+) -> List[Tuple[int, int]]:
+    """Turn a friendly target specification into (module, pc) pairs.
+
+    A concurrent program's locations are numbered in its merged module
+    space, the one the bounded context-switching engine encodes.
+    """
     if isinstance(program, ConcurrentProgram):
-        return program
-    return parse_concurrent_program(program)
-
-
-def resolve_target(program: Program, target: TargetSpec) -> List[Tuple[int, int]]:
-    """Turn a friendly target specification into (module, pc) pairs."""
+        program = merge_threads(program)[0]
     return resolve_target_locations(build_cfg(program), target)
 
 
@@ -52,7 +49,9 @@ def resolve_target_locations(cfg, target: TargetSpec) -> List[Tuple[int, int]]:
 
     Sessions resolve many targets against one program; taking the CFG
     directly avoids rebuilding it per query (see
-    :class:`repro.api.AnalysisSession`).
+    :class:`repro.api.AnalysisSession`).  ``"thread:procedure:label"``
+    names a label of module ``thread__procedure``, the procedure's module
+    in a concurrent program's merged CFG.
     """
     if isinstance(target, str):
         targets: List[str] = [target]
@@ -65,38 +64,14 @@ def resolve_target_locations(cfg, target: TargetSpec) -> List[Tuple[int, int]]:
         if item == "error":
             locations.extend(cfg.error_locations())
             continue
-        if ":" not in item:
-            raise ValueError(
-                f"target {item!r} is neither 'error' nor of the form 'procedure:label'"
-            )
-        procedure, label = item.split(":", 1)
-        locations.append(cfg.label_location(procedure, label))
-    if not locations:
-        raise ValueError(f"target specification {target!r} matched no program location")
-    return locations
-
-
-def _resolve_concurrent_target(
-    program: ConcurrentProgram, target: TargetSpec
-) -> List[Tuple[int, int]]:
-    encoder = ConcurrentEncoder(program)
-    if isinstance(target, str):
-        targets: List[str] = [target]
-    elif target and isinstance(target[0], str):
-        targets = list(target)  # type: ignore[arg-type]
-    else:
-        return [tuple(location) for location in target]  # type: ignore[list-item]
-    locations: List[Tuple[int, int]] = []
-    for item in targets:
-        if item == "error":
-            locations.extend(encoder.error_locations())
-            continue
         parts = item.split(":")
-        if len(parts) != 3:
+        if len(parts) not in (2, 3):
             raise ValueError(
-                f"concurrent target {item!r} must be 'error' or 'thread:procedure:label'"
+                f"target {item!r} is neither 'error' nor of the form "
+                "'procedure:label' or 'thread:procedure:label'"
             )
-        locations.append(encoder.label_location(*parts))
+        *procedure, label = parts
+        locations.append(cfg.label_location("__".join(procedure), label))
     if not locations:
         raise ValueError(f"target specification {target!r} matched no program location")
     return locations
@@ -157,17 +132,17 @@ def check_concurrent_reachability(
     target: TargetSpec = "error",
     context_switches: int = 2,
     early_stop: bool = True,
-    count_states: bool = False,
     limits: Optional[ResourceLimits] = None,
 ) -> ReachabilityResult:
-    """Bounded context-switching reachability for a concurrent program."""
-    parsed = _as_concurrent(program)
-    locations = _resolve_concurrent_target(parsed, target)
+    """Bounded context-switching reachability for a concurrent program.
+
+    ``target`` is ``"error"``, ``"thread:procedure:label"`` specs or
+    (module, pc) pairs of the merged program; see :func:`run_concurrent`.
+    """
     return run_concurrent(
-        parsed,
-        locations,
+        program,
+        target,
         context_switches=context_switches,
         early_stop=early_stop,
-        count_states=count_states,
         limits=limits,
     )

@@ -140,40 +140,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args: argparse.Namespace) -> Optional[str]:
-    """First offending flag as a message, or None when everything is sane.
-
-    The limit flags are checked by :class:`~repro.limits.ResourceLimits`
-    itself, when :func:`build_config` builds them.
-    """
-    if args.workers < 0:
-        return f"--workers must be >= 0, got {args.workers}"
-    if args.memory_budget < 0:
-        return f"--memory-budget must be >= 0, got {args.memory_budget}"
-    if args.max_pending < 1:
-        return f"--max-pending must be >= 1, got {args.max_pending}"
-    if args.shed_threshold < 1:
-        return f"--shed-threshold must be >= 1, got {args.shed_threshold}"
-    if args.shed_threshold > args.max_pending:
-        return (
-            f"--shed-threshold ({args.shed_threshold}) must not exceed "
-            f"--max-pending ({args.max_pending})"
-        )
-    if args.breaker_threshold < 1:
-        return f"--breaker-threshold must be >= 1, got {args.breaker_threshold}"
-    if args.breaker_cooldown < 0:
-        return f"--breaker-cooldown must be >= 0, got {args.breaker_cooldown}"
-    if args.drain_timeout < 0:
-        return f"--drain-timeout must be >= 0, got {args.drain_timeout}"
-    if args.port is not None and not (0 <= args.port <= 65535):
-        return f"--port must be in [0, 65535], got {args.port}"
-    return None
-
-
 def build_config(args: argparse.Namespace):
-    """A :class:`repro.service.DaemonConfig` from validated arguments.
+    """A :class:`repro.service.DaemonConfig` from the parsed arguments.
 
-    Raises :class:`ValueError`, naming the flag, on an invalid limit.
+    Raises :class:`ValueError`, naming the flag, on an invalid value: the
+    limits are checked by :class:`~repro.limits.ResourceLimits` and every
+    other setting by :class:`~repro.service.DaemonConfig` itself.
     """
     from ..service import DaemonConfig
 
@@ -193,9 +165,8 @@ def build_config(args: argparse.Namespace):
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    message = _validate(args)
-    if message is not None:
-        print(f"repro-server: {message}", file=sys.stderr)
+    if args.port is not None and not (0 <= args.port <= 65535):
+        print(f"repro-server: --port must be in [0, 65535], got {args.port}", file=sys.stderr)
         return EXIT_ERROR
     try:
         config = build_config(args)

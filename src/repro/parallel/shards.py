@@ -2,8 +2,9 @@
 
 The paper's Figure 2/3 experiments are batches of independent reachability
 checks (program x target x algorithm).  :func:`run_shards` groups the
-queries that can share an analysis session — same program, algorithm,
-resource envelope and optimize level (:func:`group_queries`) — and turns
+queries that can share an analysis session — same program, algorithm
+(for a concurrent query: context-switch bound), resource envelope and
+optimize level (:func:`group_queries`) — and turns
 each query into a :class:`~repro.service.protocol.QueryJob` run by
 :func:`repro.service.worker.execute_job`, the job path the daemon uses:
 
@@ -41,6 +42,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..algorithms.concurrent_cbr import cbr_algorithm
 from ..algorithms.result import ReachabilityResult
 from ..analysis.passes import normalise_slice_targets
 from ..limits import ResourceLimits
@@ -96,7 +98,7 @@ class BatchQuery:
         different levels compile different programs.  A group slices
         (level 2) towards the union of its string target specs; any
         numeric ``(module, pc)`` target in the group caps the level at 1.
-        Ignored for concurrent queries.
+        A concurrent query must leave it at 0 (its session rejects more).
     witness:
         Attach a replay-validated counterexample trace to every reachable
         verdict (``result.witness``, sequential queries only).  Not part of
@@ -220,20 +222,21 @@ def _group_optimize(
     return level, tuple(sorted(specs))
 
 
-def _group_key(query: BatchQuery, index: int):
+def _algorithm(query: BatchQuery) -> str:
+    """The session algorithm of a query: ``cbr-k<k>`` for a concurrent one."""
+    return cbr_algorithm(query.context_switches) if query.concurrent else query.algorithm
+
+
+def _group_key(query: BatchQuery):
     """Queries land in one group iff they can share an analysis session.
 
-    Concurrent queries use a different engine (no session support) and stay
-    singletons, as does anything whose program cannot be compared cheaply:
-    parsed programs group by object identity, source texts by content.
+    Parsed programs group by object identity, source texts by content.
     """
-    if query.concurrent:
-        return ("solo", index)
     program_key = query.program if isinstance(query.program, str) else id(query.program)
     # Limits are frozen (hashable) and govern the shared session, so queries
     # under different envelopes must not share one; likewise the optimize
     # level, which decides which program the session compiles.
-    return ("session", program_key, query.algorithm, query.limits, query.optimize)
+    return (program_key, _algorithm(query), query.limits, query.optimize)
 
 
 def group_queries(queries: Sequence[BatchQuery]) -> List[List[int]]:
@@ -245,7 +248,7 @@ def group_queries(queries: Sequence[BatchQuery]) -> List[List[int]]:
     """
     groups: Dict[object, List[int]] = {}
     for index, query in enumerate(queries):
-        groups.setdefault(_group_key(query, index), []).append(index)
+        groups.setdefault(_group_key(query), []).append(index)
     return list(groups.values())
 
 
@@ -266,7 +269,7 @@ def _group_jobs(
                     program=query.program,
                     program_hash=f"batch-{number}",
                     target=query.target,
-                    algorithm=query.algorithm,
+                    algorithm=_algorithm(query),
                     concurrent=query.concurrent,
                     context_switches=query.context_switches,
                     early_stop=query.early_stop,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
@@ -76,14 +77,45 @@ class DaemonConfig:
     snapshots: bool = False
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = in-process fallback)")
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        if self.shed_threshold < 1:
-            raise ValueError("shed_threshold must be >= 1")
+        """The one validation of the daemon's settings, for every front end.
+
+        The message names the field and the server's flag for it.  NaN and
+        infinite durations are rejected (a NaN cooldown never expires), and
+        so are bools, which ``isinstance(True, int)`` would let through.
+        """
+        counts = {
+            "workers": ("--workers", 0),
+            "max_pending": ("--max-pending", 1),
+            "shed_threshold": ("--shed-threshold", 1),
+            "breaker_threshold": ("--breaker-threshold", 1),
+            "memory_budget_nodes": ("--memory-budget", 1),
+        }
+        for name, (flag, minimum) in counts.items():
+            value = getattr(self, name)
+            if name == "memory_budget_nodes" and value is None:
+                continue  # unbounded (--memory-budget 0)
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise ValueError(
+                    f"{name} ({flag}) must be an integer >= {minimum}, got {value!r}"
+                )
+        durations = {
+            "breaker_cooldown": "breaker_cooldown (--breaker-cooldown)",
+            "drain_timeout": "drain_timeout (--drain-timeout)",
+            "retry_backoff": "retry_backoff",
+        }
+        for name, label in durations.items():
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 <= value < math.inf
+            ):
+                raise ValueError(f"{label} must be a finite number >= 0, got {value!r}")
         if self.shed_threshold > self.max_pending:
-            raise ValueError("shed_threshold must not exceed max_pending")
+            raise ValueError(
+                f"shed_threshold (--shed-threshold, {self.shed_threshold}) must not "
+                f"exceed max_pending (--max-pending, {self.max_pending})"
+            )
 
 
 class AnalysisDaemon:
@@ -284,7 +316,7 @@ class AnalysisDaemon:
                     max_pending=self.config.max_pending,
                 ),
             )
-        if self._pending >= self.config.shed_threshold and not job.concurrent:
+        if self._pending >= self.config.shed_threshold:
             # Soft overload: shed to the degradation ladder before rejecting
             # — run the cheaper algorithm now rather than queueing the
             # expensive one (verdicts agree across the ladder).
@@ -351,14 +383,13 @@ class AnalysisDaemon:
         if outcome.status == "retried":
             self.counters["retried"] += 1
         self.breaker.record(job.program_hash, outcome.status)
-        if not job.concurrent:
-            gc = (outcome.result.gc_stats() if outcome.result is not None else None) or {}
-            delta = self.pool_index.touch(
-                job.program_hash,
-                outcome.session_live_nodes,
-                int(gc.get("collections", 0) or 0),
-            )
-            self.counters["gc_collections"] += delta
+        gc = (outcome.result.gc_stats() if outcome.result is not None else None) or {}
+        delta = self.pool_index.touch(
+            job.program_hash,
+            outcome.session_live_nodes,
+            int(gc.get("collections", 0) or 0),
+        )
+        self.counters["gc_collections"] += delta
         if outcome.snapshot is not None:
             catalog_key = (job.program_hash, outcome.snapshot.algorithm)
             previous = self._snapshots.get(catalog_key)

@@ -446,9 +446,8 @@ class ProcessWorkerPool:
     def _send(self, handle: _WorkerHandle, pending: _Pending) -> None:
         job = pending.job
         handle.pending = pending
-        if not job.concurrent:
-            handle.sessions.add(job.program_hash)
-            self._holders[job.program_hash] = handle
+        handle.sessions.add(job.program_hash)
+        self._holders[job.program_hash] = handle
         if self._shard_timeout is not None:
             handle.timer = asyncio.get_running_loop().call_later(
                 self._shard_timeout, self._expire, handle, pending

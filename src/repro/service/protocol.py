@@ -24,9 +24,10 @@ one:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from ..algorithms.concurrent_cbr import cbr_algorithm
 from ..algorithms.engine import SEQUENTIAL_ALGORITHMS
 from ..algorithms.result import ReachabilityResult
 from ..limits import ResourceLimits
@@ -78,6 +79,8 @@ class QueryJob:
     program: Union[str, object]
     program_hash: str
     target: Union[str, Sequence[str], Sequence[Tuple[int, int]]] = "error"
+    #: The session algorithm: ``cbr-k<context_switches>`` for a concurrent
+    #: job (see :func:`repro.algorithms.engine.algorithm_builder`).
     algorithm: str = "ef-opt"
     concurrent: bool = False
     context_switches: int = 2
@@ -129,8 +132,7 @@ class QueryOutcome:
     ``result`` is the query's :class:`~repro.algorithms.ReachabilityResult`
     (None exactly when ``error`` is set).  ``session_live_nodes`` is the
     serving session's live BDD node count *after* the query (the pool's
-    eviction currency); it is 0 for concurrent queries, which run without
-    a pooled session.  ``elapsed_seconds`` is the execution time in the
+    eviction currency).  ``elapsed_seconds`` is the execution time in the
     process that ran the query.
     """
 
@@ -202,7 +204,7 @@ def _request_limits(
             deadline_seconds=pick("deadline_seconds", base.deadline_seconds),
             node_budget=pick("node_budget", base.node_budget),
             max_iterations=pick("max_iterations", base.max_iterations),
-            degrade=bool(pick("degrade", base.degrade)),
+            degrade=pick("degrade", base.degrade),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError("BadRequest", f"invalid resource limits: {exc}")
@@ -225,7 +227,10 @@ def parse_request(
     program = request.get("program")
     if not isinstance(program, str) or not program.strip():
         raise ProtocolError("BadRequest", "request needs a non-empty 'program' string")
-    concurrent = bool(request.get("concurrent", False))
+    for flag in ("concurrent", "early_stop", "witness", "degrade"):
+        if not isinstance(request.get(flag, False), bool):
+            raise ProtocolError("BadRequest", f"{flag} must be a boolean when given")
+    concurrent = request.get("concurrent", False)
     algorithm = request.get("algorithm", default_algorithm)
     if not concurrent and algorithm not in SEQUENTIAL_ALGORITHMS:
         raise ProtocolError(
@@ -252,7 +257,7 @@ def parse_request(
         raise ProtocolError(
             "BadRequest", "optimize is not supported for concurrent queries"
         )
-    witness = bool(request.get("witness", False))
+    witness = request.get("witness", False)
     if witness and concurrent:
         raise ProtocolError(
             "BadRequest",
@@ -283,6 +288,10 @@ def parse_request(
         # the session pool, the coalescer, the breaker and the snapshot
         # catalog — all of which key on this hash.
         program_hash = f"{program_hash}:O{optimize}"
+    if concurrent:
+        # Likewise each context-switch bound gets its own session.
+        program_hash = f"{program_hash}:k{context_switches}"
+        algorithm = cbr_algorithm(context_switches)
     return QueryJob(
         id=job_id,
         name=name or job_id,
@@ -292,7 +301,7 @@ def parse_request(
         algorithm=str(algorithm),
         concurrent=concurrent,
         context_switches=context_switches,
-        early_stop=bool(request.get("early_stop", True)),
+        early_stop=request.get("early_stop", True),
         limits=_request_limits(request, default_limits),
         optimize=optimize,
         witness=witness,

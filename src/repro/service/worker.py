@@ -133,7 +133,7 @@ class SessionCache:
 
 
 def _session_outcome(cache: SessionCache, job: QueryJob) -> QueryOutcome:
-    """Run one sequential query against the pooled session for its program."""
+    """Run one query against the pooled session for its program."""
     entry = cache.entry(job)
     session = entry.session
     # The envelope is per request, but the session is shared across requests
@@ -186,20 +186,6 @@ def _session_outcome(cache: SessionCache, job: QueryJob) -> QueryOutcome:
     )
 
 
-def _concurrent_outcome(job: QueryJob) -> QueryOutcome:
-    """Concurrent queries run without a pooled session (engine singletons)."""
-    from ..frontends.getafix import check_concurrent_reachability
-
-    result = check_concurrent_reachability(
-        job.program,
-        target=list(job.target) if isinstance(job.target, tuple) else job.target,
-        context_switches=job.context_switches,
-        early_stop=job.early_stop,
-        limits=job.limits,
-    )
-    return QueryOutcome(status="ok", result=result)
-
-
 def execute_job(cache: SessionCache, job: QueryJob) -> QueryOutcome:
     """Execute one job against ``cache``; never raises, always an outcome.
 
@@ -215,10 +201,7 @@ def execute_job(cache: SessionCache, job: QueryJob) -> QueryOutcome:
         # Fault-injection point (tests/CI): may delay, raise, or — in a
         # process marked as a pool worker — kill the process outright.
         faults.on_shard([job.name])
-        if job.concurrent:
-            outcome = _concurrent_outcome(job)
-        else:
-            outcome = _session_outcome(cache, job)
+        outcome = _session_outcome(cache, job)
     except Exception as exc:  # noqa: BLE001 — a job failure must not kill the loop
         outcome = _failure(cache, job, *classify_failure(exc))
     outcome.elapsed_seconds = time.perf_counter() - started
@@ -240,15 +223,13 @@ def classify_failure(exc: Exception) -> Tuple[str, Dict[str, object]]:
 def _failure(
     cache: SessionCache, job: QueryJob, status: str, payload: Dict[str, object]
 ) -> QueryOutcome:
-    live = 0
-    if not job.concurrent:
-        # A session that blew its budget still holds nodes, and the driver's
-        # pool accounting must see them or the eviction policy undercounts
-        # exactly the sessions most worth evicting.
-        try:
-            live = cache.live_nodes(job.program_hash)
-        except Exception:  # noqa: BLE001 — accounting must not mask the failure
-            live = 0
+    # A session that blew its budget still holds nodes, and the driver's
+    # pool accounting must see them or the eviction policy undercounts
+    # exactly the sessions most worth evicting.
+    try:
+        live = cache.live_nodes(job.program_hash)
+    except Exception:  # noqa: BLE001 — accounting must not mask the failure
+        live = 0
     return QueryOutcome(status=status, error=payload, session_live_nodes=live)
 
 

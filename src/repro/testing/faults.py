@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from ..errors import AnalysisTimeout, NodeBudgetExceeded, ResourceExhausted
+from ..errors import AnalysisTimeout, NodeBudgetExceeded
 
 __all__ = [
     "FaultPlan",

@@ -11,7 +11,7 @@ edge that was taken.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..boolprog.cfg import CallEdge, InternalEdge
 

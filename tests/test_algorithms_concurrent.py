@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import run_concurrent
+from repro.api import AnalysisSession
 from repro.baselines import run_concurrent_explicit
 from repro.benchgen import make_bluetooth
 from repro.boolprog import parse_concurrent_program
@@ -98,12 +99,30 @@ class TestReachabilityStructure:
         # not change the verdict in this particular program.
         assert not run_concurrent(program, locs, context_switches=0).reachable
 
-    def test_count_states_reported(self):
+    def test_summary_states_reported(self):
+        # A concurrent query answers through the session, so its record
+        # carries the tuple count of Reach and the session's details keys.
         program = parse_concurrent_program(LOCKED)
-        result = run_concurrent(
-            program, locations(program), context_switches=1, count_states=True
-        )
+        result = run_concurrent(program, locations(program), context_switches=1)
         assert result.summary_states is not None and result.summary_states > 0
+        assert result.algorithm == "getafix-cbr-k1"
+        for key in ("bdd_variables", "reused_solve", "warm_start", "target_signature"):
+            assert key in result.details
+
+    def test_session_post_pass_matches_fresh_runs(self):
+        # One concurrent session holds a solved Reach per bound; its
+        # post-pass verdicts equal the early-stopped one-shot runs.
+        with AnalysisSession(HANDOFF, default_algorithm="cbr-k0") as session:
+            for k in range(4):
+                session.solve(f"cbr-k{k}")
+                result = session.check("ping:main:hit", algorithm=f"cbr-k{k}")
+                assert result.details["reused_solve"]
+                fresh = run_concurrent(HANDOFF, "ping:main:hit", context_switches=k)
+                assert result.reachable == fresh.reachable == (k >= 2)
+            with pytest.raises(ValueError, match="concurrent"):
+                session.check("ping:main:hit", algorithm="ef-opt")
+        with pytest.raises(ValueError, match="optimize"):
+            AnalysisSession(HANDOFF, default_algorithm="cbr-k2", optimize=1)
 
     def test_frontend_target_resolution(self):
         result = check_concurrent_reachability(

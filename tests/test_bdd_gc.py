@@ -145,12 +145,6 @@ class TestTriggers:
         assert mgr.stats()["gc"]["collections"] == 1
         assert len(mgr) < 8
 
-    def test_maybe_collect_respects_disabled_gc(self):
-        mgr = BddManager(VAR_NAMES, gc_threshold=8, gc_enabled=False)
-        build_junk(mgr)
-        assert mgr.maybe_collect() is False
-        assert mgr.stats()["gc"]["collections"] == 0
-
     def test_threshold_grows_with_the_live_set(self):
         mgr = BddManager(VAR_NAMES, gc_threshold=4, gc_growth=2.0)
         roots = [mgr.ref(mgr.cube({"a": True, "b": bool(i & 1), "c": bool(i & 2)}))
@@ -161,15 +155,6 @@ class TestTriggers:
         assert stats["gc"]["threshold"] >= 4
         assert all(mgr.eval(r, {"a": True, "b": False, "c": False, "d": False}) in (True, False)
                    for r in roots)
-
-    def test_cache_limit_drops_oversized_caches(self):
-        mgr = BddManager(VAR_NAMES, gc_threshold=10_000, cache_limit=2)
-        mgr.and_(mgr.var("a"), mgr.var("b"))
-        mgr.and_(mgr.var("c"), mgr.var("d"))
-        mgr.xor(mgr.var("a"), mgr.var("c"))
-        assert mgr._cache_entries() > 2
-        mgr.maybe_collect()
-        assert mgr._cache_entries() == 0
 
 
 class TestClearCachesLifecycle:

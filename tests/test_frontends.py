@@ -190,6 +190,8 @@ class TestCliExitCodes:
             (["--max-iterations", "0"], "--max-iterations"),
             (["--shard-timeout", "-2.5"], "--shard-timeout"),
             (["--shard-timeout", "0"], "--shard-timeout"),
+            (["--shard-timeout", "nan"], "--shard-timeout"),
+            (["--shard-timeout", "inf"], "--shard-timeout"),
             (["--jobs", "0"], "--jobs"),
             (["--context-switches", "-1"], "--context-switches"),
         ],

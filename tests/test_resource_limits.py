@@ -361,7 +361,7 @@ class TestBaselineBudgets:
     def test_explicit_concurrent_budget_is_typed(self):
         from repro.baselines import ConcurrentExplicitSolver
         from repro.boolprog import parse_concurrent_program
-        from repro.frontends.getafix import _resolve_concurrent_target
+        from repro.frontends import resolve_target
 
         source = """
         shared decl a;
@@ -376,7 +376,7 @@ class TestBaselineBudgets:
         end
         """
         program = parse_concurrent_program(source)
-        locations = _resolve_concurrent_target(program, "one:main:hit")
+        locations = resolve_target(program, "one:main:hit")
         with pytest.raises(ExplorationBudgetExceeded) as info:
             ConcurrentExplicitSolver(program).check(
                 locations, context_switches=2, max_configurations=1
@@ -502,10 +502,11 @@ end
 class TestConcurrentEngineLimits:
     """The bounded context-switching engine honors the same envelope.
 
-    ``run_concurrent`` arms the limits on its private manager: deadline and
-    node-budget exhaustion trip as the typed errors, never corrupt shared
-    state (an immediate re-run without limits answers normally), and the
-    batch path classifies them as ``timeout``/``resource`` — not crashes.
+    ``run_concurrent`` answers in a one-shot session, which arms the limits
+    on its manager: deadline and node-budget exhaustion trip as the typed
+    errors, never corrupt shared state (an immediate re-run without limits
+    answers normally), and the batch path classifies them as
+    ``timeout``/``resource`` — not crashes.
     """
 
     def _program_and_locations(self):

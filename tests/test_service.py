@@ -133,6 +133,20 @@ class TestProtocol:
             parse_request(query(**fields), job_id="q1")
         assert info.value.payload["type"] == "BadRequest"
 
+    @pytest.mark.parametrize("field", ["degrade", "concurrent", "early_stop", "witness"])
+    def test_flags_must_be_bools(self, field):
+        # "no" is truthy: coercing it would turn a refusal into a yes.
+        with pytest.raises(ProtocolError, match=field) as info:
+            parse_request(query(**{field: "no"}), job_id="q1")
+        assert info.value.payload["type"] == "BadRequest"
+
+    def test_concurrent_jobs_key_sessions_by_bound(self):
+        k1 = parse_request(query(concurrent=True, context_switches=1), job_id="a")
+        k2 = parse_request(query(concurrent=True, context_switches=2), job_id="b")
+        assert k1.algorithm == "cbr-k1" and k2.algorithm == "cbr-k2"
+        assert k1.program_hash == content_hash(POSITIVE) + ":k1"
+        assert k2.program_hash == content_hash(POSITIVE) + ":k2"
+
     def test_coalesce_key_separates_algorithms_and_limits(self):
         base = parse_request(query(), job_id="a")
         same = parse_request(query(), job_id="b")
@@ -247,6 +261,27 @@ class TestDaemonQueries:
         )
         assert first["ok"] and first["reachable"] is True
         assert "warm" not in first
+        assert second["ok"] and second["reachable"] is True
+        assert second["warm"] is True
+
+    def test_concurrent_query_and_warm_repeat(self):
+        # A concurrent program gets a pooled session too: the repeat is a
+        # post-pass over the solved Reach relation.
+        handoff = """
+        shared decl a;
+        init a := F;
+        thread one begin main() begin if (a) then hit: skip; fi end end
+        thread two begin main() begin a := T; end end
+        """
+
+        async def scenario(daemon):
+            fields = dict(target="one:main:hit", concurrent=True, context_switches=2)
+            first = await daemon.handle_request(query(handoff, id=1, **fields))
+            second = await daemon.handle_request(query(handoff, id=2, **fields))
+            return first, second
+
+        first, second = run(_with_daemon(DaemonConfig(workers=0), scenario))
+        assert first["ok"] and first["reachable"] is True
         assert second["ok"] and second["reachable"] is True
         assert second["warm"] is True
 
@@ -461,6 +496,10 @@ class TestDaemonConfigValidation:
             DaemonConfig(shed_threshold=0)
         with pytest.raises(ValueError):
             DaemonConfig(shed_threshold=10, max_pending=5)
+        for name in ("breaker_cooldown", "drain_timeout", "retry_backoff"):
+            for bad in (float("nan"), float("inf"), -1.0, True):
+                with pytest.raises(ValueError, match=name):
+                    DaemonConfig(**{name: bad})
 
 
 class TestServerCliValidation:
@@ -477,6 +516,10 @@ class TestServerCliValidation:
             (["--node-budget", "0"], "--node-budget"),
             (["--max-iterations", "-2"], "--max-iterations"),
             (["--drain-timeout", "-1"], "--drain-timeout"),
+            (["--drain-timeout", "nan"], "--drain-timeout"),
+            (["--breaker-cooldown", "nan"], "--breaker-cooldown"),
+            (["--breaker-cooldown", "inf"], "--breaker-cooldown"),
+            (["--memory-budget", "-1"], "--memory-budget"),
             (["--port", "70000"], "--port"),
         ],
     )

@@ -250,12 +250,16 @@ class TestBatchGrouping:
         assert [3] in groups  # different program
         assert [4] in groups  # different algorithm
 
-    def test_concurrent_queries_stay_singletons(self):
+    def test_concurrent_queries_group_by_program_and_bound(self):
         queries = [
             BatchQuery(name="c1", program="x", target="error", concurrent=True),
-            BatchQuery(name="c2", program="x", target="error", concurrent=True),
+            BatchQuery(name="c2", program="x", target="t:main:a", concurrent=True),
+            BatchQuery(
+                name="c3", program="x", target="error", concurrent=True, context_switches=1
+            ),
         ]
-        assert group_queries(queries) == [[0], [1]]
+        # Same program and bound share a session; another bound does not.
+        assert group_queries(queries) == [[0, 1], [2]]
 
     def test_grouped_batch_matches_ungrouped_verdicts(self):
         queries = self._queries()
