@@ -21,11 +21,11 @@ copies — exercised through five kernel pillars:
                   (each count is one exact memoised recursion over the
                   node vectors).
 
-Each case is exposed three ways: as a plain callable returning a
+Each case is exposed two ways: as a plain callable returning a
 :class:`KernelResult` (checksum + peak/live node counts + GC collections,
-used by ``benchmarks/report.py kernel``), as a pytest-benchmark test, and —
-for the negation case — through the ``--smoke`` CLI mode used by CI, which
-asserts the complement-edge invariants:
+used by ``benchmarks/report.py kernel``), and — for the negation case —
+through the ``--smoke`` CLI mode used by CI, which asserts the
+complement-edge invariants:
 
 * ``not_`` is O(1): no node allocation, no cache lookup, involution by edge
   arithmetic;
@@ -42,12 +42,6 @@ import time
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from repro.bdd import BddManager
-
-try:  # The plain-text report harness must work without pytest installed.
-    import pytest
-    from conftest import measure
-except ImportError:  # pragma: no cover
-    pytest = None
 
 #: Default bit width of the synthetic counter for the report harness.
 DEFAULT_BITS = 14
@@ -378,20 +372,6 @@ def main(argv: List[str] | None = None) -> int:
             f"gc={result.gc_collections}"
         )
     return 0
-
-
-# ---------------------------------------------------------------------------
-# pytest-benchmark integration
-# ---------------------------------------------------------------------------
-if pytest is not None:
-
-    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_kernel(benchmark, case):
-        result = measure(benchmark, KERNEL_CASES[case], DEFAULT_BITS)
-        benchmark.extra_info["bits"] = DEFAULT_BITS
-        benchmark.extra_info["checksum"] = result.checksum
-        benchmark.extra_info["peak_nodes"] = result.peak_nodes
-        benchmark.extra_info["gc_collections"] = result.gc_collections
 
 
 if __name__ == "__main__":

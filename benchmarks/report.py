@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the rows of Figure 2 and Figure 3 as plain-text tables.
 
-Unlike the pytest-benchmark files (which integrate with ``pytest
---benchmark-only``), this harness prints tables in the same layout as the
-paper so the results can be compared side by side and pasted into
-EXPERIMENTS.md.
+The harness prints tables in the same layout as the paper so the results
+can be compared side by side and pasted into EXPERIMENTS.md; the ``*-smoke``
+subcommands and ``faults`` are the CI gates.
 
 Usage::
 
@@ -48,9 +47,12 @@ from repro.benchgen import (
     make_driver,
     make_terminator,
     regression_suite,
+    terminator_suite,
 )
+from repro.boolprog import build_cfg
 from repro.encode.concurrent import ConcurrentEncoder
 from repro.frontends import resolve_target
+from repro.parallel import BatchQuery
 
 SEQUENTIAL_ENGINES: Dict[str, Callable] = {
     "EF": lambda p, locs: run_sequential(p, locs, algorithm="ef"),
@@ -155,13 +157,31 @@ def figure2(sizes: Sequence[int] = (2, 3), counter_bits: Sequence[int] = (2, 3))
                 )
 
 
-def _figure2_queries():
-    """The Figure 2 EFopt sweep as shard queries, from the benchmark drivers."""
-    from bench_fig2_drivers import batch_queries as driver_queries
-    from bench_fig2_regression import batch_queries as regression_queries
-    from bench_fig2_terminator import batch_queries as terminator_queries
-
-    return regression_queries() + driver_queries() + terminator_queries()
+def _figure2_queries() -> List[BatchQuery]:
+    """The Figure 2 EFopt sweep as shard queries, both polarities: the
+    regression suite, drivers with 2 and 3 handlers, terminators of 2 and 3
+    bits."""
+    rows = [
+        (case.name, case.program, case.target, case.expected)
+        for positive in (True, False)
+        for case in regression_suite(positive)
+    ]
+    for positive in (True, False):
+        rows += [
+            (spec.name, make_driver(spec), spec.target, positive)
+            for spec in driver_suite(positive, sizes=(2, 3))
+        ]
+    for positive in (True, False):
+        rows += [
+            (spec.name, make_terminator(spec), spec.target, positive)
+            for spec in terminator_suite(counter_bits=(2, 3), positive=positive)
+        ]
+    return [
+        BatchQuery(
+            name=name, program=program, target=target, algorithm="ef-opt", expected=expected
+        )
+        for name, program, target, expected in rows
+    ]
 
 
 def _parallel_table(queries, jobs: int, title: str) -> None:
@@ -200,15 +220,45 @@ def figure2_parallel(jobs: int = 4) -> None:
     )
 
 
+#: The symbolic Bluetooth sweep: (configuration, k, reachable?), kept to the
+#: bounds that finish in seconds.
+FIGURE3_SYMBOLIC_CASES = [
+    ("1A1S", 1, False),
+    ("1A1S", 2, False),
+    ("1A2S", 2, False),
+    ("1A2S", 3, True),
+    ("2A2S", 3, True),
+]
+
+
 def figure3_parallel(jobs: int = 4) -> None:
     """The symbolic Bluetooth sweep, sharded over per-query BDD managers."""
-    from bench_fig3_bluetooth import batch_queries as bluetooth_queries
-
+    queries = [
+        BatchQuery(
+            name=f"{config}-k{switches}",
+            program=make_bluetooth(*BLUETOOTH_CONFIGURATIONS[config]),
+            target="error",
+            concurrent=True,
+            context_switches=switches,
+            expected=expected,
+        )
+        for config, switches, expected in FIGURE3_SYMBOLIC_CASES
+    ]
     _parallel_table(
-        bluetooth_queries(),
+        queries,
         jobs,
         f"== Figure 3 (sharded): symbolic Bluetooth sweep over {jobs} worker processes ==",
     )
+
+
+def _multi_target_sweep(program, primary_target):
+    """One query per procedure exit plus the suite target (session workload)."""
+    cfg = build_cfg(program)
+    targets = [resolve_target(program, primary_target)]
+    targets += [
+        [(cfg.module_of(name), cfg.procedure_cfg(name).exit)] for name in cfg.procedures
+    ]
+    return targets
 
 
 def _session_sweep(max_targets: int = 8):
@@ -216,12 +266,8 @@ def _session_sweep(max_targets: int = 8):
 
     Each program gets one query per procedure exit plus the suite's own
     target — the compile-once/query-many shape ("which procedures can
-    return, and is the bug reachable?") that a session amortises; the
-    target construction is shared with the driver/terminator/regression
-    pytest benchmarks so both harnesses measure the same workload.
+    return, and is the bug reachable?") that a session amortises.
     """
-    from bench_fig2_drivers import multi_target_sweep
-
     sweeps = []
     specs = []
     for positive in (True, False):
@@ -241,15 +287,20 @@ def _session_sweep(max_targets: int = 8):
                     "error",
                 )
             )
-    for positive in (True, False):
-        spec = TerminatorSpec(
-            name="terminator-2b", counter_bits=2, variant="iterative", positive=positive
-        )
-        specs.append(
-            (make_terminator(spec), f"Terminator 2b ({'pos' if positive else 'neg'})", spec.target)
-        )
+    for variant in ("iterative", "schoose"):
+        for positive in (True, False):
+            spec = TerminatorSpec(
+                name="terminator-2b", counter_bits=2, variant=variant, positive=positive
+            )
+            specs.append(
+                (
+                    make_terminator(spec),
+                    f"Terminator {variant} 2b ({'pos' if positive else 'neg'})",
+                    spec.target,
+                )
+            )
     for program, label, primary in specs:
-        targets = multi_target_sweep(program, primary)
+        targets = _multi_target_sweep(program, primary)
         sweeps.append((label, program, targets[:max_targets]))
     return sweeps
 
@@ -308,14 +359,35 @@ def session_table(algorithm: str = "summary") -> None:
 
 
 def session_smoke(jobs: int = 2) -> None:
-    """CI smoke: per-shard session reuse inside a jobs=2 process pool.
+    """CI smoke: session reuse, in process and inside a jobs=2 process pool.
 
-    One program with several targets must group onto one session (>= 1
-    reused solve), a second program keeps the pool honest, and the grouped
-    verdicts must match one fresh ``check_reachability`` per query.
+    In process, on the multi-target sweeps of the Figure 2 drivers and
+    terminators and of six regression programs, one session's
+    ``check_all`` must give the verdicts of fresh per-target runs under
+    ``summary`` and ``ef-opt``.  In the pool, one program with several
+    targets must group onto one session (>= 1 reused solve), a second
+    program keeps the pool honest, and the grouped verdicts must match one
+    fresh ``check_reachability`` per query.
     """
     from repro.frontends.getafix import check_reachability
-    from repro.parallel import BatchQuery
+
+    sweeps = _session_sweep() + [
+        (case.name, case.program, _multi_target_sweep(case.program, case.target))
+        for case in regression_suite(True)[:3] + regression_suite(False)[:3]
+    ]
+    for algorithm in ("summary", "ef-opt"):
+        for label, program, targets in sweeps:
+            fresh = [
+                run_sequential(program, locations, algorithm=algorithm).reachable
+                for locations in targets
+            ]
+            with AnalysisSession(program, default_algorithm=algorithm) as session:
+                reused = [result.reachable for result in session.check_all(targets)]
+            assert reused == fresh, f"{label}: {algorithm} session verdicts diverged"
+    print(
+        f"session smoke: {len(sweeps)} multi-target sweeps x 2 algorithms, "
+        "session verdicts equal fresh runs"
+    )
 
     multi = """
     decl g;
@@ -364,8 +436,6 @@ def parallel_smoke() -> None:
     every push; fails loudly if the pool silently degraded to the
     sequential fallback.
     """
-    from repro.parallel import BatchQuery
-
     cases = regression_suite(True)[:1] + regression_suite(False)[:1]
     queries = [
         BatchQuery(
@@ -382,54 +452,58 @@ def parallel_smoke() -> None:
     print("parallel smoke OK: pool pickling of programs/targets/results works")
 
 
-def faults_table(rounds: int = 3, overhead_budget: float = 0.05) -> None:
-    """Overhead of an armed-but-unhit resource envelope on the Figure 2 sweep.
+def faults_table(rounds: int = 5, overhead_budget: float = 0.05) -> None:
+    """Overhead of an armed-but-unhit resource envelope on the scaling rows.
 
-    Runs the summary-algorithm Figure 2 regression sweep twice per round —
-    once bare, once under generous limits (a deadline and node budget far
-    above what the sweep needs, so enforcement checkpoints run but never
-    trip) — and compares best-of-``rounds`` wall clocks.  The cooperative
-    checks live on the ``_mk`` hot path, so this table is the evidence that
-    governance is affordable: the armed run must stay within
-    ``overhead_budget`` (plus a small absolute floor for timer noise) of the
-    bare run, with identical verdicts.
+    Runs every :func:`_scaling_rows` row under ``ef-opt`` bare and under
+    generous limits (a deadline and node budget far above what the sweep
+    needs, so enforcement checkpoints run but never trip).  Each row runs
+    ``rounds`` times each way, alternating which goes first, so drift in
+    machine load hits both sides alike; the sweep's time is the sum of the
+    per-row min wall clocks.  The cooperative checks live on the ``_mk``
+    hot path, so this table is the evidence that governance is affordable:
+    the armed sweep must stay within ``overhead_budget`` of the bare one,
+    with identical verdicts.  The sweep takes seconds, so there is no
+    absolute allowance for timer noise, and an armed run made 10% slower
+    fails.
     """
+    from repro.frontends.getafix import check_reachability
     from repro.limits import ResourceLimits
 
-    print("== Resource-governance overhead: Figure 2 regression sweep (summary) ==")
-    cases = regression_suite(True) + regression_suite(False)
-    resolved = [
-        (case, resolve_target(case.program, case.target)) for case in cases
-    ]
+    print("== Resource-governance overhead: scaling rows (ef-opt) ==")
+    rows = _scaling_rows()
     limits = ResourceLimits(deadline_seconds=600.0, node_budget=50_000_000)
 
-    def sweep(armed: bool) -> float:
+    def run(spec, program, armed: bool) -> float:
         started = time.perf_counter()
-        for case, locations in resolved:
-            result = run_sequential(
-                case.program,
-                locations,
-                algorithm="summary",
-                limits=limits if armed else None,
-            )
-            assert result.reachable == case.expected, (
-                f"{case.name}: verdict changed under "
-                f"{'armed' if armed else 'bare'} run"
-            )
-        return time.perf_counter() - started
+        result = check_reachability(
+            program,
+            target=spec.target,
+            algorithm="ef-opt",
+            limits=limits if armed else None,
+        )
+        elapsed = time.perf_counter() - started
+        assert result.reachable == spec.positive, (
+            f"{spec.name}: verdict changed under {'armed' if armed else 'bare'} run"
+        )
+        return elapsed
 
-    bare = min(sweep(armed=False) for _ in range(rounds))
-    armed = min(sweep(armed=True) for _ in range(rounds))
-    overhead = (armed - bare) / max(bare, 1e-9)
+    bare = armed = 0.0
+    for spec, program in rows:
+        runs: Dict[bool, List[float]] = {False: [], True: []}
+        for round_ in range(rounds):
+            for is_armed in (False, True) if round_ % 2 == 0 else (True, False):
+                runs[is_armed].append(run(spec, program, is_armed))
+        bare += min(runs[False])
+        armed += min(runs[True])
+    overhead = (armed - bare) / bare
     print(
-        f"{'run':10s}  {'programs':>8s}  {'best of':>7s}  {'wall (s)':>8s}"
+        f"{'run':10s}  {'programs':>8s}  {'min of':>6s}  {'wall (s)':>8s}"
     )
-    print(f"{'bare':10s}  {len(cases):8d}  {rounds:7d}  {bare:8.3f}")
-    print(f"{'governed':10s}  {len(cases):8d}  {rounds:7d}  {armed:8.3f}")
+    print(f"{'bare':10s}  {len(rows):8d}  {rounds:6d}  {bare:8.3f}")
+    print(f"{'governed':10s}  {len(rows):8d}  {rounds:6d}  {armed:8.3f}")
     print(f"overhead: {overhead * 100:+.1f}% (budget {overhead_budget * 100:.0f}%)")
-    # Tiny sweeps are timer-noise bound: allow a small absolute floor so the
-    # relative budget only bites once the sweep is long enough to measure.
-    assert armed <= bare * (1.0 + overhead_budget) + 0.05, (
+    assert armed <= bare * (1.0 + overhead_budget), (
         f"governance overhead {overhead * 100:.1f}% exceeds the "
         f"{overhead_budget * 100:.0f}% budget (bare={bare:.3f}s armed={armed:.3f}s)"
     )
@@ -449,7 +523,7 @@ def faults_smoke(jobs: int = 2) -> None:
     import os
     import tempfile
 
-    from repro.parallel import BatchQuery, run_shards
+    from repro.parallel import run_shards
     from repro.testing import FaultPlan
 
     positive = """
@@ -551,6 +625,12 @@ def figure3_symbolic(max_switches: int = 3) -> None:
             )
 
 
+#: The Figure 3 pattern: the least context-switch bound at which each
+#: Bluetooth configuration reaches the assertion failure (None: not within
+#: the figure's six switches).
+FIGURE3_BUG_BOUNDS = {"1A1S": None, "1A2S": 3, "2A1S": 4, "2A2S": 3}
+
+
 def concurrent_smoke(jobs: int = 2, max_switches: int = 2) -> None:
     """CI smoke: bounded context switching through the analysis session.
 
@@ -559,9 +639,14 @@ def concurrent_smoke(jobs: int = 2, max_switches: int = 2) -> None:
     through ``run_concurrent`` and once in one grouped ``run_batch`` over a
     ``jobs``-process pool.  Every verdict must equal the explicit engine's,
     and the two targets of each (program, k) must share one solve.
+
+    Then the Figure 3 pattern (:data:`FIGURE3_BUG_BOUNDS`) is checked on
+    the explicit engine: the ``error`` target is unreachable one switch
+    below each bug bound and reachable at it, and 1A1S stays unreachable
+    at k = 6.  Reachability is monotone in k, so these cells pin the whole
+    k = 1..6 column.  The bound-3 rows also run through ``run_concurrent``.
     """
     from repro.boolprog import parse_concurrent_program
-    from repro.parallel import BatchQuery
 
     targets = ("error", "stopper1:main:halt")
     queries = []
@@ -598,6 +683,17 @@ def concurrent_smoke(jobs: int = 2, max_switches: int = 2) -> None:
         # is a post-pass over it.
         assert flag == name.endswith(targets[1]), f"{name}: reused_solve={flag}"
     print(report.format_table())
+    for config, bound in FIGURE3_BUG_BOUNDS.items():
+        program = make_bluetooth(*BLUETOOTH_CONFIGURATIONS[config])
+        locations = ConcurrentEncoder(program).error_locations()
+        cells = {6: False} if bound is None else {bound - 1: False, bound: True}
+        for switches, expected in cells.items():
+            got = run_concurrent_explicit(program, locations, switches).reachable
+            assert got == expected, f"{config}/k={switches}: explicit engine returned {got}"
+        if bound == 3:
+            got = run_concurrent(program, "error", context_switches=bound).reachable
+            assert got, f"{config}/k={bound}: run_concurrent missed the bug"
+    print(f"concurrent smoke: Figure 3 bug bounds {FIGURE3_BUG_BOUNDS} hold")
     print(
         f"concurrent smoke OK: {len(queries)} queries agree with the explicit engine "
         f"direct and grouped at jobs={jobs}, {report.reused_count} reused solves, "
@@ -770,8 +866,8 @@ def optimize_smoke(jobs: int = 2, random_count: int = 200) -> None:
     Four assertions:
 
     * **Corpus identity** — every sequential benchgen corpus program gets
-      the expected verdict from all three fixed-point algorithms at ``-O0``,
-      ``-O1`` and ``-O2``.
+      the expected verdict from the explicit Bebop and Moped engines and
+      from all three fixed-point algorithms at ``-O0``, ``-O1`` and ``-O2``.
     * **Fuzz identity** — ``random_count`` random programs agree with the
       explicit BEBOP replay at every level, for all three algorithms.
     * **Sharded identity** — the driver corpus re-run through
@@ -785,11 +881,16 @@ def optimize_smoke(jobs: int = 2, random_count: int = 200) -> None:
     """
     from repro.benchgen import random_program
     from repro.frontends.getafix import check_reachability
-    from repro.parallel import BatchQuery, run_shards
+    from repro.parallel import run_shards
 
     algorithms = ("summary", "ef", "ef-opt")
     corpus = _optimize_corpus()
     for name, program, target, expected in corpus:
+        locations = resolve_target(program, target)
+        for engine in (run_bebop, run_moped):
+            assert engine(program, locations).reachable == expected, (
+                f"{name}: {engine.__name__} disagrees with the expected verdict"
+            )
         for level in (0, 1, 2):
             for algorithm in algorithms:
                 result = check_reachability(
@@ -800,8 +901,8 @@ def optimize_smoke(jobs: int = 2, random_count: int = 200) -> None:
                     f"{result.reachable}, expected {expected}"
                 )
     print(
-        f"optimize smoke: corpus identity ok ({len(corpus)} programs x "
-        f"3 algorithms x 3 levels)"
+        f"optimize smoke: corpus identity ok ({len(corpus)} programs, Bebop, "
+        f"Moped and 3 algorithms x 3 levels)"
     )
 
     mismatches = 0
@@ -868,7 +969,7 @@ def witness_smoke(jobs: int = 2) -> None:
       direct-path trace of the same query under the same algorithm.
     """
     from repro.frontends.getafix import check_reachability
-    from repro.parallel import BatchQuery, run_shards
+    from repro.parallel import run_shards
 
     algorithms = ("summary", "ef", "ef-opt")
     corpus = _optimize_corpus()
@@ -928,18 +1029,10 @@ def witness_smoke(jobs: int = 2) -> None:
     )
 
 
-def scaling_smoke() -> None:
-    """CI smoke for the scaling rows, where the kernel's tables grow and GC runs.
-
-    Drivers with 4 and 5 handlers, schoose terminators of 4 to 6 bits and
-    iterative terminators of 4 and 5 bits, positive and negative, each under
-    ``summary``, ``ef`` and ``ef-opt`` at ``-O0``.  Every verdict must equal
-    the generator's polarity and the explicit Bebop answer.  Each row prints
-    its seconds and a kernel line: peak nodes, GC collections and rename
-    fallbacks.
-    """
-    from repro.frontends.getafix import check_reachability
-
+def _scaling_rows():
+    """The scaling rows as (spec, program): drivers with 4 and 5 handlers,
+    schoose terminators of 4 to 6 bits and iterative terminators of 4 and 5
+    bits, positive and negative."""
     specs = [
         DriverSpec(
             name=f"driver-{handlers}-{'pos' if positive else 'neg'}",
@@ -962,12 +1055,27 @@ def scaling_smoke() -> None:
         for bits in sizes
         for positive in (True, False)
     ]
+    return [
+        (spec, (make_driver if isinstance(spec, DriverSpec) else make_terminator)(spec))
+        for spec in specs
+    ]
+
+
+def scaling_smoke() -> None:
+    """CI smoke for the scaling rows, where the kernel's tables grow and GC runs.
+
+    Every row of :func:`_scaling_rows` runs under ``summary``, ``ef`` and
+    ``ef-opt`` at ``-O0``.  Every verdict must equal the generator's
+    polarity and the explicit Bebop answer.  Each row prints its seconds
+    and a kernel line: peak nodes, GC collections and rename fallbacks.
+    """
+    from repro.frontends.getafix import check_reachability
+
+    rows = _scaling_rows()
     algorithms = ("summary", "ef", "ef-opt")
     print("== Scaling smoke: verdicts vs polarity and Bebop (-O0, seconds) ==")
     total = 0.0
-    for spec in specs:
-        make = make_driver if isinstance(spec, DriverSpec) else make_terminator
-        program = make(spec)
+    for spec, program in rows:
         bebop = run_bebop(program, resolve_target(program, spec.target)).reachable
         assert bebop == spec.positive, f"{spec.name}: Bebop returned {bebop}"
         for algorithm in algorithms:
@@ -989,7 +1097,7 @@ def scaling_smoke() -> None:
                 f"rename_fallbacks={manager.get('rename_fallback', 0)}"
             )
     print(
-        f"scaling smoke OK: {len(specs)} programs x {len(algorithms)} algorithms "
+        f"scaling smoke OK: {len(rows)} programs x {len(algorithms)} algorithms "
         f"agree with polarity and Bebop in {total:.2f} s"
     )
 

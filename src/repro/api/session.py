@@ -30,26 +30,14 @@ solver state, cheap repeated queries):
   manager's mark-and-sweep collector treats them as external roots between
   queries.
 
-Reuse matrix (what each algorithm can share between queries)
-------------------------------------------------------------
+Reuse across queries
+--------------------
 Every equation system in this reproduction, ``cbr-k<k>`` included, is
 *target-free*: ``Target`` is an input relation of the system but no
-equation body mentions it — only the reachability query does.  The summary
-fixed point is therefore target-independent and fully reusable:
-
-============  ==========================  =================================
-algorithm     retained summary (solve)    warm start from early-stopped run
-============  ==========================  =================================
-``summary``   yes — query post-pass       yes (monotone, simultaneous)
-``ef``        yes — query post-pass       yes (monotone, nested)
-``ef-opt``    yes — query post-pass       no — the ``Relevant`` frontier
-                                          relation is non-monotone, so a
-                                          partial iterate is not a sound
-                                          seed; compiled plans, templates
-                                          and Target BDDs are still reused
-``cbr-k<k>``  yes — query post-pass       no (an early-stopped run is not
-                                          retained)
-============  ==========================  =================================
+equation body mentions it — only the reachability query does
+(``tests/test_session.py`` checks this for every registered algorithm).
+The summary fixed point of every algorithm is therefore
+target-independent and fully reusable.
 
 ``solve()`` computes the full fixed point (no early stop) and retains it;
 every later ``check(target)`` is then a query post-pass: encode (or fetch)
@@ -57,11 +45,9 @@ the Target BDD, evaluate the compiled query plan under the retained
 interpretations, done.  Without a prior ``solve()``, ``check`` runs the
 classic per-target evaluation (early stop included) against the compiled
 artifacts; a run that reaches the fixed point anyway is promoted to the
-retained summary, and an early-stopped run of a *monotone* algorithm is
-retained as a warm-start seed — monotone Kleene iteration resumes exactly
-where the seed run left off, so no work is repeated.  A hypothetical
-target-dependent system (one whose equations mention ``Target``) is
-detected and never summary-cached or warm-started.
+retained summary.  An early-stopped run keeps nothing: every evaluation
+starts from the empty relation, as the paper's semantics does, so an
+algorithm is either unsolved or holds exactly one retained fixed point.
 
 ``close()`` releases every compiled artifact and retained edge back to the
 manager; after a sweep the manager is at its empty baseline
@@ -104,10 +90,6 @@ from ..testing import faults
 
 __all__ = ["AnalysisSession", "SessionSnapshot", "SolveInfo"]
 
-#: Algorithms whose evaluation is plain monotone Kleene iteration, making an
-#: early-stopped intermediate iterate a sound warm-start seed.
-WARM_START_ALGORITHMS = frozenset({"summary", "ef"})
-
 #: The target signature type: sorted, duplicate-free (module, pc) pairs.
 TargetSignature = Tuple[Tuple[int, int], ...]
 
@@ -129,7 +111,6 @@ class SolveInfo:
     equation_evaluations: int
     elapsed_seconds: float
     reused: bool = False
-    warm_started: bool = False
 
 
 @dataclass
@@ -146,7 +127,6 @@ class _Retained:
     iterations: int
     equation_evaluations: int
     elapsed_seconds: float
-    signature: Optional[TargetSignature] = None
     summary_nodes: Optional[int] = None
     summary_states: Optional[int] = None
 
@@ -217,14 +197,7 @@ class _AlgorithmState:
         # key is therefore (algorithm, signature) — this state IS the
         # algorithm half of the key.
         self.target_cache: Dict[TargetSignature, int] = {}
-        # A system is summary-cacheable only if no equation body mentions
-        # Target (true for every shipped algorithm).
-        self.target_free = not any(
-            "Target" in self.spec.system.equation(name).referenced_relations()
-            for name in self.spec.system.equations
-        )
         self.solved: Optional[_Retained] = None
-        self.partial: Optional[_Retained] = None
         # Lazily-built witness extractor (repro.witness); it GC-pins its
         # Kleene layers in this state's manager, so the state owns its close.
         self.witness_extractor = None
@@ -244,9 +217,7 @@ class _AlgorithmState:
     def query_holds(self, interps: Mapping[str, int]) -> bool:
         return self.query_plan.eval(self.backend, interps) == self.backend.manager.TRUE
 
-    def retain_interps(self, result: EvaluationResult, *, iterations: int,
-                       equation_evaluations: int, elapsed_seconds: float,
-                       signature: Optional[TargetSignature]) -> _Retained:
+    def retain_interps(self, result: EvaluationResult) -> _Retained:
         interps = {
             name: edge
             for name, edge in result.interpretations.items()
@@ -256,26 +227,20 @@ class _AlgorithmState:
             self.backend.retain(edge)
         return _Retained(
             interps=interps,
-            iterations=iterations,
-            equation_evaluations=equation_evaluations,
-            elapsed_seconds=elapsed_seconds,
-            signature=signature,
+            iterations=result.iterations,
+            equation_evaluations=result.equation_evaluations,
+            elapsed_seconds=result.elapsed_seconds,
         )
-
-    def drop_retained(self, retained: Optional[_Retained]) -> None:
-        if retained is None:
-            return
-        for edge in retained.interps.values():
-            self.backend.release(edge)
 
     def close(self) -> None:
         """Release every artifact; the manager returns to its baseline."""
         if self.witness_extractor is not None:
             self.witness_extractor.close()
             self.witness_extractor = None
-        self.drop_retained(self.solved)
-        self.drop_retained(self.partial)
-        self.solved = self.partial = None
+        if self.solved is not None:
+            for edge in self.solved.interps.values():
+                self.backend.release(edge)
+            self.solved = None
         self.target_cache.clear()
         self.backend.close()
         self.backend.context.clear_caches()
@@ -482,8 +447,7 @@ class AnalysisSession:
         interpretations; subsequent :meth:`check` calls become query
         post-passes.  Idempotent: a second solve returns the retained
         result.  For the ``summary`` algorithm this is the once-per-program
-        solve of the paper's baseline; monotone algorithms warm-start from
-        a retained early-stopped iterate when one exists.
+        solve of the paper's baseline.
         """
         state = self._state(algorithm)
         with self._governed(state):
@@ -499,36 +463,14 @@ class AnalysisSession:
                 elapsed_seconds=retained.elapsed_seconds,
                 reused=True,
             )
-        if not state.target_free:
-            raise ValueError(
-                f"algorithm {state.algorithm!r} bakes Target into its equations; "
-                "it has no target-independent summary to solve for"
-            )
-        seed = None
-        base_iterations = 0
-        base_evaluations = 0
-        if state.partial is not None and state.algorithm in WARM_START_ALGORITHMS:
-            seed = state.partial.interps
-            base_iterations = state.partial.iterations
-            base_evaluations = state.partial.equation_evaluations
-        evaluation = self._evaluate(state, stop=None, seed=seed)
+        evaluation = self._evaluate(state, stop=None)
         state.solve_count += 1
-        solved = state.retain_interps(
-            evaluation,
-            iterations=base_iterations + evaluation.iterations,
-            equation_evaluations=base_evaluations + evaluation.equation_evaluations,
-            elapsed_seconds=evaluation.elapsed_seconds,
-            signature=None,
-        )
-        state.drop_retained(state.partial)
-        state.partial = None
-        state.solved = solved
+        state.solved = state.retain_interps(evaluation)
         return SolveInfo(
             algorithm=state.algorithm,
-            iterations=solved.iterations,
-            equation_evaluations=solved.equation_evaluations,
-            elapsed_seconds=solved.elapsed_seconds,
-            warm_started=seed is not None,
+            iterations=evaluation.iterations,
+            equation_evaluations=evaluation.equation_evaluations,
+            elapsed_seconds=evaluation.elapsed_seconds,
         )
 
     def solved(self, algorithm: Optional[str] = None) -> bool:
@@ -551,11 +493,10 @@ class AnalysisSession:
         With a retained summary (after :meth:`solve`, or after a query that
         ran to the fixed point anyway) this is a pure post-pass: fetch the
         Target BDD, evaluate the compiled query plan — no fixed-point
-        iteration at all.  Otherwise the classic per-target evaluation runs,
-        warm-started for monotone algorithms when a partial iterate is
-        retained.  Returns a
+        iteration at all.  Otherwise the classic per-target evaluation runs
+        from the empty relation.  Returns a
         :class:`~repro.algorithms.ReachabilityResult` whose ``details``
-        carry the session reuse flags (``reused_solve``, ``warm_start``).
+        carry the session reuse flag ``reused_solve``.
 
         Every entry point answers through here, so the post-answer policy
         lives here too.  When the query exhausts its envelope and
@@ -565,9 +506,14 @@ class AnalysisSession:
         verdict carries the :meth:`explain` trace in ``result.witness``; a
         trace that fails extraction or replay is recorded as
         ``details["witness_error"]`` instead and never changes the verdict.
+        A witness request on an algorithm without witness extraction
+        (``cbr-k<k>``) raises :class:`~repro.witness.WitnessExtractionError`
+        before the query runs.
         """
         started = time.perf_counter()
         answered = algorithm or self.default_algorithm
+        if witness:
+            self._witness_state(answered)
         try:
             result = self._query(answered, target, early_stop, started)
         except ResourceExhausted:
@@ -648,11 +594,10 @@ class AnalysisSession:
                 stopped_early=False,
                 locations=locations,
                 reused_solve=True,
-                warm_start=False,
             )
 
-        # Fresh (or warm-started) per-target evaluation over the compiled
-        # plans and template BDDs.
+        # Fresh per-target evaluation over the compiled plans and template
+        # BDDs.
         stop = None
         if early_stop:
             def stop(interps: Mapping[str, int], _inputs=inputs, _state=state) -> bool:
@@ -660,55 +605,22 @@ class AnalysisSession:
                 merged.update(interps)
                 return _state.query_holds(merged)
 
-        seed = None
-        base_iterations = 0
-        base_evaluations = 0
-        if (
-            state.partial is not None
-            and state.algorithm in WARM_START_ALGORITHMS
-            and state.target_free
-        ):
-            seed = state.partial.interps
-            base_iterations = state.partial.iterations
-            base_evaluations = state.partial.equation_evaluations
-        evaluation = self._evaluate(state, stop=stop, seed=seed, inputs=inputs)
+        evaluation = self._evaluate(state, stop=stop, inputs=inputs)
         merged = dict(inputs)
         merged.update(evaluation.interpretations)
         reachable = state.query_holds(merged)
         summary_node = evaluation.interpretations[state.spec.target_relation]
-        iterations = base_iterations + evaluation.iterations
-        evaluations = base_evaluations + evaluation.equation_evaluations
-
-        retainable = state.target_free and (
-            not evaluation.stopped_early or state.algorithm in WARM_START_ALGORITHMS
-        )
-        if retainable:
-            retained = state.retain_interps(
-                evaluation,
-                iterations=iterations,
-                equation_evaluations=evaluations,
-                elapsed_seconds=evaluation.elapsed_seconds,
-                signature=signature,
-            )
-            # Retain-new before drop-old: the new iterate may share edges
-            # with the superseded one.
-            state.drop_retained(state.partial)
-            state.partial = None
-            if not evaluation.stopped_early:
-                # The run reached the full fixed point: promote it to the
-                # retained summary — later checks become post-passes.
-                state.solve_count += 1
-                state.solved = retained
-            else:
-                # An intermediate monotone iterate: keep it as the seed the
-                # next query resumes from.
-                state.partial = retained
+        if not evaluation.stopped_early:
+            # The run reached the full fixed point: promote it to the
+            # retained summary — later checks become post-passes.
+            state.solve_count += 1
+            state.solved = state.retain_interps(evaluation)
 
         return self._result(
             state,
             reachable=reachable,
-            iterations=iterations,
-            equation_evaluations=evaluations,
+            iterations=evaluation.iterations,
+            equation_evaluations=evaluation.equation_evaluations,
             summary_node=summary_node,
             elapsed_seconds=evaluation.elapsed_seconds,
             encode_seconds=encode_seconds,
@@ -716,7 +628,6 @@ class AnalysisSession:
             stopped_early=evaluation.stopped_early,
             locations=locations,
             reused_solve=False,
-            warm_start=seed is not None,
         )
 
     def check_all(
@@ -732,11 +643,11 @@ class AnalysisSession:
         compile-once/query-many fast path.  Verdicts are
         identical to fresh per-target runs; iteration counts equal those of
         a fresh full (``early_stop=False``) evaluation, which is
-        target-independent for target-free systems.
+        target-independent because every system is target-free.
         """
         targets = list(targets)
         state = self._state(algorithm)
-        if state.target_free and len(targets) > 1 and state.solved is None:
+        if len(targets) > 1 and state.solved is None:
             self.solve(state.algorithm)
         return [
             self.check(target, algorithm=state.algorithm, early_stop=early_stop)
@@ -755,10 +666,23 @@ class AnalysisSession:
         that fails the replay raises
         :class:`~repro.witness.WitnessValidationError` instead of being
         reported.  Resource limits govern the extraction like any query.
+        An algorithm without witness extraction (``cbr-k<k>``) raises
+        :class:`~repro.witness.WitnessExtractionError` before any work.
         """
-        state = self._state(algorithm)
+        state = self._witness_state(algorithm)
         with self._governed(state):
             return self._explain(state, target)
+
+    def _witness_state(self, algorithm: Optional[str]) -> _AlgorithmState:
+        """The algorithm's state, if witness extraction supports it."""
+        state = self._state(algorithm)
+        if state.algorithm.startswith(CBR_PREFIX):
+            from ..witness import WitnessExtractionError
+
+            raise WitnessExtractionError(
+                f"no witness extraction for algorithm {state.algorithm!r}"
+            )
+        return state
 
     def _explain(self, state: _AlgorithmState, target: TargetSpec):
         from ..witness import WitnessExtractor, validate_trace
@@ -953,12 +877,11 @@ class AnalysisSession:
         self,
         state: _AlgorithmState,
         stop,
-        seed: Optional[Mapping[str, int]] = None,
         inputs: Optional[Dict[str, int]] = None,
     ) -> EvaluationResult:
         if inputs is None:
             # A solve has no target: Target is an input of the system but no
-            # equation of a target-free system reads it, so FALSE suffices.
+            # equation reads it, so FALSE suffices.
             inputs = dict(state.base_interps)
             inputs["Target"] = state.backend.manager.FALSE
         evaluate = (
@@ -971,7 +894,6 @@ class AnalysisSession:
             inputs,
             max_iterations=(self.limits and self.limits.max_iterations) or MAX_ITERATIONS,
             stop=stop,
-            seed=seed,
         )
 
     @staticmethod
@@ -997,7 +919,6 @@ class AnalysisSession:
         stopped_early: bool,
         locations: Sequence[Tuple[int, int]],
         reused_solve: bool,
-        warm_start: bool,
         summary_nodes: Optional[int] = None,
         summary_states: Optional[int] = None,
     ) -> ReachabilityResult:
@@ -1025,7 +946,6 @@ class AnalysisSession:
                 "target_locations": list(locations),
                 "evaluation_mode": state.spec.evaluation,
                 "reused_solve": reused_solve,
-                "warm_start": warm_start,
                 "target_signature": list(self._signature(locations)),
             },
             stats=stats,

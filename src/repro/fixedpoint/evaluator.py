@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..errors import ResourceExhausted
@@ -63,10 +63,6 @@ class EvaluationResult:
     stopped_early:
         True when a ``stop`` predicate ended the iteration before a fixed
         point was reached.
-    backend_stats:
-        Snapshot of the backend's evaluation statistics (cache hit rates,
-        static-hoist counts, node-table size) taken when evaluation finished;
-        empty for backends that do not expose ``stats_snapshot``.
     """
 
     target: str
@@ -75,17 +71,11 @@ class EvaluationResult:
     equation_evaluations: int
     elapsed_seconds: float
     stopped_early: bool = False
-    backend_stats: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def value(self) -> Any:
         """The interpretation computed for the target relation."""
         return self.interpretations[self.target]
-
-
-def _stats_snapshot(backend: Any) -> Dict[str, Any]:
-    snapshot = getattr(backend, "stats_snapshot", None)
-    return snapshot() if callable(snapshot) else {}
 
 
 def _gc_step(backend: Any) -> Optional[Callable[[Any], bool]]:
@@ -108,7 +98,6 @@ def evaluate_nested(
     inputs: Mapping[str, Any],
     max_iterations: int = 10_000,
     stop: Optional[Callable[[Mapping[str, Any]], bool]] = None,
-    seed: Optional[Mapping[str, Any]] = None,
 ) -> EvaluationResult:
     """Evaluate ``target`` using the paper's nested ``Evaluate`` algorithm.
 
@@ -131,12 +120,6 @@ def evaluate_nested(
         iteration of the *target* relation with the current interpretations;
         returning True ends the evaluation (used for "stop as soon as the goal
         is known reachable").
-    seed:
-        Optional warm-start interpretation of the *target* relation (inner
-        relations still restart from empty, as the nested semantics demands).
-        Sound only when the seed is an intermediate Kleene iterate of a
-        monotone system — iteration then resumes exactly where the seed run
-        left off; the session layer enforces the monotonicity restriction.
     """
     missing = set(system.inputs) - set(inputs)
     if missing:
@@ -156,8 +139,6 @@ def evaluate_nested(
     def evaluate(name: str, fixed: Dict[str, Any], depth: int) -> Any:
         equation = system.equation(name)
         current = backend.empty(equation.decl)
-        if depth == 0 and seed is not None and name in seed:
-            current = seed[name]
         iterations = 0
         while True:
             iterations += 1
@@ -220,7 +201,6 @@ def evaluate_nested(
         equation_evaluations=stats["evaluations"],
         elapsed_seconds=time.perf_counter() - start,
         stopped_early=stopped["early"],
-        backend_stats=_stats_snapshot(backend),
     )
 
 
@@ -231,14 +211,10 @@ def evaluate_simultaneous(
     inputs: Mapping[str, Any],
     max_iterations: int = 10_000,
     stop: Optional[Callable[[Mapping[str, Any]], bool]] = None,
-    seed: Optional[Mapping[str, Any]] = None,
 ) -> EvaluationResult:
     """Evaluate all equations by simultaneous (chaotic) iteration.
 
-    All defined relations start empty (or from ``seed``, a warm-start
-    interpretation that must be an intermediate iterate of the same monotone
-    system — iteration then resumes the seed run's Kleene sequence) and are
-    re-evaluated in declaration order until none of them changes.  This is
+    All defined relations start empty and are re-evaluated in declaration order until none of them changes.  This is
     the textbook Knaster–Tarski iteration and computes the least fixed point
     for monotone systems; it is *not* appropriate for the non-monotone
     optimised entry-forward algorithm.
@@ -251,10 +227,7 @@ def evaluate_simultaneous(
     start = time.perf_counter()
     interpretations: Dict[str, Any] = dict(inputs)
     for name, equation in system.equations.items():
-        if seed is not None and name in seed:
-            interpretations[name] = seed[name]
-        else:
-            interpretations[name] = backend.empty(equation.decl)
+        interpretations[name] = backend.empty(equation.decl)
     iterations = 0
     evaluations = 0
     stopped_early = False
@@ -291,5 +264,4 @@ def evaluate_simultaneous(
         equation_evaluations=evaluations,
         elapsed_seconds=time.perf_counter() - start,
         stopped_early=stopped_early,
-        backend_stats=_stats_snapshot(backend),
     )

@@ -13,6 +13,7 @@ friendly target specification and an algorithm name, and returns a
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..algorithms import ReachabilityResult, run_concurrent
@@ -113,6 +114,7 @@ def check_reachability(
     # Imported lazily: repro.api builds on this front end's resolvers.
     from ..api.session import AnalysisSession
 
+    started = time.perf_counter()
     optimize = int(optimize)
     specs = normalise_slice_targets(target)
     if specs is None:
@@ -124,7 +126,9 @@ def check_reachability(
         optimize=optimize,
         slice_targets=specs if optimize >= 2 else None,
     ) as session:
-        return session.check(target, early_stop=early_stop, witness=witness)
+        result = session.check(target, early_stop=early_stop, witness=witness)
+    result.total_seconds = time.perf_counter() - started
+    return result
 
 
 def check_concurrent_reachability(

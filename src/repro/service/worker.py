@@ -144,11 +144,11 @@ def _session_outcome(cache: SessionCache, job: QueryJob) -> QueryOutcome:
     if not warm and not job.close_session:
         # Solve the target-independent summary up front so every later
         # query on this (program, algorithm) is a post-pass — the warm-hit
-        # contract of the pool.  A failed solve (budget, target-dependent
-        # system) degrades to the lazy per-query evaluation below.
+        # contract of the pool.  A solve that exhausts its budget degrades to
+        # the lazy per-query evaluation below.
         try:
             session.solve(job.algorithm)
-        except (ResourceExhausted, ValueError):
+        except ResourceExhausted:
             pass
     result = session.check(
         list(job.target) if isinstance(job.target, tuple) else job.target,

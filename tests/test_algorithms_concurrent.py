@@ -5,10 +5,11 @@ import pytest
 from repro.algorithms import run_concurrent
 from repro.api import AnalysisSession
 from repro.baselines import run_concurrent_explicit
-from repro.benchgen import make_bluetooth
+from repro.benchgen import bluetooth_source, make_bluetooth
 from repro.boolprog import parse_concurrent_program
 from repro.encode.concurrent import ConcurrentEncoder
 from repro.frontends import check_concurrent_reachability
+from repro.witness import WitnessExtractionError
 
 HANDOFF = """
 shared decl a, b;
@@ -106,8 +107,27 @@ class TestReachabilityStructure:
         result = run_concurrent(program, locations(program), context_switches=1)
         assert result.summary_states is not None and result.summary_states > 0
         assert result.algorithm == "getafix-cbr-k1"
-        for key in ("bdd_variables", "reused_solve", "warm_start", "target_signature"):
+        for key in ("bdd_variables", "reused_solve", "target_signature"):
             assert key in result.details
+
+    @pytest.mark.parametrize("method", ["check", "explain"])
+    def test_witness_request_fails_before_the_solve(self, method):
+        # Witness extraction covers the sequential algorithms only; a CBR
+        # witness request raises the typed error before Reach is solved.
+        source = bluetooth_source(1, 1).replace(
+            "    stopped := T;", "    halt: stopped := T;"
+        )
+        with AnalysisSession(source, default_algorithm="cbr-k1") as session:
+            with pytest.raises(WitnessExtractionError, match="cbr-k1"):
+                if method == "check":
+                    session.check("stopper1:main:halt", witness=True)
+                else:
+                    session.explain("stopper1:main:halt")
+            stats = session.stats()["algorithms"]["cbr-k1"]
+            assert stats["solves"] == 0 and stats["queries"] == 0
+            assert stats["cached_targets"] == 0
+            # The session stays usable for plain queries.
+            assert session.check("stopper1:main:halt").reachable
 
     def test_session_post_pass_matches_fresh_runs(self):
         # One concurrent session holds a solved Reach per bound; its

@@ -468,6 +468,6 @@ class TestSymbolicBackendGc:
         )
         reached = set(backend.models(result.value, Reach))
         assert reached == {(0,), (1,), (2,), (3,)}
-        stats = result.backend_stats
+        stats = backend.stats_snapshot()
         assert stats["gc_steps"] > 0
         assert stats["manager"]["gc"]["collections"] > 0

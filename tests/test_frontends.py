@@ -85,6 +85,23 @@ class TestCheckReachability:
         with pytest.raises(ValueError):
             check_reachability(POSITIVE, target="main:target", algorithm="quantum")
 
+    def test_total_seconds_covers_the_whole_session(self, monkeypatch):
+        # Validation runs at session construction, before the query; the
+        # one-shot wrapper's total must include it, as run_sequential's does.
+        import time
+
+        import repro.api.session as session_module
+
+        real = session_module.check_program
+
+        def slow_check(program):
+            time.sleep(0.05)
+            return real(program)
+
+        monkeypatch.setattr(session_module, "check_program", slow_check)
+        result = check_reachability(POSITIVE, target="main:target")
+        assert result.total_seconds >= 0.05
+
 
 class TestCli:
     def test_arg_parser_defaults(self):

@@ -7,8 +7,8 @@ The load-bearing properties:
   algorithms (the retained summary fixed point of a target-free system is
   target-independent).
 * **Reuse** — after a solve, checks are query post-passes; targets are
-  cached by signature; monotone algorithms warm-start from early-stopped
-  iterates and resume the exact Kleene sequence.
+  cached by signature; a lazy run that reaches the fixed point is promoted
+  to the retained summary, and an early-stopped one retains nothing.
 * **Lifecycle** — validation happens once at construction (never per
   query), and `close()` releases every retained edge.
 """
@@ -18,8 +18,12 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import SEQUENTIAL_ALGORITHMS, run_batch, run_sequential
+from repro.algorithms.engine import algorithm_builder
 from repro.api import AnalysisSession
-from repro.boolprog import parse_program
+from repro.benchgen import make_bluetooth
+from repro.boolprog import build_cfg, parse_program
+from repro.encode.concurrent import ConcurrentEncoder
+from repro.encode.templates import SequentialEncoder
 from repro.frontends import resolve_target
 from repro.parallel import BatchQuery, group_queries, run_shard
 
@@ -146,35 +150,38 @@ class TestReuse:
         assert not first.reachable and not first.details["reused_solve"]
         assert second.reachable and second.details["reused_solve"]
 
-    @pytest.mark.parametrize("algorithm", ["summary", "ef"])
-    def test_monotone_warm_start_resumes_the_iteration(self, algorithm):
-        """An early-stopped iterate is resumed, not recomputed: the total
-        iteration count across both queries equals one fresh full run."""
-        program = parse_program(PROGRAM)
-        full = run_sequential(
-            program,
-            resolve_target(program, "main:never"),
-            algorithm=algorithm,
-            early_stop=False,
-        )
-        with AnalysisSession(program, default_algorithm=algorithm) as session:
-            eager = session.check("main:yes")  # stops early, retains the iterate
-            assert eager.stopped_early
-            assert eager.iterations < full.iterations
-            resumed = session.check("main:never")  # unreachable: runs to fixpoint
-        assert resumed.details["warm_start"] is True
-        assert not resumed.reachable
-        assert resumed.iterations == full.iterations
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_early_stopped_run_retains_nothing(self, algorithm):
+        """An algorithm is unsolved or holds one fixed point: an early stop
+        keeps no iterate, and the next query starts from empty again."""
+        with AnalysisSession(PROGRAM, default_algorithm=algorithm) as session:
+            first = session.check("main:yes")
+            assert first.stopped_early and not session.solved()
+            second = session.check("main:yes")
+            stats = session.stats()["algorithms"][algorithm]
+        assert stats["solves"] == 0
+        assert second.iterations == first.iterations
+        assert not second.details["reused_solve"]
 
-    def test_ef_opt_never_warm_starts(self):
-        """The non-monotone frontier encoding must restart from empty."""
-        with AnalysisSession(PROGRAM, default_algorithm="ef-opt") as session:
-            eager = session.check("main:yes")
-            assert eager.stopped_early
-            second = session.check("main:no_g")
-        assert second.details["warm_start"] is False
-        assert second.details["reused_solve"] is False
-        assert second.reachable
+
+@pytest.mark.parametrize(
+    "algorithm", ALGORITHMS + [f"cbr-k{bound}" for bound in range(3)]
+)
+def test_registered_systems_are_target_free(algorithm):
+    """No equation body of a registered algorithm mentions ``Target``.
+
+    Only the reachability query reads it, so one solved fixed point answers
+    every target; the session relies on this for every algorithm it
+    retains.
+    """
+    if algorithm.startswith("cbr-k"):
+        encoder = ConcurrentEncoder(make_bluetooth(1, 1))
+    else:
+        encoder = SequentialEncoder(build_cfg(parse_program(PROGRAM)))
+    system = algorithm_builder(algorithm)(encoder).system
+    assert "Target" in system.inputs
+    for name in system.equations:
+        assert "Target" not in system.equation(name).referenced_relations(), name
 
 
 class TestLifecycle:

@@ -528,7 +528,7 @@ class TestStaticHoisting:
         system, Reach, Init, Trans, body = _reachability_system()
         backend = SymbolicBackend(system)
         result = evaluate_nested(system, "Reach", backend, self._inputs(backend))
-        stats = result.backend_stats
+        stats = backend.stats_snapshot()
         assert stats["static_hoists"] > 0
         assert "manager" in stats and stats["manager"]["nodes"] > 2
         u = Var("u", NODE)
