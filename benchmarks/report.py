@@ -23,6 +23,7 @@ Usage::
     python benchmarks/report.py optimize-smoke     # CI: -O2 differential gate
     python benchmarks/report.py witness-smoke      # CI: replay-validated witness traces
     python benchmarks/report.py scaling-smoke      # CI: scaling rows vs polarity and Bebop
+    python benchmarks/report.py scaling            # BENCH_scaling.json record column
     python benchmarks/report.py concurrent-smoke   # CI: Bluetooth via sessions vs explicit
     python benchmarks/report.py all
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.algorithms import run_batch, run_concurrent, run_sequential
@@ -1068,6 +1070,9 @@ def scaling_smoke() -> None:
     ``ef-opt`` at ``-O0``.  Every verdict must equal the generator's
     polarity and the explicit Bebop answer.  Each row prints its seconds
     and a kernel line: peak nodes, GC collections and rename fallbacks.
+    At most one rename per query may fall back to ``ite`` (IntoCall's
+    ``(y, u)`` application, once, when the plans are compiled): more means
+    a GC sweep made the solve redo a template application.
     """
     from repro.frontends.getafix import check_reachability
 
@@ -1096,10 +1101,170 @@ def scaling_smoke() -> None:
                 f"gc_collections={manager.get('gc', {}).get('collections', 0)} "
                 f"rename_fallbacks={manager.get('rename_fallback', 0)}"
             )
+            assert manager["rename_fallback"] <= 1, (
+                f"{spec.name}: {algorithm} fell back to ite on "
+                f"{manager['rename_fallback']} renames (at most 1 expected)"
+            )
     print(
         f"scaling smoke OK: {len(rows)} programs x {len(algorithms)} algorithms "
-        f"agree with polarity and Bebop in {total:.2f} s"
+        f"agree with polarity and Bebop, at most 1 rename fallback each, "
+        f"in {total:.2f} s"
     )
+
+
+#: The algorithms and explicit baselines of the scaling record, in column order.
+SCALING_ENGINES = ("summary", "ef", "ef-opt", "bebop", "moped")
+
+#: Rows the explicit engines skip: Bebop takes ~50 s and Moped ~80 s on the
+#: 8-bit schoose terminator.  The symbolic engines run every row.
+EXPLICIT_SKIPPED_ROWS = ("terminator-schoose-8b-neg",)
+
+#: Runs per cell of the scaling record; a cell keeps the fastest.
+SCALING_RUNS = 3
+
+#: The committed scaling record, at the root of the checkout.
+SCALING_RECORD = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
+
+
+def _scaling_record_specs() -> Dict[str, object]:
+    """The rows of the scaling record by name: negative drivers with 4 to 8
+    handlers, schoose terminators of 4 to 8 bits and iterative terminators
+    of 4 to 7 bits, built as in :func:`figure2`."""
+    specs: List[object] = [
+        DriverSpec(
+            name=f"driver-{handlers}-neg",
+            handlers=handlers,
+            flags=min(4, handlers),
+            helpers=max(1, handlers // 2),
+            positive=False,
+        )
+        for handlers in range(4, 9)
+    ]
+    specs += [
+        TerminatorSpec(
+            name=f"terminator-{variant}-{bits}b-neg",
+            counter_bits=bits,
+            variant=variant,
+            positive=False,
+        )
+        for variant, sizes in (("schoose", range(4, 9)), ("iterative", range(4, 8)))
+        for bits in sizes
+    ]
+    return {spec.name: spec for spec in specs}
+
+
+def _scaling_cell(row: str, engine: str) -> Dict[str, object]:
+    """Time one engine on one scaling row, the min of :data:`SCALING_RUNS`.
+
+    Runs in a process of its own, so the max RSS is this cell's.  Asserts
+    the verdict of every run.  The symbolic engines add a kernel line:
+    peak nodes, GC collections and reclaimed nodes, rename fallbacks and
+    equation evaluations.
+    """
+    import resource
+
+    spec = _scaling_record_specs()[row]
+    program = (make_driver if isinstance(spec, DriverSpec) else make_terminator)(spec)
+    locations = resolve_target(program, spec.target)
+    runner = {"bebop": run_bebop, "moped": run_moped}.get(engine)
+    if runner is None:
+        runner = lambda p, locs: run_sequential(p, locs, algorithm=engine)  # noqa: E731
+    best = float("inf")
+    for _ in range(SCALING_RUNS):
+        started = time.perf_counter()
+        result = runner(program, locations)
+        best = min(best, time.perf_counter() - started)
+        assert result.reachable == spec.positive, (
+            f"{row}: {engine} returned {result.reachable}, expected {spec.positive}"
+        )
+    cell: Dict[str, object] = {
+        "seconds": round(best, 4),
+        "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+    manager = (result.stats or {}).get("manager")
+    if manager is not None:
+        cell["kernel"] = {
+            "peak_nodes": manager["peak_nodes"],
+            "gc_collections": manager["gc"]["collections"],
+            "gc_reclaimed": manager["gc"]["reclaimed"],
+            "rename_fallback": manager["rename_fallback"],
+            "equation_evaluations": result.equation_evaluations,
+        }
+    return cell
+
+
+def scaling_record(column: str) -> None:
+    """Measure one column of the committed scaling record.
+
+    Every (row, engine) cell runs in a fresh process, so its max RSS is
+    its own.  The column replaces the one of the same name in
+    ``BENCH_scaling.json`` and keeps the others: a change records its
+    ``before`` column by running this command with its parent's source
+    tree on ``PYTHONPATH`` and its ``after`` column with its own.  Prints
+    seconds per cell and, when the record holds a ``before`` column, the
+    ratio to it.
+    """
+    import json
+    import multiprocessing
+    import os
+    import platform
+    from concurrent.futures import ProcessPoolExecutor
+
+    specs = _scaling_record_specs()
+    cells: Dict[str, Dict[str, object]] = {}
+    print(
+        f"== Scaling record, column {column!r}: negative rows, -O0, "
+        f"min of {SCALING_RUNS} runs (s) =="
+    )
+    print(f"{'row':28s}  " + "  ".join(f"{engine:>8s}" for engine in SCALING_ENGINES))
+    context = multiprocessing.get_context("spawn")
+    for row in specs:
+        cells[row] = {}
+        for engine in SCALING_ENGINES:
+            if engine in ("bebop", "moped") and row in EXPLICIT_SKIPPED_ROWS:
+                cells[row][engine] = None
+                continue
+            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+                cells[row][engine] = pool.submit(_scaling_cell, row, engine).result()
+        print(f"{row:28s}  " + "  ".join(
+            f"{cell['seconds']:8.2f}" if cell else f"{'-':>8s}"
+            for cell in cells[row].values()
+        ))
+    record: Dict[str, object] = {}
+    if SCALING_RECORD.exists():
+        record = json.loads(SCALING_RECORD.read_text(encoding="utf-8"))
+    record.update(
+        description=(
+            "Figure 2 scaling rows (negative instances, -O0): seconds as the min "
+            f"of {SCALING_RUNS} runs, max RSS of a process running one cell, and a "
+            "kernel line for the symbolic engines. Regenerate a column with "
+            "'python benchmarks/report.py scaling --column NAME'."
+        ),
+        engines=list(SCALING_ENGINES),
+        rows=list(specs),
+        explicit_skipped_rows=list(EXPLICIT_SKIPPED_ROWS),
+    )
+    columns = record.setdefault("columns", {})
+    columns[column] = {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "date": time.strftime("%Y-%m-%d"),
+        "cells": cells,
+    }
+    SCALING_RECORD.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote column {column!r} to {SCALING_RECORD.name}")
+    before = columns.get("before")
+    if before is None or column == "before":
+        return
+    print(f"== {column} / before, seconds ==")
+    for row in specs:
+        ratios = []
+        for engine in SCALING_ENGINES:
+            old, new = before["cells"].get(row, {}).get(engine), cells[row][engine]
+            ratios.append(
+                f"{new['seconds'] / old['seconds']:8.2f}" if old and new else f"{'-':>8s}"
+            )
+        print(f"{row:28s}  " + "  ".join(ratios))
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -1123,6 +1288,7 @@ def main(argv: List[str] | None = None) -> int:
             "optimize-smoke",
             "witness-smoke",
             "scaling-smoke",
+            "scaling",
             "concurrent-smoke",
             "all",
         ],
@@ -1146,6 +1312,11 @@ def main(argv: List[str] | None = None) -> int:
         type=int,
         default=200,
         help="with 'optimize-smoke': number of random fuzz programs",
+    )
+    parser.add_argument(
+        "--column",
+        default="after",
+        help="with 'scaling': the column of BENCH_scaling.json to measure",
     )
     args = parser.parse_args(argv)
     if args.what in ("figure2", "all"):
@@ -1180,6 +1351,8 @@ def main(argv: List[str] | None = None) -> int:
         witness_smoke(jobs=min(args.jobs, 2))
     if args.what == "scaling-smoke":
         scaling_smoke()
+    if args.what == "scaling":
+        scaling_record(column=args.column)
     if args.what == "concurrent-smoke":
         concurrent_smoke(jobs=min(args.jobs, 2))
     if args.what == "parallel-smoke":

@@ -18,7 +18,9 @@ solver state, cheap repeated queries):
   :class:`~repro.algorithms.common.AlgorithmSpec`, a private
   :class:`~repro.fixedpoint.symbolic.SymbolicBackend` (its own
   ``BddManager``), the six target-independent template BDDs and the
-  compiled query plan.
+  compiled query plan.  The templates are fixed for the session, so every
+  compiled plan binds them: their applications are conjoined into the
+  plans' static skeletons once (see :mod:`repro.fixedpoint.symbolic`).
 * **Built once per (algorithm, target-signature)** — the ``Target``
   template BDD.  The *signature* of a query is the sorted tuple of its
   (module, pc) locations; repeated checks of the same signature reuse the
@@ -191,7 +193,11 @@ class _AlgorithmState:
         self.base_interps: Dict[str, int] = self.base.interps()
         for edge in self.base_interps.values():
             self.backend.retain(edge)
-        self.query_plan = self.backend.compile_formula(self.spec.query)
+        # The templates are fixed for the state's lifetime, so the query
+        # plan binds them; Target changes per check and stays dynamic.
+        self.query_plan = self.backend.compile_formula(
+            self.spec.query, bound=self.base_interps
+        )
         self.encode_seconds = time.perf_counter() - started
         # Target BDDs keyed by target signature; the session's public cache
         # key is therefore (algorithm, signature) — this state IS the

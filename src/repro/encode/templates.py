@@ -50,11 +50,6 @@ class TemplateSet:
 class SequentialEncoder:
     """Builds the template relations of a sequential Boolean program."""
 
-    #: Canonical parameter names used by the template declarations.  They are
-    #: chosen to match the variable names the algorithms use, so most relation
-    #: applications need no renaming at all.
-    STATE_PARAMS = ("u", "v", "x", "y", "z", "w")
-
     def __init__(self, cfg: ProgramCfg) -> None:
         self.cfg = cfg
         self.space = StateSpace.build(
@@ -66,10 +61,14 @@ class SequentialEncoder:
         state = self.space.state_sort
         module = self.space.module_sort
         pc = self.space.pc_sort
+        # The parameter names match the arguments every algorithm applies
+        # the templates to (``ProgramInt(x, v)``, ``Return(x, z, v)``, ...),
+        # so those applications need no rename; only the entry clauses'
+        # ``IntoCall(y, u)`` does.
         self.decls: Dict[str, RelationDecl] = {
             "ProgramInt": RelationDecl("ProgramInt", [("x", state), ("v", state)]),
             "IntoCall": RelationDecl("IntoCall", [("x", state), ("y", state)]),
-            "Return": RelationDecl("Return", [("x", state), ("z", state), ("w", state)]),
+            "Return": RelationDecl("Return", [("x", state), ("z", state), ("v", state)]),
             "Entry": RelationDecl("Entry", [("mod", module), ("pc", pc)]),
             "Exit": RelationDecl("Exit", [("mod", module), ("pc", pc)]),
             "Init": RelationDecl("Init", [("u", state)]),
@@ -290,7 +289,7 @@ class SequentialEncoder:
         mgr = self._manager
         x = self.state_var("x")
         z = self.state_var("z")
-        w = self.state_var("w")
+        v = self.state_var("v")
         disjuncts: List[int] = []
         for name, procedure in self.cfg.procedures.items():
             module = self.cfg.module_of(name)
@@ -301,21 +300,21 @@ class SequentialEncoder:
                 node = self._at(
                     (x, module, edge.source),
                     (z, callee_module, callee_cfg.exit),
-                    (w, module, edge.return_pc),
+                    (v, module, edge.return_pc),
                 )
                 assigned_local_fields = set()
                 assigned_global_fields = set()
                 for index, target_name in enumerate(edge.targets):
                     ret_slot = callee_cfg.slot_of[f"{RETURN_SLOT_PREFIX}{index}"]
                     ret_bit = f"z.L.{self.space.local_field(ret_slot)}"
-                    target_bit = caller_resolver.bit_name(w, target_name)
+                    target_bit = caller_resolver.bit_name(v, target_name)
                     if caller_resolver.is_global(target_name):
                         assigned_global_fields.add(target_bit.rsplit(".", 1)[-1])
                     else:
                         assigned_local_fields.add(target_bit.rsplit(".", 1)[-1])
                     node = mgr.and_(node, mgr.iff(mgr.var(target_bit), mgr.var(ret_bit)))
-                node = mgr.and_(node, self._fields_equal("G", z, w, assigned_global_fields))
-                node = mgr.and_(node, self._fields_equal("L", x, w, assigned_local_fields))
+                node = mgr.and_(node, self._fields_equal("G", z, v, assigned_global_fields))
+                node = mgr.and_(node, self._fields_equal("L", x, v, assigned_local_fields))
                 disjuncts.append(node)
         return mgr.disjoin(disjuncts)
 

@@ -110,7 +110,10 @@ def evaluate_nested(
     backend:
         A backend exposing ``empty``, ``equal`` and ``eval_equation``.
     inputs:
-        Interpretations of every input relation of the system.
+        Interpretations of every input relation of the system.  They stay
+        fixed for the whole evaluation, so every equation evaluation passes
+        them as the backend's ``bound`` relations (the symbolic backend
+        folds their applications into the static skeleton of its plans).
     max_iterations:
         Safety bound on outer iterations of any single relation; exceeded
         bounds raise :class:`EvaluationError` (the paper's semantics does not
@@ -155,7 +158,7 @@ def evaluate_nested(
                     continue
                 env[other] = evaluate(other, env, depth + 1)
             stats["evaluations"] += 1
-            updated = backend.eval_equation(equation, env)
+            updated = backend.eval_equation(equation, env, bound=inputs)
             interpretations.update(
                 {key: value for key, value in env.items() if key in system.equations}
             )
@@ -243,7 +246,7 @@ def evaluate_simultaneous(
         changed = False
         for name, equation in system.equations.items():
             evaluations += 1
-            updated = backend.eval_equation(equation, interpretations)
+            updated = backend.eval_equation(equation, interpretations, bound=inputs)
             if not backend.equal(updated, interpretations[name]):
                 changed = True
             interpretations[name] = updated

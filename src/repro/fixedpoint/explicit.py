@@ -73,9 +73,17 @@ class ExplicitBackend:
         return left == right
 
     def eval_equation(
-        self, equation: Equation, interps: Mapping[str, Interpretation]
+        self,
+        equation: Equation,
+        interps: Mapping[str, Interpretation],
+        bound: Mapping[str, Interpretation] = {},
     ) -> Interpretation:
-        """Evaluate an equation body over every assignment of its parameters."""
+        """Evaluate an equation body over every assignment of its parameters.
+
+        ``bound`` is accepted for parity with the symbolic backend and
+        ignored: enumeration has no compiled plan to fold it into, and the
+        evaluators pass the same relations in ``interps`` as well.
+        """
         decl = equation.decl
         tuples = []
         param_sorts = [(name, sort) for name, sort in decl.params]

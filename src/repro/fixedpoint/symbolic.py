@@ -11,16 +11,26 @@ constrains those bits accordingly.
 Static-formula hoisting
 -----------------------
 Fixed-point evaluation re-evaluates equation bodies hundreds of times, but
-only the *relation interpretations* change between iterations — every
-equality, enum comparison, domain constraint and constant cube is the same
-BDD each round.  :meth:`SymbolicBackend.compile_formula` therefore partitions
-a formula once into a **static skeleton** (all relation-free subformulas,
-compiled to BDDs up front) and a small **dynamic residue** of plan nodes over
-the relation applications.  Every dynamic plan node carries a memo table
-keyed by the interpretations of exactly the relations it mentions, so a
-subformula whose relations did not change between iterations is never
-recomputed — the short-circuit that makes the nested (non-monotone)
-evaluation strategy cheap.
+only the interpretations of the *defined* relations change between
+iterations.  Every equality, enum comparison, domain constraint and constant
+cube is the same BDD each round, and so is every application of an input
+relation whose interpretation is fixed for the run — the program's template
+relations, which a session keeps for its whole lifetime.
+:meth:`SymbolicBackend.compile_formula` therefore partitions a formula once
+into a **static skeleton** and a small **dynamic residue**.  The skeleton
+holds every subformula that is relation-free or applies only *bound*
+relations (the ``bound`` mapping of input edges, restricted and renamed once
+and folded into the enclosing conjunction or disjunction), compiled to BDDs
+up front.  The residue is the plan nodes over the remaining relation
+applications.  Every dynamic plan node carries a memo table keyed by the
+interpretations of exactly the relations it mentions, so a subformula whose
+relations did not change between iterations is never recomputed — the
+short-circuit that makes the nested (non-monotone) evaluation strategy cheap.
+
+A compiled plan records the input edges it bound and keeps them
+GC-protected, so no sweep can recycle a bound node id for another function.
+:meth:`SymbolicBackend.eval_equation` recompiles (and releases the old plan)
+whenever a caller binds different edges, so a binding never goes stale.
 
 Garbage-collection contract
 ---------------------------
@@ -45,6 +55,7 @@ caches, statistics and GC bookkeeping are reset together between runs.
 from __future__ import annotations
 
 from operator import itemgetter
+from types import MappingProxyType
 from typing import (
     Any,
     Dict,
@@ -79,12 +90,16 @@ from .formulas import (
     Succ,
     Top,
     all_vars,
+    relations_of,
 )
 from .relations import Equation, EquationSystem, RelationDecl
 from .sorts import BoolSort, EnumSort, Sort, StructSort
 from .terms import Const, Term, Var
 
 __all__ = ["SymbolicContext", "SymbolicBackend", "default_bit_order"]
+
+#: The empty binding: every relation application stays dynamic.
+_UNBOUND: Mapping[str, int] = MappingProxyType({})
 
 
 def default_bit_order(variables: Sequence[Var]) -> List[str]:
@@ -126,15 +141,18 @@ class _Plan:
     depends on; ``memo`` caches results keyed by those relations'
     interpretations (BDD nodes are canonical, so equal nodes mean equal
     interpretations): the one edge for a single relation, else their tuple,
-    as ``operator.itemgetter`` returns them.
+    as ``operator.itemgetter`` returns them.  ``bound_edges`` are the input
+    edges the root of a compiled plan folded into its skeleton (protected
+    for the plan's lifetime).
     """
 
-    __slots__ = ("rel_names", "memo", "released", "_key")
+    __slots__ = ("rel_names", "memo", "released", "bound_edges", "_key")
 
     def __init__(self, rel_names: Tuple[str, ...]) -> None:
         self.rel_names = rel_names
         self.memo: Dict[object, int] = {}
         self.released = False
+        self.bound_edges: Tuple[int, ...] = ()
         self._key = itemgetter(*rel_names) if rel_names else None
 
     def eval(self, backend: "SymbolicBackend", interps: Mapping[str, int]) -> int:
@@ -166,7 +184,7 @@ class _Plan:
 
 
 class _StaticPlan(_Plan):
-    """A fully relation-free subformula, compiled once at plan-build time."""
+    """A subformula free of unbound relations, compiled once at plan-build time."""
 
     __slots__ = ("node",)
 
@@ -348,12 +366,12 @@ class _RelAppMaps(NamedTuple):
     rename_map: Optional[object]
 
 
-def _dynamic_nodes(formula: Formula, found: Set[int]) -> bool:
-    """Add the ids of ``formula``'s subformulas that apply a relation to
-    ``found``; True iff ``formula`` itself does."""
-    dynamic = isinstance(formula, RelApp)
+def _dynamic_nodes(formula: Formula, found: Set[int], bound: Mapping[str, int]) -> bool:
+    """Add the ids of ``formula``'s subformulas that apply a relation not in
+    ``bound`` to ``found``; True iff ``formula`` itself does."""
+    dynamic = isinstance(formula, RelApp) and formula.decl.name not in bound
     for child in formula.children():
-        dynamic = _dynamic_nodes(child, found) or dynamic
+        dynamic = _dynamic_nodes(child, found, bound) or dynamic
     if dynamic:
         found.add(id(formula))
     return dynamic
@@ -534,9 +552,12 @@ class SymbolicBackend:
             )
         self.context = context if context is not None else SymbolicContext(variables, order=order)
         self.manager = self.context.manager
-        # Compiled equation bodies (name -> (equation, plan)) plus hoisting
+        # Compiled equation bodies (name -> (equation, the relations the body
+        # applies, the edges bound to them or None, plan)) plus hoisting
         # statistics; see the module docstring on static-formula hoisting.
-        self._equation_plans: Dict[str, Tuple[Equation, _Plan]] = {}
+        self._equation_plans: Dict[
+            str, Tuple[Equation, Tuple[str, ...], Tuple[Optional[int], ...], _Plan]
+        ] = {}
         self.static_hoists = 0
         self.plan_memo_hits = 0
         self.plan_memo_misses = 0
@@ -561,49 +582,67 @@ class SymbolicBackend:
         """Interpretation equality (BDDs are canonical, so node equality)."""
         return left == right
 
-    def eval_equation(self, equation: Equation, interps: Mapping[str, int]) -> int:
+    def eval_equation(
+        self,
+        equation: Equation,
+        interps: Mapping[str, int],
+        bound: Mapping[str, int] = _UNBOUND,
+    ) -> int:
         """Evaluate the body of an equation under the given interpretations.
 
-        The body is compiled to a hoisted plan the first time it is seen;
+        The body is compiled to a hoisted plan the first time it is seen,
+        with the applications of the relations in ``bound`` (the input
+        edges fixed for the run) folded into its static skeleton;
         subsequent evaluations reuse the plan (and its interpretation-keyed
         memo), so iterations whose relevant relations did not change cost a
-        dictionary lookup.
+        dictionary lookup.  A call that binds different edges, or hands in
+        a rebuilt Equation, recompiles and releases the superseded plan.
         """
         name = equation.decl.name
         entry = self._equation_plans.get(name)
-        if entry is None or entry[0] is not equation:
-            if entry is not None:
-                # A caller handed us a rebuilt Equation for the same
-                # relation: release the superseded plan tree so its memos
-                # and protected skeletons do not accumulate forever.
-                self.release_plan(entry[1])
-            plan = self.compile_formula(equation.body)
-            self._equation_plans[name] = (equation, plan)
-        else:
-            plan = entry[1]
+        if entry is not None and entry[0] is equation:
+            binding = tuple(map(bound.get, entry[1]))
+            if binding == entry[2]:
+                return entry[3].eval(self, interps)
+        if entry is not None:
+            # Release the superseded plan tree so its memos, protected
+            # skeletons and bound edges do not accumulate forever.
+            self.release_plan(entry[3])
+        applied = tuple(sorted(relations_of(equation.body)))
+        plan = self.compile_formula(equation.body, bound)
+        self._equation_plans[name] = (
+            equation, applied, tuple(map(bound.get, applied)), plan
+        )
         return plan.eval(self, interps)
 
     # -- formula hoisting --------------------------------------------------
-    def compile_formula(self, formula: Formula) -> _Plan:
+    def compile_formula(self, formula: Formula, bound: Mapping[str, int] = _UNBOUND) -> _Plan:
         """Partition ``formula`` into a static BDD skeleton + dynamic residue.
 
-        Static edges baked into the returned plan are GC-protected and every
-        plan memo is registered for invalidation on collection.  One walk
-        first marks the subformulas that apply a relation.
+        ``bound`` maps input relations to interpretations that stay fixed
+        for the plan's lifetime; their applications join the skeleton.  The
+        caller must not evaluate the plan under other interpretations of
+        those relations.  Static edges baked into the returned plan, and
+        the bound edges it used, are GC-protected and every plan memo is
+        registered for invalidation on collection.  One walk first marks
+        the subformulas that apply an unbound relation.
         """
+        bound = {name: bound[name] for name in relations_of(formula) if name in bound}
         dynamic: Set[int] = set()
-        _dynamic_nodes(formula, dynamic)
-        return self._compile(formula, dynamic)
+        _dynamic_nodes(formula, dynamic, bound)
+        plan = self._compile(formula, dynamic, bound)
+        plan.bound_edges = tuple(self._protect(edge) for edge in bound.values())
+        return plan
 
-    def _compile(self, formula: Formula, dynamic: Set[int]) -> _Plan:
+    def _compile(self, formula: Formula, dynamic: Set[int], bound: Mapping[str, int]) -> _Plan:
         if id(formula) not in dynamic:
             self.static_hoists += 1
-            return self._register(_StaticPlan(self._protect(self.eval_formula(formula, {}))))
+            return self._register(_StaticPlan(self._protect(self.eval_formula(formula, bound))))
         mgr = self.manager
         if isinstance(formula, RelApp):
             return self._register(_RelAppPlan(formula.decl.name, self._rel_app_maps(formula)))
         if isinstance(formula, Not):
-            return self._register(_NotPlan(self._compile(formula.body, dynamic)))
+            return self._register(_NotPlan(self._compile(formula.body, dynamic, bound)))
         if isinstance(formula, (And, Or)):
             is_and = isinstance(formula, And)
             static_parts: List[Formula] = []
@@ -612,32 +651,32 @@ class SymbolicBackend:
                 (dynamic_parts if id(part) in dynamic else static_parts).append(part)
             if is_and:
                 static_node = mgr.conjoin(
-                    self.eval_formula(part, {}) for part in static_parts
+                    self.eval_formula(part, bound) for part in static_parts
                 )
             else:
                 static_node = mgr.disjoin(
-                    self.eval_formula(part, {}) for part in static_parts
+                    self.eval_formula(part, bound) for part in static_parts
                 )
             if static_parts:
                 self.static_hoists += 1
-            children = [self._compile(part, dynamic) for part in dynamic_parts]
+            children = [self._compile(part, dynamic, bound) for part in dynamic_parts]
             return self._register(_NaryPlan(self._protect(static_node), children, is_and))
         if isinstance(formula, Implies):
             return self._register(
                 _ImpliesPlan(
-                    self._compile(formula.antecedent, dynamic),
-                    self._compile(formula.consequent, dynamic),
+                    self._compile(formula.antecedent, dynamic, bound),
+                    self._compile(formula.consequent, dynamic, bound),
                 )
             )
         if isinstance(formula, Iff):
             return self._register(
                 _IffPlan(
-                    self._compile(formula.left, dynamic),
-                    self._compile(formula.right, dynamic),
+                    self._compile(formula.left, dynamic, bound),
+                    self._compile(formula.right, dynamic, bound),
                 )
             )
         if isinstance(formula, Exists):
-            child = self._compile(formula.body, dynamic)
+            child = self._compile(formula.body, dynamic, bound)
             constraint = mgr.conjoin(
                 self.context.domain_constraint(var) for var in formula.variables
             )
@@ -645,7 +684,7 @@ class SymbolicBackend:
             cube = mgr.quant_cube(self._bound_levels(formula))
             return self._register(_ExistsPlan(child, self._protect(constraint), cube))
         if isinstance(formula, Forall):
-            child = self._compile(formula.body, dynamic)
+            child = self._compile(formula.body, dynamic, bound)
             constraint = mgr.conjoin(
                 self.context.domain_constraint(var) for var in formula.variables
             )
@@ -675,8 +714,9 @@ class SymbolicBackend:
     def release_plan(self, plan: _Plan) -> None:
         """Undo registration/protection for a plan tree its owner dropped.
 
-        Owners are :meth:`eval_equation` (a superseded equation body) and
-        the witness extractor (its compiled clause bodies, on close).
+        Owners are :meth:`eval_equation` (a superseded equation body or
+        binding) and the witness extractor (its compiled formulas, on
+        close).
 
         Releasing is guarded twice: each plan node releases at most once
         (``released`` flag), and each deref is conditional on the tracked
@@ -694,7 +734,7 @@ class SymbolicBackend:
                 continue
             node.released = True
             self._plan_memos.pop(id(node.memo), None)
-            for edge in node.protected_edges():
+            for edge in node.protected_edges() + node.bound_edges:
                 count = self._protected.get(edge, 0)
                 if count <= 0:
                     continue

@@ -13,10 +13,11 @@ every picked state satisfies the domain constraints of its sort.
 
 The operator body, the initial-state formula and the three open clause
 bodies are compiled once with
-:meth:`~repro.fixedpoint.SymbolicBackend.compile_formula`, so every layer
-and clause evaluation reuses the hoisted static skeleton and the plans'
-interpretation-keyed memos; BDDs are canonical, so each result is the same
-edge a direct formula evaluation would build.
+:meth:`~repro.fixedpoint.SymbolicBackend.compile_formula`, binding the
+session's template relations, so every layer and clause evaluation reuses
+the hoisted static skeleton (the templates already restricted, renamed and
+conjoined) and the plans' interpretation-keyed memos; BDDs are canonical,
+so each result is the same edge a direct formula evaluation would build.
 
 ``F`` is monotone and the iteration starts from FALSE, so the layers ascend:
 ``L[k]`` is a subset of ``L[k+1]``.  Hence "layer ``k`` holds the pair" and
@@ -105,8 +106,12 @@ class WitnessExtractor:
         }
         # The existential variables whose witnesses each clause yields.
         self._picks = {_INTERNAL: (x,), _CALL: (x, y, z), _ENTRY: (x, y)}
+        # Every plan binds the templates, so their applications sit in the
+        # static skeletons and each layer or clause evaluation conjoins only
+        # SummaryEF (measured faster for the clause bodies too).
         self._plans = {
-            key: backend.compile_formula(formula) for key, formula in self._formulas.items()
+            key: backend.compile_formula(formula, bound=self.base_interps)
+            for key, formula in self._formulas.items()
         }
         # Bit levels of each state variable, keyed by its name: Var hashes
         # its sort recursively, so it is a slow dictionary key.

@@ -193,16 +193,17 @@ class TestKernelFootprint:
     def test_location_projections_rename_by_shift(self, algorithm):
         # The ``mod``/``pc`` parameters of Entry/Exit/Target share the bit
         # groups of the state copies' ``mod``/``pc`` fields, so projecting
-        # them onto ``u``/``v``/``z`` is a monotone shift.  What still falls
-        # back to ``ite`` is IntoCall's (x,y)->(y,u) and Return's w->v, once
-        # each per sweep of the rename cache (5 and 10 fallbacks here when
-        # the parameters sat in their own groups).
+        # them onto ``u``/``v``/``z`` is a monotone shift, and Return is
+        # declared over the ``(x, z, v)`` it is applied to.  Only IntoCall's
+        # (x,y)->(y,u) falls back to ``ite``, and the templates are bound
+        # into the compiled plans, so it does so once per query however
+        # often GC sweeps the rename cache.
         spec = DriverSpec(name="d3", handlers=3, flags=2, helpers=1, positive=False)
         program = make_driver(spec)
         result = run_sequential(program, resolve_target(program, spec.target), algorithm=algorithm)
         assert not result.reachable
         manager = result.stats["manager"]
-        assert manager["rename_fallback"] <= 2 * (1 + manager["gc"]["collections"])
+        assert manager["rename_fallback"] <= 1
 
     def test_run_frees_its_manager_without_cyclic_gc(self, monkeypatch):
         # A reference cycle through the manager (a recursive closure that
