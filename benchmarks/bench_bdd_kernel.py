@@ -258,7 +258,7 @@ def bench_count(bits: int = DEFAULT_BITS) -> KernelResult:
     (a large, heavily shared BDD — the summary-relation shape), sweeps the
     construction residues, then counts it and several derived functions
     over and over, full-support and restricted — the ``count_sat`` pattern
-    of summary-state reporting and the snapshot post-passes, each answered
+    of summary-state reporting and the session post-passes, each answered
     by one exact memoised recursion over the flat node vectors.
     """
     mgr = _make_manager(bits)

@@ -11,12 +11,6 @@ the chaos scenarios from ``repro.testing.faults`` layered on top:
 * a shed burst past the admission threshold (degradation-ladder fallback),
 * a graceful drain at the end (in-flight answered, workers stopped).
 
-When the pool runs with ``workers >= 1`` the daemon also publishes
-shared-memory snapshots of solved tables (disable with ``--no-snapshots``):
-rebuilt or evicted workers must re-answer from a snapshot attach instead of
-a cold re-solve, with identical verdicts, and the drain must leave no
-``repro-snap-*`` segment behind in ``/dev/shm``.
-
 The load is fully replayable: one ``--seed`` fixes the corpus, the Zipf
 draw and the burst schedule.  Every verdict the service produces is
 checked against the offline batch path (``run_batch``) — fault tolerance
@@ -46,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.algorithms import run_batch  # noqa: E402
 from repro.benchgen import random_program_source  # noqa: E402
 from repro.parallel import BatchQuery  # noqa: E402
-from repro.bdd import snapshot as bdd_snapshot  # noqa: E402
 from repro.service import AnalysisDaemon, DaemonConfig  # noqa: E402
 from repro.testing import FaultPlan  # noqa: E402
 
@@ -95,8 +88,6 @@ async def drive(args, corpus, schedule, expected) -> Dict[str, object]:
     sources = dict(corpus)
     hot_name = corpus[0][0]
     chaos = args.workers >= 1 and not args.no_chaos
-    snapshots = args.workers >= 1 and not args.no_snapshots
-    segments_before = set(bdd_snapshot.list_segments())
     latch_dir = tempfile.mkdtemp(prefix="repro-bench-latch-")
     plan = (
         FaultPlan(kill_query=hot_name, once_token=str(Path(latch_dir) / "kill"))
@@ -112,7 +103,6 @@ async def drive(args, corpus, schedule, expected) -> Dict[str, object]:
             breaker_threshold=10_000,  # the storm must not convict programs
             retry_backoff=0.01,
             fault_plan=plan,
-            snapshots=snapshots,
         )
     )
     await daemon.start()
@@ -124,7 +114,6 @@ async def drive(args, corpus, schedule, expected) -> Dict[str, object]:
         "retried": 0,
         "coalesced": 0,
         "timeouts": 0,
-        "snapshot_attached": 0,
     }
 
     def request(name: str, **fields) -> Dict[str, object]:
@@ -145,7 +134,6 @@ async def drive(args, corpus, schedule, expected) -> Dict[str, object]:
         events["warm"] += 1 if response.get("warm") else 0
         events["shed"] += 1 if response.get("shed") else 0
         events["coalesced"] += 1 if response.get("coalesced") else 0
-        events["snapshot_attached"] += 1 if response.get("snapshot_attached") else 0
         if response.get("status") == "retried":
             events["retried"] += 1
 
@@ -211,7 +199,6 @@ async def drive(args, corpus, schedule, expected) -> Dict[str, object]:
         await daemon.shutdown()
 
     late = await daemon.handle_request(request(hot_name, id="late"))
-    leaked = sorted(set(bdd_snapshot.list_segments()) - segments_before)
     return {
         "mismatches": mismatches,
         "events": events,
@@ -224,8 +211,6 @@ async def drive(args, corpus, schedule, expected) -> Dict[str, object]:
             "workers_alive": daemon._pool.alive_count(),
         },
         "chaos": chaos,
-        "snapshots": snapshots,
-        "leaked_segments": leaked,
     }
 
 
@@ -249,18 +234,6 @@ def verify(report: Dict[str, object]) -> List[str]:
         problems.append("post-shutdown request was not answered with 'draining'")
     if report["drained"]["workers_alive"] != 0:
         problems.append("workers survived the drain")
-    if report["snapshots"]:
-        if counters.get("snapshots_published", 0) < 1:
-            problems.append("snapshots enabled but nothing was ever published")
-        if counters.get("snapshot_attaches", 0) < 1:
-            problems.append(
-                "no query was ever served from a snapshot attach "
-                "(eviction/rebuild should have forced one)"
-            )
-    if report["leaked_segments"]:
-        problems.append(
-            f"drain leaked shared-memory segments: {report['leaked_segments']}"
-        )
     return problems
 
 
@@ -273,11 +246,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="replay seed")
     parser.add_argument("--workers", type=int, default=2, help="pool workers (0 = inline)")
     parser.add_argument("--no-chaos", action="store_true", help="skip fault injection")
-    parser.add_argument(
-        "--no-snapshots",
-        action="store_true",
-        help="disable the shared-memory snapshot catalog",
-    )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     parser.add_argument(
         "--smoke", action="store_true", help="small fast preset for CI (overrides sizes)"
@@ -310,13 +278,6 @@ def main(argv=None) -> int:
             f"restarts={report['restarts']} evictions={counters['evictions']} "
             f"evicted_nodes={counters['evicted_nodes']}"
         )
-        if report["snapshots"]:
-            print(
-                f"  snapshots: published={counters.get('snapshots_published', 0)} "
-                f"attaches={counters.get('snapshot_attaches', 0)} "
-                f"served={report['events']['snapshot_attached']} "
-                f"leaked={len(report['leaked_segments'])}"
-            )
         print(f"  statuses={report['statuses']}")
         print(f"  drain: late={report['drained']['late_status']} "
               f"alive={report['drained']['workers_alive']}")

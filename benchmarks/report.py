@@ -18,7 +18,6 @@ Usage::
     python benchmarks/report.py session-smoke      # CI: per-shard session reuse
     python benchmarks/report.py faults             # limits-armed overhead table
     python benchmarks/report.py faults-smoke       # CI: worker-kill retry smoke
-    python benchmarks/report.py snapshot-smoke     # CI: copy-free attach, no leaked segments
     python benchmarks/report.py optimize           # -O0 vs -O2 pre-analysis table
     python benchmarks/report.py optimize-smoke     # CI: -O2 differential gate
     python benchmarks/report.py witness-smoke      # CI: replay-validated witness traces
@@ -722,63 +721,6 @@ def kernel(bits: int = 14) -> None:
         )
 
 
-def _vm_rss_bytes() -> int:
-    """Resident set size of this process, from /proc (Linux CI runners)."""
-    with open("/proc/self/status") as handle:
-        for line in handle:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1]) * 1024
-    raise RuntimeError("VmRSS not found in /proc/self/status")
-
-
-def snapshot_smoke() -> None:
-    """CI smoke for shared-memory snapshots: copy-free attach, no leaks.
-
-    Freezing a solved table and attaching a view + overlay must grow this
-    process's RSS by far less than the segment size (the mapping is lazy;
-    nothing is deserialised), must answer the same ``count_sat`` as the
-    live manager, and must leave no ``repro-snap-*`` segment behind.
-    """
-    import os
-
-    from repro.bdd import BddManager, SnapshotOverlayManager, SnapshotView
-    from repro.bdd import snapshot as bdd_snapshot
-
-    from bench_bdd_kernel import _hidden_weighted_bit, _make_manager
-
-    before_segments = set(bdd_snapshot.list_segments())
-
-    # -- copy-free attach with a bounded RSS delta.
-    mgr = _make_manager(10)
-    f = mgr.ref(_hidden_weighted_bit(mgr, list(mgr.var_names)))
-    mgr.collect_garbage()
-    expected_count = mgr.count_sat(f)
-    name = bdd_snapshot.freeze(mgr)
-    try:
-        segment_bytes = os.path.getsize(f"/dev/shm/{name}")
-        rss_before = _vm_rss_bytes()
-        view = SnapshotView(name)
-        overlay = SnapshotOverlayManager(view)
-        rss_delta = _vm_rss_bytes() - rss_before
-        budget = max(segment_bytes // 4, 256 * 1024)
-        assert rss_delta < budget, (
-            f"attach copied the table: RSS grew {rss_delta} bytes against a "
-            f"{segment_bytes}-byte segment (budget {budget})"
-        )
-        assert overlay.count_sat(f) == expected_count, "snapshot count diverged"
-        overlay.detach()
-    finally:
-        bdd_snapshot.unlink(name)
-    print(
-        f"snapshot smoke: attach ok ({segment_bytes} B segment, "
-        f"RSS delta {rss_delta} B, count_sat identical)"
-    )
-
-    leaked = set(bdd_snapshot.list_segments()) - before_segments
-    assert not leaked, f"leaked segments: {sorted(leaked)}"
-    print("snapshot smoke OK: copy-free attach, no leaked segments")
-
-
 def _optimize_corpus():
     """The full benchgen corpus as (name, program, target, expected) rows.
 
@@ -1283,7 +1225,6 @@ def main(argv: List[str] | None = None) -> int:
             "session-smoke",
             "faults",
             "faults-smoke",
-            "snapshot-smoke",
             "optimize",
             "optimize-smoke",
             "witness-smoke",
@@ -1339,8 +1280,6 @@ def main(argv: List[str] | None = None) -> int:
         print()
     if args.what in ("kernel", "all"):
         kernel(bits=args.kernel_bits)
-    if args.what == "snapshot-smoke":
-        snapshot_smoke()
     if args.what in ("optimize", "all"):
         optimize_table()
         if args.what == "all":

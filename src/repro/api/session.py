@@ -58,7 +58,6 @@ manager; after a sweep the manager is at its empty baseline
 
 from __future__ import annotations
 
-import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -69,8 +68,7 @@ from ..algorithms.engine import algorithm_builder
 from ..algorithms.result import ReachabilityResult
 from ..analysis.passes import PassReport, normalise_slice_targets
 from ..analysis.passes import optimize as optimize_program
-from ..bdd import BddError, BddManager
-from ..bdd import snapshot as bdd_snapshot
+from ..bdd import BddError
 from ..boolprog import (
     ConcurrentProgram,
     Program,
@@ -90,18 +88,10 @@ from ..frontends.getafix import TargetSpec, resolve_target_locations
 from ..limits import DEGRADATION_LADDER, MAX_ITERATIONS, ResourceLimits
 from ..testing import faults
 
-__all__ = ["AnalysisSession", "SessionSnapshot", "SolveInfo"]
+__all__ = ["AnalysisSession", "SolveInfo"]
 
 #: The target signature type: sorted, duplicate-free (module, pc) pairs.
 TargetSignature = Tuple[Tuple[int, int], ...]
-
-
-def _picklable(value: object) -> bool:
-    try:
-        pickle.dumps(value)
-        return True
-    except Exception:
-        return False
 
 
 @dataclass
@@ -133,56 +123,14 @@ class _Retained:
     summary_states: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class SessionSnapshot:
-    """Picklable handle to a frozen solved session (shared-memory segment).
-
-    Produced by :meth:`AnalysisSession.freeze` after a ``solve()``; consumed
-    by :meth:`AnalysisSession.from_snapshot`, which attaches the segment
-    copy-free and serves query post-passes against the frozen fixed point.
-    The handle itself is plain data (segment name, program, retained
-    interpretation edges, solve counters) and crosses process boundaries
-    freely; the multi-megabyte node table stays in the segment.
-
-    Ownership: the process that accepts the handle (shard driver, service
-    daemon) is responsible for :meth:`unlink`; the freezer calls
-    :meth:`disown` after handing it off (see :mod:`repro.bdd.snapshot`).
-    """
-
-    segment: str
-    program: Union[str, Program]
-    algorithm: str
-    interps: Dict[str, int]
-    iterations: int
-    equation_evaluations: int
-    elapsed_seconds: float
-    summary_nodes: Optional[int] = None
-    summary_states: Optional[int] = None
-
-    def disown(self) -> None:
-        """Drop the freezer's resource-tracker claim (after handing off)."""
-        bdd_snapshot.disown(self.segment)
-
-    def unlink(self) -> bool:
-        """Destroy the segment (owner's cleanup path; idempotent)."""
-        return bdd_snapshot.unlink(self.segment)
-
-
 class _AlgorithmState:
     """Everything the session compiled for one algorithm (private manager)."""
 
-    def __init__(
-        self,
-        session: "AnalysisSession",
-        algorithm: str,
-        manager: Optional[BddManager] = None,
-    ) -> None:
+    def __init__(self, session: "AnalysisSession", algorithm: str) -> None:
         self.algorithm = algorithm
         started = time.perf_counter()
         self.spec = algorithm_builder(algorithm)(session.encoder)
-        self.backend = SymbolicBackend(
-            self.spec.system, order=self.spec.order, manager=manager
-        )
+        self.backend = SymbolicBackend(self.spec.system, order=self.spec.order)
         if session.limits is not None:
             # The node budget is a property of the state's private manager
             # and persists across queries; the deadline is armed per query
@@ -280,7 +228,7 @@ class AnalysisSession:
         Static pre-analysis level (0, 1 or 2; see
         :func:`repro.analysis.optimize`).  The pass pipeline runs ONCE, at
         construction, and every compiled artifact — CFG, encoder, template
-        BDDs, retained fixed points, frozen snapshots — is built from the
+        BDDs, retained fixed points — is built from the
         optimized program.  Level 2 renumbers program counters, so numeric
         ``(module, pc)`` targets are rejected once the report records
         structural changes; string specs (``"error"``, ``"proc:label"``)
@@ -359,9 +307,6 @@ class AnalysisSession:
         )
         self.cfg = self.encoder.cfg
         self._states: Dict[str, _AlgorithmState] = {}
-        # Snapshot views this session attached (from_snapshot); detached —
-        # never unlinked — on close.
-        self._attached_views: List[bdd_snapshot.SnapshotView] = []
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------
@@ -386,9 +331,6 @@ class AnalysisSession:
         for state in self._states.values():
             state.close()
         self._states.clear()
-        for view in self._attached_views:
-            view.close()
-        self._attached_views.clear()
         self._closed = True
 
     def _state(self, algorithm: Optional[str]) -> _AlgorithmState:
@@ -714,98 +656,6 @@ class AnalysisSession:
         if trace is None:
             return None
         return validate_trace(self.cfg, trace, locations)
-
-    # -- snapshots ---------------------------------------------------------
-    def freeze(self, algorithm: Optional[str] = None) -> SessionSnapshot:
-        """Publish the retained solved fixed point as a shared-memory segment.
-
-        Requires a prior :meth:`solve` (the snapshot is the *solved* table;
-        the segment is a copy of its flat node vectors) and a session that
-        is not itself attached to a snapshot.  The table is GC-swept first
-        so the frozen image is compact — retained interpretations, templates
-        and cached targets are external roots and survive — then copied out
-        with the frozen unique table that makes overlay allocation canonical.
-
-        The freezing session keeps working normally afterwards (the segment
-        is an immutable copy).  The caller owns the returned handle's
-        segment until it hands the handle to a driver/daemon and calls
-        :meth:`SessionSnapshot.disown`.
-        """
-        state = self._state(algorithm)
-        if state.solved is None:
-            raise RuntimeError("freeze() requires a solved session; call solve() first")
-        if self.optimize_report is not None and self.optimize_report.sliced_for:
-            # The snapshot handle carries no slice pedigree; an attaching
-            # session would answer arbitrary targets against a program that
-            # only preserves the sliced ones.
-            raise RuntimeError("freeze() is not supported for sliced sessions")
-        manager = state.backend.manager
-        manager.collect_garbage()
-        name = bdd_snapshot.freeze(manager)
-        program = self.program if _picklable(self.program) else None
-        if program is None:
-            raise RuntimeError("freeze() requires a picklable program")
-        return SessionSnapshot(
-            segment=name,
-            program=program,
-            algorithm=state.algorithm,
-            interps=dict(state.solved.interps),
-            iterations=state.solved.iterations,
-            equation_evaluations=state.solved.equation_evaluations,
-            elapsed_seconds=state.solved.elapsed_seconds,
-            summary_nodes=state.solved.summary_nodes,
-            summary_states=state.solved.summary_states,
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: SessionSnapshot,
-        *,
-        limits: Optional[ResourceLimits] = None,
-    ) -> "AnalysisSession":
-        """Attach to a frozen solved table and serve query post-passes.
-
-        The segment is mapped copy-free: the returned session's algorithm
-        state evaluates in a :class:`~repro.bdd.snapshot
-        .SnapshotOverlayManager` whose base prefix *is* the shared image,
-        and ``state.solved`` is pre-filled with the frozen interpretation
-        edges — every :meth:`check`/:meth:`check_all` is a post-pass, no
-        fixed-point iteration runs, and re-encoded templates/targets resolve
-        to frozen nodes through the overlay's unique probe.  Validation is
-        skipped (the freezer validated).  Node budgets govern only overlay
-        allocations — the frozen base is not charged to this session.
-
-        The session ``close()`` detaches the view; it never unlinks the
-        segment (that is the handle owner's job).
-        """
-        view = bdd_snapshot.SnapshotView(snapshot.segment)
-        try:
-            overlay = bdd_snapshot.SnapshotOverlayManager(view)
-            session = cls(
-                snapshot.program,
-                default_algorithm=snapshot.algorithm,
-                validate=False,
-                limits=limits,
-            )
-            state = _AlgorithmState(session, snapshot.algorithm, manager=overlay)
-            for edge in snapshot.interps.values():
-                state.backend.retain(edge)
-            state.solved = _Retained(
-                interps=dict(snapshot.interps),
-                iterations=snapshot.iterations,
-                equation_evaluations=snapshot.equation_evaluations,
-                elapsed_seconds=snapshot.elapsed_seconds,
-                summary_nodes=snapshot.summary_nodes,
-                summary_states=snapshot.summary_states,
-            )
-            state.solve_count += 1
-            session._states[snapshot.algorithm] = state
-            session._attached_views.append(view)
-            return session
-        except BaseException:
-            view.close()
-            raise
 
     # -- bookkeeping ------------------------------------------------------
     def live_nodes(self) -> int:

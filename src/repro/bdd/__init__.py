@@ -13,22 +13,14 @@ Public API
     including ``ref``/``deref`` external-root tracking, ``collect_garbage``
     / ``maybe_collect`` and GC hooks.  Its one node store is a
     struct-of-arrays layout: flat int64 node vectors, packed integer cache
-    keys and vectorised GC/counting.
-:mod:`repro.bdd.snapshot`
-    Read-only shared-memory snapshots of solved node tables:
-    :func:`freeze` publishes a segment, :class:`SnapshotView` attaches
-    copy-free, :class:`SnapshotOverlayManager` runs query post-passes over
-    the frozen image.
+    keys and vectorised GC/counting.  Every session, shard and service
+    worker evaluates in a private manager of its own.
 """
 
 from .manager import BddError, BddManager, QuantCube
-from .snapshot import SnapshotOverlayManager, SnapshotView, freeze
 
 __all__ = [
     "BddError",
     "BddManager",
     "QuantCube",
-    "SnapshotOverlayManager",
-    "SnapshotView",
-    "freeze",
 ]

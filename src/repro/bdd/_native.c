@@ -11,7 +11,7 @@
  * the vectors are full, through BddManager._grow, once per growth step.
  * A native call therefore leaves the manager in exactly the state the
  * Python kernel would: the same edges, node table and counters, so GC,
- * snapshots, the sanitizer and stats() need not know which kernel ran.
+ * the sanitizer and stats() need not know which kernel ran.
  *
  * A manager that runs this loop keeps its unique table and its and,
  * exists, and_exists, rename and restrict caches in Table, the exact

@@ -49,8 +49,6 @@ Node store
   quantifier cubes and rename/restrict maps are interned to per-manager
   integer ``uid``\\ s so they pack too.  Which container holds them depends
   on the kernel (see "Native kernel" below).
-* The flat layout is what makes read-only shared-memory snapshots of solved
-  tables possible (:mod:`repro.bdd.snapshot`).
 
 Packed-key capacity bounds (per manager): at most :data:`MAX_NODE_INDEX`
 node slots (edges fit 24 bits) and :data:`MAX_LEVEL` variables (levels fit
@@ -98,24 +96,23 @@ A manager that runs the native loop keeps its unique table and its
 ``_native.Table``, an exact open-addressing hash table from packed keys
 (any width below 2**111) to int64 values, whose slots the loop reads and
 writes without a ``PyLong`` or a dict probe per step.  To Python it is a
-mapping with the dict operations GC, :mod:`~repro.bdd.snapshot` and the
-sanitizer use, equal to a dict with the same entries, and its ``clear()``
-frees its slots as ``dict.clear()`` does.  The loop walks a key's probe
-run once per access: a missed lookup remembers the free slot that ended
-its walk, and the insert after it (a new node in ``_mk``, a result after
-the recursion) writes there if the table kept its size and the slot is
-still free, and looks the key up again otherwise.  That is sound because a
+mapping with the dict operations GC and the sanitizer use, equal to a
+dict with the same entries, and its ``clear()`` frees its slots as
+``dict.clear()`` does.  The loop walks a key's probe run once per access:
+a missed lookup remembers the free slot that ended its walk, and the
+insert after it (a new node in ``_mk``, a result after the recursion)
+writes there if the table kept its size and the slot is still free, and
+looks the key up again otherwise.  That is sound because a
 table only receives inserts during a native call (GC and deletion run at
 safe points), so every table's layout equals a fresh insert's; its
 ``validate()`` checks the probe runs for the sanitizer.  The Python kernel
-keeps plain dicts, as do the ``xor``/``ite`` caches and the snapshot
-overlay.
+keeps plain dicts, as do the ``xor``/``ite`` caches.
 The module is compiled at first import (:func:`_load_native`) and cached
 in ``__pycache__/``; when it cannot be built or loaded the Python methods
 run instead, and they stay the oracle the native loop is tested against
 (``tests/test_bdd_native.py``).  ``stats()["kernel"]`` says which kernel a
 manager uses.  ``ite``, ``xor``, counting, cube picking and GC
-are Python only, as is the snapshot overlay.
+are Python only.
 
 Recursion depth
 ---------------
@@ -129,7 +126,7 @@ recurses on the C stack, under 100 bytes a frame.
 Every operation family maintains hit/miss counters; :meth:`BddManager.stats`
 exposes them together with cache sizes, live/peak node counts and GC
 counters.  :meth:`clear_caches` resets caches, statistics *and* the GC
-bookkeeping in one step so per-run snapshots do not leak across runs.
+bookkeeping in one step so per-run statistics do not leak across runs.
 """
 
 from __future__ import annotations
@@ -258,9 +255,6 @@ class BddManager:
 
     #: Node-store layout name, reported by :meth:`stats`.
     STORE = "array"
-    #: Whether the native kernel can run on this class's node store (it
-    #: needs the flat vectors; see "Native kernel" above).
-    _NATIVE_STORE = True
 
     #: Sentinel level used for the terminal node; greater than any variable.
     _TERMINAL_LEVEL = 1 << 60
@@ -279,7 +273,7 @@ class BddManager:
         self._debug_checks = bool(debug_checks)
         # The compiled apply loop (see "Native kernel" above), or None to run
         # the Python recursions.
-        self._native = _native if self._NATIVE_STORE else None
+        self._native = _native
         # The native loop keeps the tables it works on in its own exact hash
         # table; the Python kernel keeps plain dicts.
         table = dict if self._native is None else self._native.Table
@@ -466,18 +460,16 @@ class BddManager:
     def _grow(self) -> None:
         """Extend the node vectors by spare slots: the store's one growth step.
 
-        The flat vectors :meth:`_collectable` returns double, by at least
-        1024 slots and up to the packed-key bound.  Spare slots are
-        free-level and childless, sit at or above ``_top`` and are never on
-        the free list.
+        The vectors double, by at least 1024 slots and up to the packed-key
+        bound.  Spare slots are free-level and childless, sit at or above
+        ``_top`` and are never on the free list.
         """
-        base, level, lo, hi = self._collectable()
-        size = len(level)
-        extra = min(max(size, 1024), MAX_NODE_INDEX + 1 - base - size)
+        size = len(self._level)
+        extra = min(max(size, 1024), MAX_NODE_INDEX + 1 - size)
         zeros = array("q", bytes(8 * extra))
-        level.extend(array("q", [self._FREE_LEVEL]) * extra)
-        lo.extend(zeros)
-        hi.extend(zeros)
+        self._level.extend(array("q", [self._FREE_LEVEL]) * extra)
+        self._lo.extend(zeros)
+        self._hi.extend(zeros)
 
     def __len__(self) -> int:
         """Number of *live* nodes owned by this manager (incl. the terminal)."""
@@ -1153,8 +1145,8 @@ class BddManager:
         order (preferring ``False`` at every level, which the prefer-low walk
         realises on signed edges).  Variables in ``variables`` but outside the
         support are filled with ``False``.  Because the walk only consults the
-        canonical ``(level, lo, hi)`` node data, the picked cube is identical
-        on a manager and on a snapshot overlay of its frozen table.
+        canonical ``(level, lo, hi)`` node data, the picked cube depends on
+        the function alone, never on slot numbering.
 
         When ``variables`` is omitted the cube is total over the support.
         Returns ``None`` iff ``f`` is unsatisfiable.
@@ -1427,21 +1419,18 @@ class BddManager:
         (their keys and values may mention dead edges) and GC hooks run so
         consumers drop node-keyed caches of their own.
         """
-        base, level, lo, hi = self._collectable()
-        # Mark in the flat arrays' own coordinates: slot ``base + i`` is
-        # ``level[i]``.  Slots below ``base`` are never collected, and those
-        # from ``_top`` on are spare.
-        used = self._top - base
+        level, lo, hi = self._level, self._lo, self._hi
+        # Slots from ``_top`` on are spare.
+        used = self._top
         marked = bytearray(used)
-        if base == 0:
-            marked[0] = 1  # the terminal
+        marked[0] = 1  # the terminal
         live: List[int] = []
         stack: List[int] = list(self._extref)
         for edge in roots:
             stack.append(edge >> 1)
         while stack:
-            i = stack.pop() - base
-            if i < 0 or marked[i]:
+            i = stack.pop()
+            if marked[i]:
                 continue
             marked[i] = 1
             live.append(i)
@@ -1455,7 +1444,7 @@ class BddManager:
             rebuild = reclaimed * 2 >= len(unique)
             if rebuild:
                 self._unique = type(unique)(
-                    ((level[i] << LEVEL_SHIFT) | (lo[i] << EDGE_BITS) | hi[i], base + i)
+                    ((level[i] << LEVEL_SHIFT) | (lo[i] << EDGE_BITS) | hi[i], i)
                     for i in live
                 )
             # Every run of unmarked slots is dead (or already free), and is
@@ -1483,12 +1472,12 @@ class BddManager:
                 lo[start:stop] = zeros
                 hi[start:stop] = zeros
                 if stop < end:
-                    free.extend(range(base + start, base + stop))
+                    free.extend(range(start, stop))
                 start = marked.find(0, stop)
             # Descending, so `pop()` hands out the lowest slot first.
             free.reverse()
             self._free = free
-            self._top = base + end
+            self._top = end
             self._live -= reclaimed
             self._gc_reclaimed += reclaimed
             self._drop_op_caches()
@@ -1497,15 +1486,6 @@ class BddManager:
         if self._debug_checks:
             self._debug_validate()
         return reclaimed
-
-    def _collectable(self) -> Tuple[int, array, array, array]:
-        """``(base, level, lo, hi)``: flat vectors holding slots ``base`` onward.
-
-        :meth:`collect_garbage` sweeps exactly these slots (the terminal
-        excepted).  A snapshot overlay returns its private tail here, so
-        its frozen base is never marked, written or freed.
-        """
-        return 0, self._level, self._lo, self._hi
 
     def maybe_collect(self, roots: Iterable[int] = ()) -> bool:
         """Collect at a safe point if a growth trigger fired; True if collected.
@@ -1608,13 +1588,10 @@ class BddManager:
         per-node structural invariants (regular then-edge, reduction, level
         order, live children), external-reference validity, and
         operation-cache edge liveness.
-
-        Only the slots :meth:`_collectable` returns are walked: a snapshot
-        overlay's frozen base was validated by its freezer, and its unique
-        table may also hold cached hits on base nodes.
         """
-        # Shape and spare slots, in the flat vectors' own coordinates.
-        base, level, lo, hi = self._collectable()
+        level = self._level
+        lo = self._lo
+        hi = self._hi
         size = len(level)
         if not (len(lo) == size and len(hi) == size):
             raise BddError(
@@ -1622,33 +1599,26 @@ class BddManager:
                 f"(level={size}, lo={len(lo)}, hi={len(hi)})"
             )
         capacity = self._top
-        used = capacity - base
-        if not 0 <= used <= size:
+        if not 0 <= capacity <= size:
             raise BddError(
-                f"sanitizer: _top {capacity} is past the node vectors ({base + size} slots)"
+                f"sanitizer: _top {capacity} is past the node vectors ({size} slots)"
             )
         if max(self._free, default=0) >= capacity:
             raise BddError(f"sanitizer: a spare slot past _top {capacity} is on the free list")
-        spare = size - used
+        spare = size - capacity
         if (
-            level[used:] != array("q", [self._FREE_LEVEL]) * spare
-            or lo[used:].count(0) != spare
-            or hi[used:].count(0) != spare
+            level[capacity:] != array("q", [self._FREE_LEVEL]) * spare
+            or lo[capacity:].count(0) != spare
+            or hi[capacity:].count(0) != spare
         ):
             raise BddError(
                 f"sanitizer: a spare slot past _top {capacity} has a level or children"
             )
-        # The rest by slot index, from the first slot this manager owns.
-        first = max(base, 1)
-        scope = "overlay " if base else ""
-        level = self._level
-        lo = self._lo
-        hi = self._hi
         if level[0] != self._TERMINAL_LEVEL or lo[0] or hi[0]:
             raise BddError("sanitizer: terminal slot 0 was overwritten")
         free_level = self._FREE_LEVEL
         free_slots = set()
-        for index in range(first, capacity):
+        for index in range(1, capacity):
             if level[index] == free_level:
                 if lo[index] or hi[index]:
                     raise BddError(
@@ -1656,21 +1626,20 @@ class BddManager:
                     )
                 free_slots.add(index)
         if len(self._free) != len(set(self._free)):
-            raise BddError(f"sanitizer: duplicate slots on the {scope}free list")
+            raise BddError("sanitizer: duplicate slots on the free list")
         if set(self._free) != free_slots:
             raise BddError(
-                f"sanitizer: {scope}free list does not match the free-marked "
+                "sanitizer: free list does not match the free-marked "
                 f"slots (listed={len(self._free)}, marked={len(free_slots)})"
             )
-        # The terminal counts; an overlay's frozen base does not.
-        live = 1 + capacity - first - len(free_slots)
+        # Slot 0, the terminal, counts as live.
+        live = capacity - len(free_slots)
         if live != self._live:
             raise BddError(
                 f"sanitizer: live counter {self._live} != {live} non-free slots"
             )
         # Each entry's key is its node's key, so the entries are distinct
-        # nodes, and counting those at or past `first` checks completeness.
-        filed = 0
+        # nodes, and counting them checks completeness.
         for key, index in self._unique.items():
             if not 0 < index < capacity or level[index] == free_level:
                 raise BddError(
@@ -1680,7 +1649,7 @@ class BddManager:
                 raise BddError(
                     f"sanitizer: unique key {key!r} does not match node {index}"
                 )
-            filed += index >= first
+        filed = len(self._unique)
         if filed != live - 1:
             raise BddError(
                 f"sanitizer: unique table holds {filed} entries "
@@ -1700,7 +1669,7 @@ class BddManager:
                 except ValueError as error:
                     raise BddError(f"sanitizer: {name} table: {error}") from None
         num_levels = len(self._var_names)
-        for index in range(first, capacity):
+        for index in range(1, capacity):
             node_level = level[index]
             if node_level == free_level:
                 continue

@@ -490,7 +490,7 @@ class SymbolicContext:
         context between runs should call this method instead so the two stay
         in sync.  Cached domain constraints are dereferenced (they become
         collectable) and the manager also resets its statistics and GC
-        bookkeeping, so snapshots taken after a clear describe a fresh run.
+        bookkeeping, so statistics taken after a clear describe a fresh run.
         """
         for node in self._domain_cache.values():
             self.manager.deref(node)
@@ -511,11 +511,6 @@ class SymbolicBackend:
         relations) beyond those appearing in the equations.
     order:
         Optional explicit bit order; defaults to :func:`default_bit_order`.
-    manager:
-        Optional pre-built :class:`BddManager` to evaluate in (for example a
-        snapshot overlay attached to a frozen solved table); its existing
-        variable order is adopted as the bit order.  Mutually exclusive with
-        ``order`` and ``context``.
     """
 
     def __init__(
@@ -524,7 +519,6 @@ class SymbolicBackend:
         extra_variables: Sequence[Var] = (),
         order: Optional[Sequence[str]] = None,
         context: Optional[SymbolicContext] = None,
-        manager: Optional[BddManager] = None,
     ) -> None:
         self.system = system
         variables: List[Var] = []
@@ -534,22 +528,6 @@ class SymbolicBackend:
         for decl in system.inputs.values():
             variables.extend(decl.param_vars())
         variables.extend(extra_variables)
-        if manager is not None:
-            if context is not None or order is not None:
-                raise ValueError("manager is mutually exclusive with order/context")
-            # An adopted manager (snapshot overlay, shared context) may own
-            # levels beyond this system's declared bits — e.g. lazily
-            # allocated nondet choice bits from a previous encode.  Those
-            # levels stay valid in the manager; the context order only maps
-            # the bits this system declares.
-            known_bits = {
-                bit for var in variables for bit in var.bit_names()
-            }
-            context = SymbolicContext(
-                variables,
-                order=[name for name in manager.var_names if name in known_bits],
-                manager=manager,
-            )
         self.context = context if context is not None else SymbolicContext(variables, order=order)
         self.manager = self.context.manager
         # Compiled equation bodies (name -> (equation, the relations the body

@@ -69,12 +69,6 @@ class DaemonConfig:
     retry_backoff: float = 0.05
     start_method: Optional[str] = None
     fault_plan: Optional[object] = None
-    #: Maintain a shared-memory snapshot catalog of solved tables: workers
-    #: publish after their first solve per (program, algorithm), and a
-    #: rebuilt worker (post-crash) or re-opened session attaches copy-free
-    #: instead of re-solving.  The daemon owns the segments and unlinks
-    #: them on replacement and at shutdown.
-    snapshots: bool = False
 
     def __post_init__(self) -> None:
         """The one validation of the daemon's settings, for every front end.
@@ -148,11 +142,6 @@ class AnalysisDaemon:
         self._inflight: Dict[tuple, "asyncio.Future[QueryOutcome]"] = {}
         self._request_counter = 0
         self._started_at = time.monotonic()
-        #: (program_hash, algorithm) -> SessionSnapshot.  The daemon owns
-        #: every catalogued segment; worker death does not invalidate an
-        #: entry (that is the point), unlinking happens on replacement and
-        #: in :meth:`shutdown` after the workers stopped.
-        self._snapshots: Dict[tuple, object] = {}
         self.counters: Dict[str, int] = {
             "requests": 0,
             "answered": 0,
@@ -167,8 +156,6 @@ class AnalysisDaemon:
             "retried": 0,
             "gc_collections": 0,
             "draining_rejections": 0,
-            "snapshots_published": 0,
-            "snapshot_attaches": 0,
         }
         self.status_counts: Dict[str, int] = {}
 
@@ -188,15 +175,6 @@ class AnalysisDaemon:
             while self._pending > 0 and time.monotonic() < deadline:
                 await asyncio.sleep(0.01)
         await self._pool.stop()
-        # Workers are gone (their views detached with them); destroy every
-        # catalogued segment.  unlink is idempotent, so a segment a dying
-        # worker's resource tracker already reaped is not an error.
-        for snapshot in self._snapshots.values():
-            try:
-                snapshot.unlink()
-            except Exception:  # noqa: BLE001 — drain must not fail on cleanup
-                pass
-        self._snapshots.clear()
         self._drained.set()
 
     @property
@@ -327,16 +305,6 @@ class AnalysisDaemon:
                 shed = True
                 self.counters["shed_ladder"] += 1
 
-        if self.config.snapshots and not job.concurrent:
-            # Catalog hit: ship the frozen solved table with the job so the
-            # worker (fresh, rebuilt after a crash, or post-eviction)
-            # attaches copy-free instead of re-solving.  Miss: ask the
-            # worker to publish once it has solved.
-            catalogued = self._snapshots.get((job.program_hash, job.algorithm))
-            job = replace(
-                job, snapshot=catalogued, publish_snapshot=catalogued is None
-            )
-
         key = job.coalesce_key()
         existing = self._inflight.get(key)
         if existing is not None:
@@ -390,18 +358,6 @@ class AnalysisDaemon:
             int(gc.get("collections", 0) or 0),
         )
         self.counters["gc_collections"] += delta
-        if outcome.snapshot is not None:
-            catalog_key = (job.program_hash, outcome.snapshot.algorithm)
-            previous = self._snapshots.get(catalog_key)
-            self._snapshots[catalog_key] = outcome.snapshot
-            self.counters["snapshots_published"] += 1
-            if previous is not None:
-                try:
-                    previous.unlink()
-                except Exception:  # noqa: BLE001 — replacement must not fail
-                    pass
-        if outcome.snapshot_attached:
-            self.counters["snapshot_attaches"] += 1
         if outcome.ok:
             if outcome.warm:
                 self.counters["warm_queries"] += 1
@@ -449,8 +405,6 @@ class AnalysisDaemon:
             response["coalesced"] = True
         if outcome.warm:
             response["warm"] = True
-        if outcome.snapshot_attached:
-            response["snapshot_attached"] = True
         if outcome.retries:
             response["retries"] = outcome.retries
         if result is not None and result.witness is not None:
@@ -496,14 +450,6 @@ class AnalysisDaemon:
                 "open": [h[:12] for h in self.breaker.open_hashes()],
             },
             "pool": self.pool_index.snapshot(),
-            "snapshots": {
-                "enabled": self.config.snapshots,
-                "catalog": len(self._snapshots),
-                "segments": [
-                    getattr(snapshot, "segment", "?")
-                    for snapshot in self._snapshots.values()
-                ],
-            },
             "workers": self._pool.worker_states(),
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
             "draining": self._draining,

@@ -88,18 +88,10 @@ class QueryJob:
     limits: Optional[ResourceLimits] = None
     #: Static pre-analysis level (0–2, :mod:`repro.analysis`) the pooled
     #: session compiles at.  Baked into ``program_hash`` (an ``:O<level>``
-    #: suffix) so pool, coalescer, breaker and snapshot catalog never mix
-    #: sessions built from differently-optimized programs.  Pooled sessions
-    #: serve arbitrary targets, so they never slice.
+    #: suffix) so pool, coalescer and breaker never mix sessions built
+    #: from differently-optimized programs.  Pooled sessions serve
+    #: arbitrary targets, so they never slice.
     optimize: int = 0
-    #: A :class:`repro.api.session.SessionSnapshot` the daemon attached from
-    #: its catalog: the worker opens the session copy-free from the frozen
-    #: solved table instead of re-solving (set by the daemon, never parsed
-    #: from requests).
-    snapshot: Optional[object] = None
-    #: Ask the worker to freeze and return a snapshot after this query
-    #: leaves the session solved (daemon-set; see ``DaemonConfig.snapshots``).
-    publish_snapshot: bool = False
     #: Attach a replay-validated counterexample trace to a reachable verdict
     #: (the ``witness`` op / request field; sequential queries only).
     witness: bool = False
@@ -144,12 +136,6 @@ class QueryOutcome:
     session_live_nodes: int = 0
     retries: int = 0
     worker_pid: int = 0
-    #: A freshly frozen :class:`repro.api.session.SessionSnapshot` the
-    #: worker published for the daemon's catalog (``publish_snapshot``).
-    snapshot: Optional[object] = None
-    #: True when the serving session was opened from a catalog snapshot on
-    #: this very query (the solve was skipped, copy-free).
-    snapshot_attached: bool = False
 
     @property
     def ok(self) -> bool:
@@ -285,8 +271,8 @@ def parse_request(
     program_hash = content_hash(program)
     if optimize:
         # Different levels compile different programs: keep them apart in
-        # the session pool, the coalescer, the breaker and the snapshot
-        # catalog — all of which key on this hash.
+        # the session pool, the coalescer and the breaker — all of which
+        # key on this hash.
         program_hash = f"{program_hash}:O{optimize}"
     if concurrent:
         # Likewise each context-switch bound gets its own session.

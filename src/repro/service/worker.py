@@ -43,25 +43,10 @@ from typing import Dict, Tuple
 from ..api.session import AnalysisSession
 from ..boolprog import BoolProgError
 from ..errors import AnalysisTimeout, ResourceExhausted
-from ..limits import DEGRADATION_LADDER
 from ..testing import faults
 from .protocol import QueryJob, QueryOutcome, error_payload
 
 __all__ = ["SessionCache", "classify_failure", "execute_job", "worker_main"]
-
-
-class _CacheEntry:
-    """One pooled session plus the bookkeeping the outcome records need."""
-
-    def __init__(self, session: AnalysisSession, from_snapshot: bool = False) -> None:
-        self.session = session
-        #: The session was attached from a daemon-catalog snapshot (the
-        #: solve was skipped); the first query on it reports the attach.
-        self.from_snapshot = from_snapshot
-        self.attach_reported = False
-        #: Algorithms whose snapshot this worker already published — a
-        #: session is frozen at most once per algorithm per worker life.
-        self.published: set = set()
 
 
 class SessionCache:
@@ -74,68 +59,48 @@ class SessionCache:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[str, _CacheEntry] = {}
+        self._sessions: Dict[str, AnalysisSession] = {}
 
-    def entry(self, job: QueryJob) -> _CacheEntry:
-        """The pooled session for ``job``'s program (opened on first use).
-
-        When the job carries a catalog snapshot, the session is attached
-        copy-free to the frozen solved table instead of compiled from
-        source — the warm-hit contract survives worker death.  A failed
-        attach (segment already unlinked, incompatible image) silently
-        degrades to the classic open-and-solve path.
-        """
-        entry = self._entries.get(job.program_hash)
-        if entry is None:
-            session = None
-            from_snapshot = False
-            if job.snapshot is not None:
-                try:
-                    session = AnalysisSession.from_snapshot(
-                        job.snapshot, limits=job.limits
-                    )
-                    from_snapshot = True
-                except Exception:  # noqa: BLE001 — degrade to a fresh session
-                    session = None
-            if session is None:
-                # String specs resolve against the optimized CFG; only a
-                # batch group, whose targets are known up front, slices.
-                session = AnalysisSession(
-                    job.program,
-                    default_algorithm=job.algorithm,
-                    limits=job.limits,
-                    optimize=job.optimize,
-                    slice_targets=job.slice_targets,
-                )
-            entry = _CacheEntry(session, from_snapshot=from_snapshot)
-            self._entries[job.program_hash] = entry
-        return entry
+    def session(self, job: QueryJob) -> AnalysisSession:
+        """The pooled session for ``job``'s program (opened on first use)."""
+        session = self._sessions.get(job.program_hash)
+        if session is None:
+            # String specs resolve against the optimized CFG; only a batch
+            # group, whose targets are known up front, slices.
+            session = AnalysisSession(
+                job.program,
+                default_algorithm=job.algorithm,
+                limits=job.limits,
+                optimize=job.optimize,
+                slice_targets=job.slice_targets,
+            )
+            self._sessions[job.program_hash] = session
+        return session
 
     def live_nodes(self, program_hash: str) -> int:
         """Live nodes of one open session (0 when none is open)."""
-        entry = self._entries.get(program_hash)
-        return entry.session.live_nodes() if entry is not None else 0
+        session = self._sessions.get(program_hash)
+        return session.live_nodes() if session is not None else 0
 
     def evict(self, program_hash: str) -> int:
         """Close and drop one pooled session; returns the live nodes freed."""
-        entry = self._entries.pop(program_hash, None)
-        if entry is None:
+        session = self._sessions.pop(program_hash, None)
+        if session is None:
             return 0
-        freed = entry.session.live_nodes()
-        entry.session.close()
+        freed = session.live_nodes()
+        session.close()
         return freed
 
     def close(self) -> None:
         """Close every pooled session (worker shutdown)."""
-        for entry in self._entries.values():
-            entry.session.close()
-        self._entries.clear()
+        for session in self._sessions.values():
+            session.close()
+        self._sessions.clear()
 
 
 def _session_outcome(cache: SessionCache, job: QueryJob) -> QueryOutcome:
     """Run one query against the pooled session for its program."""
-    entry = cache.entry(job)
-    session = entry.session
+    session = cache.session(job)
     # The envelope is per request, but the session is shared across requests
     # (and budgets): re-arm before every query.
     session.set_limits(job.limits)
@@ -156,33 +121,11 @@ def _session_outcome(cache: SessionCache, job: QueryJob) -> QueryOutcome:
         early_stop=job.early_stop,
         witness=job.witness,
     )
-    # The session answered on the ladder's fallback if the query degraded.
-    algorithm = DEGRADATION_LADDER[job.algorithm] if result.degraded_from else job.algorithm
-    snapshot = None
-    if (
-        job.publish_snapshot
-        and session.solved(algorithm)
-        and algorithm not in entry.published
-        and not entry.from_snapshot
-    ):
-        # Freeze the solved table for the daemon's catalog so the warm-hit
-        # contract survives this worker's death.  Only sessions that solved
-        # locally publish (an attached overlay has nothing new to offer),
-        # and a failed freeze just skips the publication.
-        try:
-            snapshot = session.freeze(algorithm)
-            entry.published.add(algorithm)
-        except Exception:  # noqa: BLE001 — snapshots are an optimisation
-            snapshot = None
-    attached = entry.from_snapshot and not entry.attach_reported
-    entry.attach_reported = True
     return QueryOutcome(
         status="ok",
         result=result,
         warm=warm,
         session_live_nodes=session.live_nodes(),
-        snapshot=snapshot,
-        snapshot_attached=attached,
     )
 
 
@@ -274,13 +217,6 @@ def worker_main(conn, fault_plan=None) -> None:
                     conn.send(("result", job.id, outcome))
                 except (BrokenPipeError, OSError):
                     break
-                if outcome.snapshot is not None:
-                    # The daemon received the handle and owns the segment
-                    # now; drop this process's resource-tracker claim so a
-                    # later worker exit cannot unlink it.  (If the send had
-                    # failed, the claim would stay and the tracker would
-                    # reap the orphaned segment — either way, no leak.)
-                    outcome.snapshot.disown()
     finally:
         cache.close()
         try:

@@ -3,9 +3,9 @@
 Two directions:
 
 * **Clean paths stay clean** — formula construction, explicit and triggered
-  collection, rename/restrict/quantify and the snapshot-overlay attach all
-  pass validation at every GC safe point; verdict-bearing workloads behave
-  identically with the sanitizer armed.
+  collection and rename/restrict/quantify all pass validation at every GC
+  safe point; verdict-bearing workloads behave identically with the
+  sanitizer armed.
 * **Corruption is caught** — each invariant the sanitizer guards (live
   counter, free-list purity, spare slots past ``_top``, unique-table/
   node-vector agreement, the native tables' probe runs, the regular
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bdd import BddManager, SnapshotOverlayManager, SnapshotView
+from repro.bdd import BddManager
 from repro.bdd import manager as bdd_manager
-from repro.bdd import snapshot as bdd_snapshot
 from repro.bdd.manager import EDGE_BITS, BddError
 
 VARS = [f"v{i}" for i in range(8)]
@@ -83,6 +82,27 @@ def test_detects_free_list_corruption():
     node = mgr.and_(mgr.var(0), mgr.var(1))
     mgr._free.append(node >> 1)  # a live slot on the free list
     with pytest.raises(BddError, match="free list"):
+        mgr._debug_validate()
+
+
+def test_detects_the_terminal_on_the_free_list():
+    mgr = make_manager()
+    kept = mgr.ref(churn(mgr))
+    mgr.collect_garbage([])  # a swept table with holes validates clean
+    assert mgr._free
+    mgr._free.append(0)  # the terminal slot can never be free
+    with pytest.raises(BddError, match="free list does not match"):
+        mgr._debug_validate()
+    mgr._free.pop()
+    mgr.deref(kept)
+    mgr.collect_garbage([])
+
+
+def test_detects_an_overwritten_terminal():
+    mgr = make_manager()
+    mgr.and_(mgr.var(0), mgr.var(1))
+    mgr._level[0] = 0
+    with pytest.raises(BddError, match="terminal slot 0 was overwritten"):
         mgr._debug_validate()
 
 
@@ -174,32 +194,3 @@ def test_detects_a_native_table_entry_past_a_free_slot(attr):
     name = attr.strip("_").removesuffix("_cache")
     with pytest.raises(BddError, match=f"{name} table: .* past a free slot"):
         mgr._debug_validate()
-
-
-# ----------------------------------------------------------------------
-# Snapshot overlay
-# ----------------------------------------------------------------------
-def test_overlay_validates_clean_and_corrupt():
-    mgr = BddManager(VARS, debug_checks=True)
-    f = mgr.ref(churn(mgr))
-    mgr.collect_garbage([])
-    name = bdd_snapshot.freeze(mgr)
-    try:
-        view = SnapshotView(name)
-        overlay = SnapshotOverlayManager(view, debug_checks=True)
-        # Rebuild a frozen function (base hits) and fresh tail structure.
-        rebuilt = overlay.ref(churn(overlay))
-        assert rebuilt == f  # canonicity across the base/tail boundary
-        tail_only = overlay.ref(
-            overlay.and_(overlay.xor(overlay.var(0), overlay.var(7)), rebuilt)
-        )
-        overlay.collect_garbage([])  # validates the overlay invariants
-        overlay.deref(tail_only)
-        overlay.collect_garbage([])
-        overlay._free.append(0)  # terminal slot can never be free
-        with pytest.raises(BddError, match="overlay free list"):
-            overlay._debug_validate()
-        overlay._free.pop()
-        overlay.detach()
-    finally:
-        bdd_snapshot.unlink(name)

@@ -1,7 +1,7 @@
 """Differential suite: the native kernel's ``Table`` against a dict.
 
 ``Table`` (``repro/bdd/_native.c``) is the unique table and the native op
-caches of a manager that runs the native kernel, and GC, snapshots and the
+caches of a manager that runs the native kernel, and GC and the
 sanitizer read it through the dict operations the manager uses.  Each test
 drives a ``Table`` and a dict through the same operations and asserts that
 they agree after every step, and that the table's probe runs stay sound

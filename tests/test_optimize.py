@@ -287,16 +287,21 @@ class TestSessionIntegration:
         finally:
             session.close()
 
-    def test_sliced_session_refuses_freeze(self):
+    def test_solved_sliced_session_answers_its_slice_warm(self):
+        plain = AnalysisSession(DEAD_CODE, optimize=2)
         session = AnalysisSession(
             DEAD_CODE, optimize=2, slice_targets=["main:target"]
         )
         try:
+            expected = plain.check("main:target", algorithm="ef-opt").reachable
             session.solve("ef-opt")
-            with pytest.raises(RuntimeError, match="sliced"):
-                session.freeze("ef-opt")
+            result = session.check("main:target", algorithm="ef-opt")
+            assert result.reachable is expected
+            assert result.details["reused_solve"] is True
+            assert session.stats()["algorithms"]["ef-opt"]["solves"] == 1
         finally:
             session.close()
+            plain.close()
 
     def test_numeric_slice_targets_rejected_up_front(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,10 @@ its contract is load-bearing:
 * **Totality and minimality** — the cube assigns every requested variable,
   and is the lexicographically smallest satisfying total assignment in
   level order with False < True.
-* **Overlay independence** — a manager and a snapshot-overlay manager on
-  its frozen table pick the *identical* cube for the same function, so
-  traces extracted from a pooled session, a shard worker or a snapshot
-  attach are byte-for-byte equal.
+* **Table independence** — the pick depends on the function alone, not on
+  the table's history: a swept table, a fresh manager and either kernel
+  pick the *identical* cube, so traces extracted from a pooled session or
+  a shard worker are byte-for-byte equal.
 * **Complement edges** — picking through a negated (complement-edge) root
   is just as sound; ``sat_one`` (the greedy seed) shares these properties
   on its restricted (partial-assignment) contract.
@@ -21,8 +21,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BddManager, SnapshotOverlayManager, SnapshotView
-from repro.bdd import snapshot as bdd_snapshot
+from repro.bdd import BddManager
 from repro.bdd.manager import BddError
 
 from test_bdd_properties import (
@@ -111,30 +110,33 @@ def test_pick_cube_requires_support_coverage():
         mgr.pick_cube(node, ["p"])
 
 
-def test_pick_cube_matches_snapshot_overlay():
-    mgr = BddManager(VAR_NAMES)
-    node = mgr.ref(
-        mgr.or_(
+def test_pick_cube_ignores_table_history():
+    from repro.bdd import manager as bdd_manager
+
+    def build(mgr):
+        return mgr.or_(
             mgr.and_(mgr.var("p"), mgr.not_(mgr.var("r"))),
             mgr.and_(mgr.var("q"), mgr.var("s")),
         )
-    )
+
+    mgr = BddManager(VAR_NAMES)
+    node = mgr.ref(build(mgr))
     baseline = mgr.pick_cube(node, VAR_NAMES)
+    negated = mgr.not_(node)
+    negated_cube = mgr.pick_cube(negated, VAR_NAMES)
+    assert mgr.eval(negated, _named(mgr, negated_cube)) is True
+    # The same function after a sweep leaves holes in the table.
     mgr.collect_garbage()
-    name = bdd_snapshot.freeze(mgr)
-    try:
-        with SnapshotView(name) as view:
-            overlay = SnapshotOverlayManager(view)
-            # The frozen root is the same signed edge in the overlay; the
-            # pick must be identical, and an overlay-built negation must
-            # still pick a sound cube.
-            assert overlay.pick_cube(node, VAR_NAMES) == baseline
-            negated = overlay.not_(node)
-            cube = overlay.pick_cube(negated, VAR_NAMES)
-            assert cube is not None
-            assert overlay.eval(negated, _named(overlay, cube)) is True
-    finally:
-        bdd_snapshot.unlink(name)
+    assert mgr.pick_cube(node, VAR_NAMES) == baseline
+    assert mgr.pick_cube(mgr.not_(node), VAR_NAMES) == negated_cube
+    # A fresh manager under either kernel picks the same cubes.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bdd_manager, "_native", None)
+        python = BddManager(VAR_NAMES)
+    for other in (BddManager(VAR_NAMES), python):
+        rebuilt = build(other)
+        assert other.pick_cube(rebuilt, VAR_NAMES) == baseline
+        assert other.pick_cube(other.not_(rebuilt), VAR_NAMES) == negated_cube
 
 
 def test_pick_cube_exhaustive_three_vars():

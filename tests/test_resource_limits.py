@@ -694,3 +694,43 @@ class TestCliExitCodes:
             faults.clear()
         assert status == 1
         assert "summary fallback" in capsys.readouterr().out
+
+
+class TestBudgetEquivalence:
+    def _churn(self, mgr, rounds=40, bits=8):
+        """Allocate then abandon BDDs so capacity outgrows live nodes."""
+        for round_ in range(rounds):
+            acc = mgr.FALSE
+            for i in range(bits):
+                term = mgr.and_(
+                    mgr.var(f"a{i}"),
+                    mgr.xor(mgr.var(f"b{i}"), mgr.var(f"a{(i + round_) % bits}")),
+                )
+                acc = mgr.or_(acc, term)
+        return acc
+
+    def test_budget_counts_live_slots_not_capacity(self):
+        names = [f"a{i}" for i in range(8)] + [f"b{i}" for i in range(8)]
+        mgr = BddManager(names)
+        self._churn(mgr)
+        mgr.collect_garbage()
+        live = mgr.stats()["nodes"]
+        peak = mgr.stats()["peak_nodes"]
+        assert peak > live  # the churn left real headroom to misaccount
+        # A budget between live and peak must NOT trip: only live slots
+        # count, never the high-water table capacity.
+        mgr.set_node_budget(live + 16)
+        small = mgr.and_(mgr.var("a0"), mgr.var("b0"))
+        assert small != mgr.FALSE
+        # And it must still trip once live genuinely exceeds it.
+        with pytest.raises(NodeBudgetExceeded) as excinfo:
+            self._churn(mgr, rounds=80)
+        assert excinfo.value.consumed > excinfo.value.budget
+
+    def test_trip_point_is_the_first_allocation_past_the_budget(self):
+        names = [f"a{i}" for i in range(8)] + [f"b{i}" for i in range(8)]
+        mgr = BddManager(names)
+        mgr.set_node_budget(64)
+        with pytest.raises(NodeBudgetExceeded) as excinfo:
+            self._churn(mgr)
+        assert (excinfo.value.consumed, excinfo.value.budget) == (65, 64)

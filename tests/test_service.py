@@ -3,19 +3,22 @@
 Unit coverage of the daemon's robustness machinery, mostly on the
 in-process backend (``workers=0`` — same execution path, no process pool):
 protocol validation with typed error payloads, the live-node-priced LRU
-pool index, the per-program circuit breaker, admission control with
-shed-to-ladder semantics, request coalescing, per-request limits, graceful
-drain.  Process-pool failover is covered end to end in
+pool index, the worker's session cache, the per-program circuit breaker,
+admission control with shed-to-ladder semantics, request coalescing,
+per-request limits, graceful drain.  Process-pool failover is covered end to end in
 ``tests/test_server_chaos.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import pickle
 
 import pytest
 
+from repro.algorithms import SEQUENTIAL_ALGORITHMS
 from repro.limits import ResourceLimits
 from repro.service import (
     AnalysisDaemon,
@@ -26,6 +29,7 @@ from repro.service import (
     content_hash,
     parse_request,
 )
+from repro.service.worker import SessionCache, execute_job
 from repro.testing import FaultPlan, faults
 
 POSITIVE = """
@@ -247,6 +251,89 @@ class TestCircuitBreaker:
         breaker.record("bad", "crashed")
         assert not breaker.allow("bad")[0]
         assert breaker.allow("good")[0]
+
+
+BRANCHING = """
+decl g;
+main() begin
+  decl x;
+  x := *;
+  call set_flag(x);
+  if (g) then yes: skip; fi
+  if (!g) then no_g: skip; fi
+  if (g & !g) then never: skip; fi
+end
+set_flag(v) begin
+  g := v;
+end
+"""
+
+
+class TestWorkerSessions:
+    """The worker's session cache: every program on a private manager."""
+
+    @pytest.mark.parametrize("algorithm", sorted(SEQUENTIAL_ALGORITHMS))
+    def test_outcomes_round_trip_through_pickle(self, algorithm):
+        # Outcomes cross the worker pipe as pickles; a warm answer carries
+        # the cold one's verdict, iterations and summary size.
+        cache = SessionCache()
+        try:
+            outcomes = []
+            for index, target in enumerate(["main:yes", "main:never", "main:yes"]):
+                job = parse_request(
+                    query(BRANCHING, target=target, algorithm=algorithm),
+                    job_id=f"q{index}",
+                )
+                outcomes.append(pickle.loads(pickle.dumps(execute_job(cache, job))))
+        finally:
+            cache.close()
+        cold, never, warm = outcomes
+        assert all(outcome.ok for outcome in outcomes)
+        assert [o.warm for o in outcomes] == [False, True, True]
+        assert [o.result.reachable for o in outcomes] == [True, False, True]
+        assert warm.result.details["reused_solve"]
+        assert warm.result.iterations == cold.result.iterations
+        assert warm.result.summary_states == cold.result.summary_states
+        assert never.result.summary_states == cold.result.summary_states
+
+    def test_programs_solve_on_private_managers(self):
+        cache = SessionCache()
+        try:
+            positive = parse_request(query(POSITIVE), job_id="p")
+            negative = parse_request(query(NEGATIVE), job_id="n")
+            assert execute_job(cache, positive).result.reachable is True
+            assert execute_job(cache, negative).result.reachable is False
+            managers = [
+                cache.session(job)._states["ef-opt"].backend.manager
+                for job in (positive, negative)
+            ]
+            assert managers[0] is not managers[1]
+            kept = cache.live_nodes(negative.program_hash)
+            assert cache.evict(positive.program_hash) > 0
+            assert cache.live_nodes(positive.program_hash) == 0
+            # The other program's session, and its solved table, stand.
+            assert cache.live_nodes(negative.program_hash) == kept
+            again = execute_job(cache, negative)
+            assert again.warm and again.result.reachable is False
+        finally:
+            cache.close()
+
+    def test_close_session_answers_then_evicts(self):
+        cache = SessionCache()
+        try:
+            job = dataclasses.replace(
+                parse_request(query(), job_id="once"), close_session=True
+            )
+            outcome = execute_job(cache, job)
+            assert outcome.ok and outcome.result.reachable is True
+            assert not outcome.warm
+            assert outcome.session_live_nodes > 0
+            assert cache.live_nodes(job.program_hash) == 0
+            # The next query on the program opens a fresh session.
+            job = dataclasses.replace(job, close_session=False)
+            assert execute_job(cache, job).warm is False
+        finally:
+            cache.close()
 
 
 class TestDaemonQueries:

@@ -150,6 +150,33 @@ class TestReuse:
         assert not first.reachable and not first.details["reused_solve"]
         assert second.reachable and second.details["reused_solve"]
 
+    def test_warm_checks_survive_lazily_allocated_choice_bits(self):
+        # A `*` condition draws an auxiliary __choice bit, which the encoder
+        # adds to the state's manager when it first meets it, after the
+        # state variables; post-passes over the solved summary run on that
+        # manager as it stands.
+        source = """\
+decl g;
+main() begin
+    g := F;
+    if (*) then g := T; fi
+    if (g) then maybe: skip; fi
+    if (!g) then maybe_not: skip; fi
+end
+"""
+        with AnalysisSession(parse_program(source)) as session:
+            session.solve("summary")
+            manager = session._states["summary"].backend.manager
+            assert manager.has_var("__choice0")
+            first = session.check("main:maybe", algorithm="summary")
+            second = session.check("main:maybe_not", algorithm="summary")
+            again = session.check("main:maybe", algorithm="summary")
+            stats = session.stats()["algorithms"]["summary"]
+        assert first.reachable and second.reachable and again.reachable
+        assert all(r.details["reused_solve"] for r in (first, second, again))
+        assert again.summary_states == first.summary_states
+        assert stats["solves"] == 1
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_early_stopped_run_retains_nothing(self, algorithm):
         """An algorithm is unsolved or holds one fixed point: an early stop

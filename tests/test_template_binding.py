@@ -75,7 +75,7 @@ def test_bound_solve_equals_the_unbound_compile(program, algorithm):
         assert not templates & set(state.query_plan.rel_names)
         mgr = state.backend.manager
         inputs = dict(state.base_interps, Target=mgr.FALSE)
-        reference = _UnboundBackend(state.spec.system, manager=mgr)
+        reference = _UnboundBackend(state.spec.system, context=state.backend.context)
         try:
             evaluate = (
                 evaluate_nested if state.spec.evaluation == "nested" else evaluate_simultaneous
